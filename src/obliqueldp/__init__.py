@@ -42,7 +42,6 @@ from .sde import (  # noqa: F401
 )
 from .rate import (  # noqa: F401
     RateResult,
-    path_rate,
     rate_of_event,
     rate_of_path,
     weak_stability_check,

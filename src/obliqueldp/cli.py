@@ -467,10 +467,11 @@ def _ldp_config(ctx: RunContext) -> tuple:
         n_steps=ctx.n_steps, seed=ctx.seed, scheme_tol=ctx.scheme_tol,
         lambda_fraction=ctx.lambda_fraction, rate_tol=ctx.rate_tol,
         n_threads=ctx.threads)
-    for key in ("obstacle_height", "n_x", "rate_segments", "rate_max_segments",
-                "dp_n_steps", "dp_substeps"):
+    for key in ("n_x", "rate_segments", "rate_max_segments", "dp_n_steps", "dp_substeps"):
         if key in block:
-            kwargs[key] = block[key]
+            kwargs[key] = _int(block, key, "ldp")
+    if "obstacle_height" in block:
+        kwargs["obstacle_height"] = _num(block, "obstacle_height", "ldp")
     if "dp_controls" in block:
         kwargs["dp_controls"] = [float(a) for a in block["dp_controls"]]
     try:

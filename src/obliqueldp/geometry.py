@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import qmc
 
 
@@ -29,6 +30,9 @@ class ProjectionError(GeometryError):
 class ObliqueConditionError(GeometryError):
     """Raised when an oblique field fails the uniform interior-cone condition."""
 
+
+class ReflectionError(RuntimeError):
+    """Raised when the oblique pushback cannot be resolved."""
 
 
 def _sobol_points(d: int, n: int, skip: int = 0) -> np.ndarray:
@@ -169,8 +173,6 @@ class Domain:
 
     def _reach_boundary(self, y: np.ndarray, tol: float, direction=None) -> np.ndarray:
         """March along the level gradient to the zero set (bracket + bisect)."""
-        from scipy.optimize import brentq
-
         f0 = self.level(y)
         if abs(f0) <= tol:
             return y
@@ -231,8 +233,28 @@ class Domain:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.normal(row) for row in X])
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return self.signed_distance(x) >= -tol
+    def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
+        """Minimal lambda >= 0 with ``p - lambda*g`` on the boundary, by
+        safeguarded bracketing bisection along the ray."""
+        f0 = self.signed_distance(p)
+        if f0 >= 0.0:
+            return 0.0
+        hi = 2.0 * abs(f0) / max(c0, 1e-12)
+        fhi = self.signed_distance(p - hi * g)
+        for _ in range(60):
+            if fhi >= 0.0:
+                break
+            hi *= 2.0
+            fhi = self.signed_distance(p - hi * g)
+        else:
+            raise ReflectionError(f"could not bracket pushback from {p} along {g}")
+        return float(brentq(lambda lam: self.signed_distance(p - lam * g),
+                            0.0, hi, xtol=1e-14, rtol=8.9e-16))
+
+    def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
+        """Closed-form ``(Q, dZ)`` pushback of the rows of ``P`` along ``field``
+        (interior rows unchanged, zero dZ), or None when there is none."""
+        return None
 
     def interior_radius(self) -> float:
         """Maximum of the signed distance over the closure (sup-norm of d)."""
@@ -316,6 +338,22 @@ class Interval(Domain):
         x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
         return np.where(x - self.a < self.b - x, -1.0, 1.0).reshape(-1, 1)
 
+    def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
+        x = p[0]
+        lam = (x - self.a) / g[0] if x < self.a else (x - self.b) / g[0]
+        if not np.isfinite(lam) or lam < 0.0:
+            raise ReflectionError(f"pushback direction {g} does not reenter the interval")
+        return float(lam)
+
+    def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
+        if len(P) == 1 and self.a <= P[0, 0] <= self.b:
+            # a lone interior row (the scalar path solvers): skip the array ops
+            return P, np.zeros((1, 1))
+        # 1-d pushback lands on the violated endpoint for any admissible field.
+        Q = np.maximum(P, self.a)
+        np.minimum(Q, self.b, out=Q)
+        return Q, P - Q
+
     def boundary_points(self, n: int) -> np.ndarray:
         ends = np.array([[self.a], [self.b]])
         return ends[np.arange(n) % 2]
@@ -355,8 +393,9 @@ class Disk(Domain):
         return self.radius - float(np.linalg.norm(_as_point(x, 2) - self.center))
 
     def signed_distance_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.radius - np.linalg.norm(X - self.center, axis=1)
+        # np.linalg.norm(axis=1) without its per-call overhead, same rounding
+        D = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
+        return self.radius - np.sqrt(np.add.reduce(D * D, axis=1))
 
     def project_to_boundary(self, x, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
         r = _as_point(x, 2) - self.center
@@ -380,6 +419,23 @@ class Disk(Domain):
         if np.any(nr < 1e-12):
             raise DegenerateGeometryError("normal undefined at the disk center")
         return rel / nr
+
+    def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
+        return _quadric_pushback(p, g, self.center, np.array([self.radius, self.radius]))
+
+    def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
+        if field.kind != "normal":
+            return None
+        rel = P - self.center
+        rad = np.linalg.norm(rel, axis=1)
+        out = rad > self.radius
+        r, s = rel[out], rad[out][:, None]
+        Q, dZ = P.copy(), np.zeros(P.shape)
+        Q[out] = self.center + r * (self.radius / s)
+        # Scaling rel, rather than taking P - Q, keeps dZ exactly radial even
+        # for rows that overshoot the circle by a rounding error.
+        dZ[out] = r * ((s - self.radius) / s)
+        return Q, dZ
 
     def boundary_points(self, n: int) -> np.ndarray:
         th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
@@ -458,6 +514,9 @@ class Ellipse(Domain):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.signed_distance(row) for row in X])
 
+    def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
+        return _quadric_pushback(p, g, self.center, self.semi_axes)
+
     def boundary_points(self, n: int) -> np.ndarray:
         # Arc-length-balanced parameter sample: equal steps in an angle
         # variable reweighted by the local speed.
@@ -478,6 +537,27 @@ class Ellipse(Domain):
 
     def interior_radius(self) -> float:
         return float(np.min(self.semi_axes))
+
+
+def _quadric_pushback(p: np.ndarray, g: np.ndarray, center: np.ndarray,
+                      scale: np.ndarray) -> float:
+    """Minimal lambda >= 0 with ``p - lambda*g`` on the ellipse with semi-axes
+    ``scale`` (a disk when both agree): the root of the ray/quadric equation."""
+    z = (p - center) / scale
+    h = g / scale
+    a = float(h @ h)
+    b = float(z @ h)
+    c = float(z @ z - 1.0)
+    disc = b * b - a * c
+    if disc < 0.0 or a <= 0.0:
+        raise ReflectionError(f"pushback ray from {p} along {g} misses the boundary")
+    lam = (b - np.sqrt(disc)) / a
+    if lam < 0.0:
+        # p already inside (c <= 0): smallest nonnegative root is 0.
+        lam = 0.0 if c <= 0.0 else (b + np.sqrt(disc)) / a
+    if lam < 0.0:
+        raise ReflectionError(f"pushback ray from {p} along {g} exits the domain")
+    return float(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +715,26 @@ class CoefficientField:
         return (self.constant_b is not None and self.constant_sigma is not None
                 and self.eps_family is None)
 
-    def b_eps(self, eps: float) -> Callable:
-        if self.eps_family is None:
+    def b_eps(self, eps: Optional[float]) -> Callable:
+        if self.eps_family is None or eps is None:
             return self.b
         return self.eps_family.b_of(eps)
 
-    def sigma_eps(self, eps: float) -> Callable:
-        if self.eps_family is None:
+    def sigma_eps(self, eps: Optional[float]) -> Callable:
+        if self.eps_family is None or eps is None:
             return self.sigma
         return self.eps_family.sigma_of(eps)
+
+    def rows(self, t: float, X, eps: Optional[float] = None):
+        """Drift (B, d) and dispersion (B, d, m) at every row of ``X``, for the
+        family member ``eps`` (None: the base pair).  Constant coefficients
+        come back as single rows, (1, d) and (1, d, m), that broadcast."""
+        if self.is_constant:
+            return self.constant_b[None, :], self.constant_sigma[None, :, :]
+        b_fun, s_fun = self.b_eps(eps), self.sigma_eps(eps)
+        b = np.array([np.atleast_1d(np.asarray(b_fun(t, x), dtype=float)) for x in X])
+        s = np.array([np.atleast_2d(np.asarray(s_fun(t, x), dtype=float)) for x in X])
+        return b, s
 
 
 def constant_coefficients(b_vec, sigma_mat, lipschitz_x: float = 0.0) -> CoefficientField:

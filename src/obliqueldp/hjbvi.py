@@ -276,21 +276,12 @@ class _Workspace:
         return worst / self.h
 
     def coeff_arrays(self, eps: float, t: float):
-        coeffs = self.coeffs
+        """Drift (n, d) and sigma sigma^T (n, d, d) at every active node."""
         n = len(self.pts)
-        if coeffs.is_constant:
-            b = np.broadcast_to(coeffs.constant_b, (n, len(coeffs.constant_b)))
-            s = coeffs.constant_sigma
-            sst = np.broadcast_to(s @ s.T, (n, s.shape[0], s.shape[0]))
-            return b, sst
-        b_fun = coeffs.b_eps(eps)
-        s_fun = coeffs.sigma_eps(eps)
-        b = np.stack([np.atleast_1d(np.asarray(b_fun(t, p), dtype=float))
-                      for p in self.pts])
-        sst = np.stack([
-            (lambda sg: sg @ sg.T)(np.atleast_2d(np.asarray(s_fun(t, p), dtype=float)))
-            for p in self.pts])
-        return b, sst
+        b, s = self.coeffs.rows(t, self.pts, eps)
+        sst = s @ np.swapaxes(s, 1, 2)
+        return (np.broadcast_to(b, (n, b.shape[1])),
+                np.broadcast_to(sst, (n,) + sst.shape[1:]))
 
     def step(self, v_next: np.ndarray, t_next: float, dt: float, eps: float) -> np.ndarray:
         """One unprojected backward update from the layer at t_next."""

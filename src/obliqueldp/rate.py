@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .reflect import Control, ReferencePath, TimeGrid, solve_reflected_ode
-from .sde import EventSpec, _batch_reflect
+from .reflect import Control, ReferencePath, TimeGrid, solve_reflected_ode, sup_deviations
+from .sde import EventSpec
 
 INFEASIBLE = math.inf
 
@@ -34,11 +34,6 @@ class RateResult:
         return math.isinf(self.value)
 
 
-def path_rate(control: Control) -> float:
-    """Half the integral of the squared control over its grid."""
-    return control.action()
-
-
 # ---------------------------------------------------------------------------
 # Batched path evaluation for optimization
 
@@ -47,9 +42,9 @@ class _PathBatch:
     """Evaluates many piecewise-constant controls at once.
 
     Controls live on ``n_seg`` uniform segments; the state is stepped on a
-    finer uniform simulation grid (``substeps`` per segment).  For constant
-    coefficients whole batches advance in single numpy ops; otherwise rows
-    are stepped one by one.
+    finer uniform simulation grid (``substeps`` per segment).  All controls
+    advance together through the batched reflected Euler step, with the
+    coefficients evaluated on the batch's rows at every step.
     """
 
     def __init__(self, domain, field, coeffs, t0, x0, t_end, n_seg, substeps,
@@ -70,31 +65,14 @@ class _PathBatch:
 
     def max_devs(self, A: np.ndarray) -> np.ndarray:
         """(B, n_refs) sup-norm deviations of each controlled path."""
-        if self.coeffs.is_constant:
-            return self._max_devs_const(A)
-        return np.stack([self._max_devs_single(A[i]) for i in range(A.shape[0])])
+        nodes, seg = self.grid.nodes, self.seg_of_step
 
-    def _max_devs_const(self, A: np.ndarray) -> np.ndarray:
-        b = self.coeffs.constant_b
-        sig = self.coeffs.constant_sigma
-        B = A.shape[0]
-        X = np.repeat(self.x0[None, :], B, axis=0)
-        dev = np.stack([np.linalg.norm(X - g[0], axis=1) for g in self.g_nodes], axis=1)
-        drift_seg = b[None, None, :] - A @ sig.T  # (B, n_seg, d)
-        dts = self.grid.dts
-        for k in range(self.grid.n_steps):
-            P = X + drift_seg[:, self.seg_of_step[k], :] * dts[k]
-            X = _batch_reflect(self.domain, self.field, P)
-            for i, g in enumerate(self.g_nodes):
-                np.maximum(dev[:, i], np.linalg.norm(X - g[k + 1], axis=1), out=dev[:, i])
-        return dev
+        def drift_at(k, X):
+            b, sig = self.coeffs.rows(nodes[k], X)
+            return b - np.einsum("...dm,...m->...d", sig, A[:, seg[k], :])
 
-    def _max_devs_single(self, a: np.ndarray) -> np.ndarray:
-        ctrl = self.control_from(a)
-        path = solve_reflected_ode(self.domain, self.field, self.coeffs, ctrl,
-                                   self.grid.t0, self.x0, self.grid)
-        return np.array([path.max_deviation(ref_from_nodes(self.grid.nodes, g))
-                         for g in self.g_nodes])
+        X = np.repeat(self.x0[None, :], A.shape[0], axis=0)
+        return sup_deviations(self.domain, self.field, X, self.grid, drift_at, self.g_nodes)[1]
 
     def control_from(self, a: np.ndarray) -> Control:
         seg_grid = TimeGrid.uniform(self.grid.t0, self.grid.t_end, self.n_seg)
@@ -103,10 +81,6 @@ class _PathBatch:
     def solve_path(self, a: np.ndarray):
         return solve_reflected_ode(self.domain, self.field, self.coeffs,
                                    self.control_from(a), self.grid.t0, self.x0, self.grid)
-
-
-def ref_from_nodes(nodes: np.ndarray, values: np.ndarray) -> ReferencePath:
-    return ReferencePath(nodes, values)
 
 
 def _fd_minimize(objective, a0: np.ndarray, fd_step: float = 1e-6, maxiter: int = 200):

@@ -1,25 +1,22 @@
-"""Deterministic reflected dynamics: oblique pushback and path solvers.
+"""Reflected dynamics: oblique pushback, the reflected Euler step, path solvers.
 
-The controlled state moves by an Euler predictor and, whenever the predictor
-leaves the closure of the domain, is pushed back along the oblique field
-evaluated at the boundary contact point.  A windowed Picard iteration solves
-the same problem as a fixed point and doubles as an independent check of the
-stepper.
+The state moves by an Euler predictor and, whenever the predictor leaves the
+closure of the domain, is pushed back along the oblique field evaluated at
+the boundary contact point.  ``advance`` is that step for a batch of rows;
+every stepper in the package (deterministic paths, Monte Carlo blocks, the
+rate solver's control batches, the dynamic program's transitions) goes
+through it.  A windowed Picard iteration solves the same problem as a fixed
+point and doubles as an independent check of the stepper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .geometry import CoefficientField, Domain, Ellipse, Disk, Interval, ObliqueField
-
-
-class ReflectionError(RuntimeError):
-    """Raised when the oblique pushback cannot be resolved."""
+from .geometry import CoefficientField, Domain, ObliqueField, ReflectionError  # noqa: F401
 
 
 class ContractionError(RuntimeError):
@@ -181,54 +178,6 @@ class ReflectedPath:
 # Oblique pushback
 
 
-def _pushback_lambda(domain: Domain, p: np.ndarray, g: np.ndarray, c0: float) -> float:
-    """Minimal lambda >= 0 with ``p - lambda*g`` on the boundary."""
-    if isinstance(domain, Interval):
-        x = p[0]
-        if x < domain.a:
-            lam = (x - domain.a) / g[0]
-        else:
-            lam = (x - domain.b) / g[0]
-        if not np.isfinite(lam) or lam < 0.0:
-            raise ReflectionError(f"pushback direction {g} does not reenter the interval")
-        return float(lam)
-    if isinstance(domain, (Disk, Ellipse)):
-        if isinstance(domain, Disk):
-            scale = np.array([domain.radius, domain.radius])
-        else:
-            scale = domain.semi_axes
-        z = (p - domain.center) / scale
-        h = g / scale
-        a = float(h @ h)
-        b = float(z @ h)
-        c = float(z @ z - 1.0)
-        disc = b * b - a * c
-        if disc < 0.0 or a <= 0.0:
-            raise ReflectionError(f"pushback ray from {p} along {g} misses the boundary")
-        lam = (b - np.sqrt(disc)) / a
-        if lam < 0.0:
-            # p already inside (c <= 0): smallest nonnegative root is 0.
-            lam = 0.0 if c <= 0.0 else (b + np.sqrt(disc)) / a
-        if lam < 0.0:
-            raise ReflectionError(f"pushback ray from {p} along {g} exits the domain")
-        return float(lam)
-    # Generic level-set domain: safeguarded bracketing bisection on the ray.
-    f0 = domain.signed_distance(p)
-    if f0 >= 0.0:
-        return 0.0
-    hi = 2.0 * abs(f0) / max(c0, 1e-12)
-    fhi = domain.signed_distance(p - hi * g)
-    for _ in range(60):
-        if fhi >= 0.0:
-            break
-        hi *= 2.0
-        fhi = domain.signed_distance(p - hi * g)
-    else:
-        raise ReflectionError(f"could not bracket pushback from {p} along {g}")
-    return float(brentq(lambda lam: domain.signed_distance(p - lam * g),
-                        0.0, hi, xtol=1e-14, rtol=8.9e-16))
-
-
 def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
                  max_rounds: int = 200):
     """Push an exterior predictor ``p`` back into the closure along the field.
@@ -243,7 +192,7 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
     lam_prev = None
     for _ in range(max_rounds):
         g = field(c)
-        lam = _pushback_lambda(domain, p, g, field.c0)
+        lam = domain.pushback_lambda(p, g, field.c0)
         q = p - lam * g
         if lam_prev is not None and abs(lam - lam_prev) < tol:
             return q, lam * g
@@ -262,6 +211,15 @@ def _checked_grid(grid: TimeGrid, t0: float) -> TimeGrid:
     return grid
 
 
+def _checked_start(domain: Domain, grid: TimeGrid, t0: float, x) -> np.ndarray:
+    """The start point as an array, checked against the grid and the closure."""
+    _checked_grid(grid, t0)
+    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    if domain.signed_distance(x0) < -1e-12:
+        raise ValueError(f"start point {x0} lies outside the closure")
+    return x0
+
+
 def _drift(coeffs: CoefficientField, control: Optional[Control], t: float,
            x: np.ndarray) -> np.ndarray:
     b = np.atleast_1d(np.asarray(coeffs.b(t, x), dtype=float))
@@ -271,33 +229,79 @@ def _drift(coeffs: CoefficientField, control: Optional[Control], t: float,
     return b - sig @ control.at(t)
 
 
+def reflect_rows(domain: Domain, field: ObliqueField, P: np.ndarray):
+    """Push every exterior row of ``P`` (B, d) back into the closure.
+
+    Returns ``(Q, dZ)`` with ``Q = P - dZ``; interior rows come back unchanged
+    with zero dZ.  Rows without a closed form go through ``reflect_step``.
+    """
+    closed = domain.pushback_many(P, field)
+    if closed is not None:
+        return closed
+    Q, dZ = P, np.zeros(P.shape)
+    out = np.nonzero(domain.signed_distance_many(P) < 0.0)[0]
+    if len(out):
+        Q = P.copy()
+        for i in out:
+            Q[i], dZ[i] = reflect_step(domain, field, P[i])
+    return Q, dZ
+
+
+def advance(domain: Domain, field: ObliqueField, X: np.ndarray, drift, dt: float,
+            shock: Optional[np.ndarray] = None):
+    """One reflected Euler step of every row of ``X`` (B, d), or of a single
+    point ``X`` (d,) taken as one row.
+
+    The predictor is ``X + drift*dt + shock`` in that float order, with the
+    noise increment ``shock`` already scaled (``eps*sqrt(dt)*sigma@xi``);
+    ``drift`` broadcasts against ``X``.  Returns ``reflect_rows`` of it.
+    """
+    P = X + drift * dt
+    if shock is not None:
+        P += shock
+    return reflect_rows(domain, field, P.reshape(-1, P.shape[-1]))
+
+
+def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: TimeGrid,
+                   drift_at: Callable, g_nodes: Sequence[np.ndarray],
+                   shock_at: Optional[Callable] = None):
+    """Step the rows of ``X`` across the grid with step-k inputs
+    ``drift_at(k, X)`` and ``shock_at(k, X)``; return the terminal rows and
+    their (B, n_refs) sup-norm deviations from the references ``g_nodes``
+    (each sampled at the grid nodes)."""
+    # Running maxima of squared distances: the square root is monotone, so
+    # taking it once at the end gives the max of the per-node norms exactly.
+    sq = np.zeros((len(g_nodes), len(X)))
+
+    def track(Y, k):
+        for s, g in zip(sq, g_nodes):
+            D = Y - g[k]
+            np.maximum(s, np.add.reduce(D * D, axis=1), out=s)
+
+    track(X, 0)
+    dts = grid.dts
+    for k in range(grid.n_steps):
+        X, _ = advance(domain, field, X, drift_at(k, X), dts[k],
+                       None if shock_at is None else shock_at(k, X))
+        track(X, k + 1)
+    return X, np.sqrt(sq.T)
+
+
 def _euler_reflect(domain: Domain, field: ObliqueField, x0: np.ndarray, grid: TimeGrid,
-                   drift_at: Callable[[int, np.ndarray], np.ndarray],
-                   shock_at: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
+                   drift_at: Callable, shock_at: Optional[Callable] = None,
                    tol_bdry: float = 1e-6):
-    """Shared Euler-predictor / oblique-corrector loop."""
-    nodes = grid.nodes
-    n = grid.n_steps
-    d = len(x0)
+    """Reflected Euler path of one point: ``advance`` on a batch of one."""
+    n, d = grid.n_steps, len(x0)
     pts = np.empty((n + 1, d))
-    incs = np.zeros((n, d))
-    pts[0] = x0
-    x = x0
+    incs = np.empty((n, d))
+    pts[0] = x = x0
+    dts = grid.dts
     for k in range(n):
-        dt = nodes[k + 1] - nodes[k]
-        p = x + drift_at(k, x) * dt
-        if shock_at is not None:
-            p = p + shock_at(k, x)
-        if domain.signed_distance(p) < 0.0:
-            q, dz = reflect_step(domain, field, p)
-            incs[k] = dz
-            x = q
-        else:
-            x = p
-        pts[k + 1] = x
-    sd = domain.signed_distance_many(pts)
-    flags = np.abs(sd) <= tol_bdry
-    return pts, incs, flags
+        Q, dZ = advance(domain, field, x, drift_at(k, x), dts[k],
+                        None if shock_at is None else shock_at(k, x))
+        pts[k + 1] = x = Q[0]
+        incs[k] = dZ[0]
+    return pts, incs, np.abs(domain.signed_distance_many(pts)) <= tol_bdry
 
 
 def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
@@ -308,10 +312,7 @@ def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: Coefficient
     constant; the corrector pushes exterior predictors back along the oblique
     field.
     """
-    grid = _checked_grid(grid, t0)
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    if domain.signed_distance(x0) < -1e-12:
-        raise ValueError(f"start point {x0} lies outside the closure")
+    x0 = _checked_start(domain, grid, t0, x)
 
     def drift_at(k, xk):
         return _drift(coeffs, control, grid.nodes[k], xk)
@@ -319,15 +320,6 @@ def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: Coefficient
     pts, incs, flags = _euler_reflect(domain, field, x0, grid, drift_at)
     return ReflectedPath(grid=grid, points=pts, reflection_increments=incs,
                          boundary_flags=flags)
-
-
-def _frozen_pass(domain, field, coeffs, control, grid, x0, frozen):
-    """One Picard sweep: coefficients frozen along ``frozen``, path reflected."""
-
-    def drift_at(k, _xk):
-        return _drift(coeffs, control, grid.nodes[k], frozen[k])
-
-    return _euler_reflect(domain, field, x0, grid, drift_at)
 
 
 @dataclass
@@ -381,7 +373,10 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
         prev_dist = None
         bad_streak = 0
         for it in range(1, max_iter + 1):
-            pts, incs, flags = _frozen_pass(domain, field, coeffs, control, sub, xw, frozen)
+            # one sweep: coefficients frozen along the previous iterate
+            pts, incs, flags = _euler_reflect(
+                domain, field, xw, sub,
+                lambda k, _x: _drift(coeffs, control, sub.nodes[k], frozen[k]))
             dist = float(np.max(np.linalg.norm(pts - frozen, axis=1)))
             frozen = pts
             if prev_dist is not None and prev_dist > 10.0 * tol:

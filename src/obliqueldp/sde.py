@@ -1,7 +1,9 @@
 """Small-noise simulation of the reflected diffusion and event Monte Carlo.
 
-The simulator shares the Euler predictor / oblique corrector with the
-deterministic solver, adding a Gaussian shock per step.  Noise is drawn from
+Every trajectory takes the reflected Euler step of ``reflect.advance`` with
+a Gaussian shock added to the predictor.  With constant coefficients a whole
+block of trajectories advances at once; state-dependent coefficients step
+each trajectory through ``simulate_reflected_sde``.  Noise is drawn from
 counter-based streams keyed by (seed, trajectory index), so estimates are
 reproducible regardless of chunking or thread count.
 """
@@ -10,12 +12,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Disk, Domain, Interval, ObliqueField
-from .reflect import ReferencePath, ReflectedPath, TimeGrid, _euler_reflect, reflect_step
+from .geometry import CoefficientField, Domain, ObliqueField
+from .reflect import (ReferencePath, ReflectedPath, TimeGrid, _checked_start, _euler_reflect,
+                      sup_deviations)
+from .reflect import reflect_step  # noqa: F401 - re-exported; perfbench/tracing.py wraps it
 
 
 class InfiniteEstimateError(RuntimeError):
@@ -67,6 +71,13 @@ class EventSpec:
     def complements(cls, references, radii) -> "EventSpec":
         return cls("intersection_of_complements", list(references), radii)
 
+    def hits(self, max_devs) -> np.ndarray:
+        """Membership of each path given its (B, n_refs) sup-norm deviations."""
+        devs = np.atleast_2d(max_devs)
+        if self.kind == "ball":
+            return devs[:, 0] < self.radii[0]
+        return np.all(devs >= self.radii[None, :], axis=1)
+
     def validate_in(self, domain: Domain, tol: float = 1e-8) -> None:
         for ref in self.references:
             sd = domain.signed_distance_many(ref.values)
@@ -107,123 +118,61 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
                            eps: NoiseScale, t0: float, x, grid: TimeGrid, seed: int,
                            trajectory_id: int = 0) -> ReflectedPath:
     """One reflected Euler trajectory of the noisy dynamics."""
-    if abs(grid.t0 - t0) > 1e-12:
-        raise ValueError(f"grid starts at {grid.t0}, expected t0 = {t0}")
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    if domain.signed_distance(x0) < -1e-12:
-        raise ValueError(f"start point {x0} lies outside the closure")
+    x0 = _checked_start(domain, grid, t0, x)
     xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m)
     b_fun = coeffs.b_eps(eps.eps)
     s_fun = coeffs.sigma_eps(eps.eps)
     nodes = grid.nodes
-    sqdt = np.sqrt(grid.dts)
+    scale = eps.eps * np.sqrt(grid.dts)
 
     def drift_at(k, xk):
         return np.atleast_1d(np.asarray(b_fun(nodes[k], xk), dtype=float))
 
     def shock_at(k, xk):
         sig = np.atleast_2d(np.asarray(s_fun(nodes[k], xk), dtype=float))
-        return eps.eps * sqdt[k] * (sig @ xi[k])
+        return scale[k] * (sig @ xi[k])
 
     pts, incs, flags = _euler_reflect(domain, field, x0, grid, drift_at, shock_at)
     return ReflectedPath(grid=grid, points=pts, reflection_increments=incs,
                          boundary_flags=flags)
 
 
-def event_hit(path: ReflectedPath, event: EventSpec) -> bool:
-    """Sup-norm membership of a path in the event, tested at grid nodes."""
-    devs = []
-    for ref in event.references:
-        g = ref.at(path.grid.nodes)
-        devs.append(np.max(np.linalg.norm(path.points - g, axis=1)))
-    devs = np.array(devs)
-    if event.kind == "ball":
-        return bool(devs[0] < event.radii[0])
-    return bool(np.all(devs >= event.radii))
-
-
 # ---------------------------------------------------------------------------
-# Batched Monte Carlo
+# Monte Carlo over trajectory blocks
 
 
-def _batch_reflect(domain: Domain, field: ObliqueField, p: np.ndarray) -> np.ndarray:
-    """Push every exterior row of ``p`` back into the closure."""
-    if isinstance(domain, Interval):
-        # 1-d pushback lands on the violated endpoint for any admissible field.
-        return np.clip(p, domain.a, domain.b)
-    if isinstance(domain, Disk) and field.kind == "normal":
-        rel = p - domain.center
-        rad = np.linalg.norm(rel, axis=1)
-        out = rad > domain.radius
-        if np.any(out):
-            p = p.copy()
-            p[out] = domain.center + rel[out] * (domain.radius / rad[out])[:, None]
-        return p
-    sd = domain.signed_distance_many(p)
-    bad = np.nonzero(sd < 0.0)[0]
-    if len(bad) == 0:
-        return p
-    p = p.copy()
-    for i in bad:
-        q, _ = reflect_step(domain, field, p[i])
-        p[i] = q
-    return p
-
-
-def _batch_step(domain, field, coeffs, eps, grid, x0, seed, ids,
-                event: Optional[EventSpec] = None):
-    """Step one trajectory block (constant coefficients only).
-
-    Returns the terminal states (B, d) and, when an event is given, the
-    per-trajectory running max deviation from each reference (B, n_refs).
-    """
-    n = grid.n_steps
-    blocks = [trajectory_noise(seed, int(tid), n, coeffs.m) for tid in ids]
-    xi = np.stack(blocks)  # (B, n, m)
+def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
+    """Terminal states (B, d) and sup-norm deviations from each reference
+    (B, n_refs) of one trajectory block.  Constant coefficients advance the
+    whole block at once; otherwise each trajectory is simulated on its own."""
+    g_nodes = [ref.at(grid.nodes) for ref in references]
+    if not coeffs.is_constant:
+        ends, devs = [], []
+        for tid in ids:
+            pts = simulate_reflected_sde(domain, field, coeffs, eps, t0, x0, grid, seed,
+                                         trajectory_id=int(tid)).points
+            ends.append(pts[-1].copy())
+            devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
+        return np.array(ends), np.array(devs)
+    xi = np.empty((len(ids), grid.n_steps, coeffs.m))
+    for j, tid in enumerate(ids):
+        xi[j] = trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m)
     shocks = xi @ coeffs.constant_sigma.T  # (B, n, d)
+    scale = eps.eps * np.sqrt(grid.dts)
+    b = coeffs.constant_b
     X = np.repeat(x0[None, :], len(ids), axis=0)
-    g_nodes = [ref.at(grid.nodes) for ref in event.references] if event else []
-    max_dev = (np.stack([np.linalg.norm(X - g[0], axis=1) for g in g_nodes], axis=1)
-               if g_nodes else None)
-    dts = grid.dts
-    sq = np.sqrt(dts)
-    for k in range(n):
-        P = X + coeffs.constant_b * dts[k] + (eps.eps * sq[k]) * shocks[:, k, :]
-        X = _batch_reflect(domain, field, P)
-        for i, g in enumerate(g_nodes):
-            np.maximum(max_dev[:, i], np.linalg.norm(X - g[k + 1], axis=1), out=max_dev[:, i])
-    return X, max_dev
-
-
-def _chunk_hits(domain, field, coeffs, eps, grid, x0, event, seed, ids) -> int:
-    """Simulate one trajectory block and count event hits (constant coeffs)."""
-    _, max_dev = _batch_step(domain, field, coeffs, eps, grid, x0, seed, ids, event)
-    if event.kind == "ball":
-        hits = max_dev[:, 0] < event.radii[0]
-    else:
-        hits = np.all(max_dev >= event.radii[None, :], axis=1)
-    return int(hits.sum())
+    return sup_deviations(domain, field, X, grid, lambda k, _X: b, g_nodes,
+                          shock_at=lambda k, _X: scale[k] * shocks[:, k, :])
 
 
 def sample_terminal_values(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                            eps: NoiseScale, t0: float, x, grid: TimeGrid,
                            n_samples: int, seed: int, chunk_size: int = 4096) -> np.ndarray:
     """Terminal states of ``n_samples`` independent trajectories."""
-    if abs(grid.t0 - t0) > 1e-12:
-        raise ValueError(f"grid starts at {grid.t0}, expected t0 = {t0}")
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    chunks = np.array_split(np.arange(n_samples), max(1, -(-n_samples // chunk_size)))
-    outs = []
-    for ids in chunks:
-        if coeffs.is_constant:
-            X, _ = _batch_step(domain, field, coeffs, eps, grid, x0, seed, ids)
-        else:
-            X = np.stack([
-                simulate_reflected_sde(domain, field, coeffs, eps, t0, x0, grid, seed,
-                                       trajectory_id=int(tid)).points[-1]
-                for tid in ids])
-        outs.append(X)
-    return np.vstack(outs)
+    x0 = _checked_start(domain, grid, t0, x)
+    return np.vstack([_block(domain, field, coeffs, eps, t0, grid, x0, seed, ids)[0]
+                      for ids in np.array_split(np.arange(n_samples),
+                                                max(1, -(-n_samples // chunk_size)))])
 
 
 def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
@@ -241,17 +190,9 @@ def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: Coef
     event.validate_in(domain)
     id_chunks = np.array_split(np.arange(n_samples), max(1, -(-n_samples // chunk_size)))
 
-    if coeffs.is_constant:
-        def work(ids):
-            return _chunk_hits(domain, field, coeffs, eps, grid, x0, event, seed, ids)
-    else:
-        def work(ids):
-            c = 0
-            for tid in ids:
-                path = simulate_reflected_sde(domain, field, coeffs, eps, t0, x0, grid,
-                                              seed, trajectory_id=int(tid))
-                c += int(event_hit(path, event))
-            return c
+    def work(ids):
+        _, devs = _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, event.references)
+        return int(event.hits(devs).sum())
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -310,7 +310,8 @@ def build_testfn(domain: Domain, field: ObliqueField, eps: float, rho: float,
 
     sup_d = domain.interior_radius()
 
-    closure = domain.sample_closure(max(4, 8 * n_boundary // 3))
+    # an even count, so the interior pairs below split it into equal halves
+    closure = domain.sample_closure(2 * max(2, 4 * n_boundary // 3))
     Xi, Yi = closure[0::2], closure[1::2]
     Xb, Yb = _boundary_pair_set(domain, rho, n_boundary)
     Yc, Xc = _boundary_pair_set(domain, rho, n_boundary)

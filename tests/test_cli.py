@@ -184,6 +184,14 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "coefficients.drift.name" in err and "cubic" in err
 
+    for key, value in (("n_x", "abc"), ("dp_n_steps", 2.5)):
+        cfg = json.loads(Path(LDP_SMALL).read_text())
+        cfg["ldp"][key] = value
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("verify-ldp", path, tmp_path / "out") == 1
+        assert f"ldp.{key}" in capsys.readouterr().err
+
 
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"

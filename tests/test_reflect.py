@@ -1,9 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obliqueldp.geometry import (
     CoefficientField,
     Disk,
+    Ellipse,
     Interval,
     constant_coefficients,
     normal_field,
@@ -14,6 +18,7 @@ from obliqueldp.reflect import (
     TimeGrid,
     flow_check,
     holder_half_quotient,
+    reflect_rows,
     reflect_step,
     solve_reflected_ode,
     solve_skorokhod_picard,
@@ -190,3 +195,49 @@ def test_start_outside_closure_rejected():
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     with pytest.raises(ValueError):
         solve_reflected_ode(disk, field, coeffs, None, 0.0, [2.0, 0.0], grid)
+
+
+_DOMAINS = {"interval": Interval(-1.0, 1.0), "disk": Disk(1.0),
+            "ellipse": Ellipse(1.2, 0.7)}
+
+
+@functools.lru_cache(maxsize=None)
+def _normal(kind):
+    return normal_field(_DOMAINS[kind], n_certify=64)
+
+
+def _scaled_boundary_point(domain, r, theta):
+    """The boundary point in direction theta, scaled by r about the center."""
+    box = domain.bounding_box
+    center, half = box.mean(axis=1), 0.5 * (box[:, 1] - box[:, 0])
+    if domain.dimension == 1:
+        return center + r * half * np.sign(np.cos(theta) + 0.5)
+    return center + r * half * np.array([np.cos(theta), np.sin(theta)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_DOMAINS)),
+       kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+       rows=st.lists(st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 2.0 * np.pi)),
+                     min_size=1, max_size=6))
+def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, rows):
+    domain = _DOMAINS[kind]
+    if kappa is None or domain.dimension == 1:
+        field = _normal(kind)
+    else:
+        field = oblique_from_tangent(domain, kappa, n_certify=64)
+    P = np.array([_scaled_boundary_point(domain, r, th) for r, th in rows])
+    Q, dZ = reflect_rows(domain, field, P)
+    for p, q, dz, sd in zip(P, Q, dZ, domain.signed_distance_many(P)):
+        q1, dz1 = reflect_step(domain, field, p)
+        np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-12)
+        if sd >= 0.0:
+            # interior rows pass through untouched
+            assert q.tobytes() == p.tobytes()
+            assert not np.any(dz)
+            continue
+        assert domain.signed_distance(q) >= -1e-8
+        g = field(domain.project_to_boundary(q))
+        cosang = float(dz @ g) / (np.linalg.norm(dz) * np.linalg.norm(g))
+        assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6

@@ -149,6 +149,15 @@ def test_ellipse_configuration_builds():
     assert rep.K_psi_ii == pytest.approx(29.160822, rel=1e-4)
 
 
+def test_odd_closure_sample_count_builds():
+    # n_boundary = 8 once asked for 21 closure points, which the interior
+    # pairs could not split into equal halves
+    disk = Disk(1.0)
+    tf = build_testfn(disk, oblique_from_tangent(disk, 0.5), eps=0.1, rho=0.1,
+                      n_boundary=8)
+    assert (tf.A, tf.B, tf.C) == (2.0, 1.0, 1.0)
+
+
 def test_scale_parameters_validated():
     disk = Disk(1.0)
     field = normal_field(disk)
