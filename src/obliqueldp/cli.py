@@ -58,21 +58,42 @@ def _get(mapping, key, path, default=_MISSING):
     return mapping[key]
 
 
+def _finite(val) -> bool:
+    try:
+        return (not isinstance(val, bool) and isinstance(val, (int, float))
+                and math.isfinite(val))
+    except OverflowError:        # an integer beyond the float range
+        return False
+
+
 def _num(mapping, key, path, default=_MISSING):
     val = _get(mapping, key, path, default)
     if val is default and default is not _MISSING:
         return val
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+    if not _finite(val):
+        raise ConfigError(f"{path}.{key}: expected a finite number")
     return float(val)
 
 
-def _int(mapping, key, path, default=_MISSING):
+def _num_list(mapping, key, path, positive=False) -> list:
+    vals = _get(mapping, key, path)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{path}.{key}: expected a list of numbers")
+    for i, val in enumerate(vals):
+        if not _finite(val) or (positive and val <= 0):
+            raise ConfigError(f"{path}.{key}[{i}]: expected a "
+                              f"{'positive ' if positive else ''}finite number")
+    return [float(val) for val in vals]
+
+
+def _int(mapping, key, path, default=_MISSING, least=None):
     val = _get(mapping, key, path, default)
     if val is default and default is not _MISSING:
         return val
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}.{key}: expected an integer")
+    if least is not None and val < least:
+        raise ConfigError(f"{path}.{key}: must be at least {least}")
     return int(val)
 
 
@@ -97,15 +118,20 @@ def load_config(path) -> dict:
 def build_domain(block) -> Domain:
     kind = _get(block, "kind", "domain")
     if kind == "interval":
-        return Interval(_num(block, "lo", "domain"), _num(block, "hi", "domain"))
-    if kind == "disk":
-        return Disk(_num(block, "radius", "domain", 1.0),
-                    tuple(_get(block, "center", "domain", [0.0, 0.0])))
-    if kind == "ellipse":
-        return Ellipse(_num(block, "a", "domain"), _num(block, "b", "domain"),
-                       tuple(_get(block, "center", "domain", [0.0, 0.0])))
-    raise ConfigError(f"domain.kind: unknown built-in '{kind}' "
-                      f"(expected interval, disk, or ellipse)")
+        make, args = Interval, (_num(block, "lo", "domain"), _num(block, "hi", "domain"))
+    elif kind == "disk":
+        make, args = Disk, (_num(block, "radius", "domain", 1.0),
+                            tuple(_get(block, "center", "domain", [0.0, 0.0])))
+    elif kind == "ellipse":
+        make, args = Ellipse, (_num(block, "a", "domain"), _num(block, "b", "domain"),
+                               tuple(_get(block, "center", "domain", [0.0, 0.0])))
+    else:
+        raise ConfigError(f"domain.kind: unknown built-in '{kind}' "
+                          f"(expected interval, disk, or ellipse)")
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"domain: {exc}")
 
 
 def build_field(block, domain: Domain) -> ObliqueField:
@@ -216,7 +242,7 @@ def build_event(block, t0: float, t_end: float, path: str) -> EventSpec:
     kind = _get(block, "kind", path)
     refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]")
             for i, r in enumerate(_get(block, "references", path))]
-    radii = [float(r) for r in _get(block, "radii", path)]
+    radii = _num_list(block, "radii", path, positive=True)
     try:
         return EventSpec(kind=kind, references=refs, radii=radii)
     except ValueError as exc:
@@ -238,12 +264,14 @@ class RunContext:
         time_spec = _get(cfg, "time", "config")
         self.t0 = _num(time_spec, "t0", "time", 0.0)
         self.t_end = _num(time_spec, "t_end", "time")
-        self.n_steps = _int(time_spec, "n_steps", "time")
+        self.n_steps = _int(time_spec, "n_steps", "time", least=1)
         if self.t_end <= self.t0:
             raise ConfigError("time.t_end: must exceed time.t0")
-        if self.n_steps < 1:
-            raise ConfigError("time.n_steps: must be at least 1")
-        self.x0 = np.atleast_1d(np.asarray(_get(cfg, "x0", "config"), dtype=float))
+        self.x0 = np.array(_num_list(cfg, "x0", "config"))
+        if len(self.x0) != self.domain.dimension:
+            raise ConfigError(f"config.x0: expected {self.domain.dimension} coordinates")
+        if self.domain.signed_distance(self.x0) < -1e-12:
+            raise ConfigError("config.x0: outside the closure of the domain")
         tol = _get(cfg, "tolerances", "config", {})
         self.rate_tol = _num(tol, "rate_tol", "tolerances", 1e-3)
         self.scheme_tol = _num(tol, "scheme_tol", "tolerances", 0.02)
@@ -399,13 +427,13 @@ def cmd_hjb(ctx: RunContext):
     if vi_name not in ("min", "max"):
         raise ConfigError("hjb.vi_type: expected 'min' or 'max'")
     vi_type = MIN_TYPE if vi_name == "min" else MAX_TYPE
+    n_x = _int(block, "n_x", "hjb", least=2)
     ob_block = _get(block, "obstacle", "hjb")
     if "height" in ob_block and "reference" not in ob_block:
         obstacle = constant_obstacle(_num(ob_block, "height", "hjb.obstacle"))
     else:
         ref = build_reference(_get(ob_block, "reference", "hjb.obstacle"),
                               ctx.t0, ctx.t_end, "hjb.obstacle.reference")
-        n_x = _int(block, "n_x", "hjb")
         box = ctx.domain.bounding_box
         cell = float(box[0, 1] - box[0, 0]) / (n_x - 1)
         smoothing = _get(ob_block, "smoothing", "hjb.obstacle", "cell")
@@ -414,8 +442,8 @@ def cmd_hjb(ctx: RunContext):
             _num(ob_block, "height", "hjb.obstacle", 1.0),
             complement=bool(_get(ob_block, "complement", "hjb.obstacle", False)),
             smoothing=cell if smoothing == "cell" else float(smoothing))
-    kwargs = dict(n_x=_int(block, "n_x", "hjb"), t0=ctx.t0, t_end=ctx.t_end,
-                  store_every=_int(block, "store_every", "hjb", None))
+    kwargs = dict(n_x=n_x, t0=ctx.t0, t_end=ctx.t_end,
+                  store_every=_int(block, "store_every", "hjb", None, least=1))
     dv_est = _num(block, "dv_est", "hjb", None)
     if dv_est is not None:
         kwargs["dv_est"] = dv_est
@@ -458,8 +486,8 @@ def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
     refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]")
             for i, r in enumerate(_get(block, "references", "ldp"))]
-    radii = [float(r) for r in _get(block, "radii", "ldp")]
-    ladder = [float(e) for e in _get(ctx.cfg, "eps_ladder", "config")]
+    radii = _num_list(block, "radii", "ldp", positive=True)
+    ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
     kwargs = dict(
         domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
         x0=ctx.x0, t_end=ctx.t_end, references=refs, radii=radii,
@@ -469,11 +497,11 @@ def _ldp_config(ctx: RunContext) -> tuple:
         n_threads=ctx.threads)
     for key in ("n_x", "rate_segments", "rate_max_segments", "dp_n_steps", "dp_substeps"):
         if key in block:
-            kwargs[key] = _int(block, key, "ldp")
+            kwargs[key] = _int(block, key, "ldp", least=2 if key == "n_x" else 1)
     if "obstacle_height" in block:
         kwargs["obstacle_height"] = _num(block, "obstacle_height", "ldp")
     if "dp_controls" in block:
-        kwargs["dp_controls"] = [float(a) for a in block["dp_controls"]]
+        kwargs["dp_controls"] = _num_list(block, "dp_controls", "ldp")
     try:
         config = LdpConfig(**kwargs)
     except ValueError as exc:

@@ -85,12 +85,10 @@ class DiscreteProblem:
 
 
 def _single_stop_value(p: DiscreteProblem, k0: int, x0: np.ndarray,
-                       reward: Callable[[int, np.ndarray], float],
-                       stopper_maximizes: bool) -> float:
-    """Backward recursion for one stop: controller minimizes, stopper picks."""
+                       reward: Callable[[int, np.ndarray], float]) -> float:
+    """Backward recursion for one stop: controller minimizes, stopper maximizes."""
     n = p.grid.n_steps
     dts = p.grid.dts
-    pick = max if stopper_maximizes else min
     memo: dict = {}
 
     def value(k: int, x: np.ndarray) -> float:
@@ -107,7 +105,7 @@ def _single_stop_value(p: DiscreteProblem, k0: int, x0: np.ndarray,
                 cand = _cell_cost(a, dts[k]) + value(k + 1, p.step(k, x, a_idx))
                 if cand < cont:
                     cont = cand
-            out = pick(stop, cont)
+            out = max(stop, cont)
         memo[key] = out
         return out
 
@@ -120,18 +118,14 @@ def value_inf_sup(p: DiscreteProblem, t0: float, x) -> float:
         raise ValueError("inf-sup value takes exactly one obstacle")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     k0 = p.node_index(t0)
-    return _single_stop_value(p, k0, x0, lambda k, y: p.psi(0, k, y),
-                              stopper_maximizes=True)
+    return _single_stop_value(p, k0, x0, lambda k, y: p.psi(0, k, y))
 
 
 def value_inf_inf(p: DiscreteProblem, t0: float, x) -> float:
-    """Both the control and the stopping time minimize."""
+    """Both the control and the stopping time minimize: the one-obstacle reduction."""
     if len(p.obstacles) != 1:
         raise ValueError("inf-inf value takes exactly one obstacle")
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    k0 = p.node_index(t0)
-    return _single_stop_value(p, k0, x0, lambda k, y: p.psi(0, k, y),
-                              stopper_maximizes=False)
+    return reduced_value(p, t0, x)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def constant_obstacle(height: float) -> Obstacle:
 
 @dataclass
 class ValueGrid:
-    axes: tuple                      # one or two 1-d coordinate arrays
+    axes: tuple                      # one 1-d coordinate array per dimension
     mask: np.ndarray                 # active-node flags on the full lattice
     times: np.ndarray                # stored layer times, increasing
     layers: np.ndarray               # (n_stored, n_active) values
@@ -85,10 +85,8 @@ class ValueGrid:
     @property
     def points(self) -> np.ndarray:
         """Coordinates of the active nodes, (n_active, d)."""
-        if self.dimension == 1:
-            return self.axes[0][self.mask].reshape(-1, 1)
-        XX, YY = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.stack([XX[self.mask], YY[self.mask]], axis=1)
+        return np.stack([c[self.mask] for c in np.meshgrid(*self.axes, indexing="ij")],
+                        axis=1)
 
     def layer_at(self, t: float) -> np.ndarray:
         """Linear-in-time interpolation between stored layers."""
@@ -163,9 +161,11 @@ def load_npz(path) -> ValueGrid:
 # Discretization workspace
 
 
-def _ghost_stencils_2d(domain: Domain, field: ObliqueField, xs, ys, mask, flat_index):
+def _pullback_stencils(domain: Domain, field: ObliqueField, xs, ys, mask, flat_index,
+                       ghosts):
     """Pullback interpolation data for each missing neighbor of an active node.
 
+    ``ghosts`` lists the (i, j, slot) of every missing neighbor in ghost order.
     A ghost point g outside the active set takes the value of the previous
     layer at q = g - s * gamma(contact), with s grown until q sits safely
     inside a fully active cell; reading q by bilinear interpolation encodes a
@@ -173,45 +173,51 @@ def _ghost_stencils_2d(domain: Domain, field: ObliqueField, xs, ys, mask, flat_i
     """
     h = xs[1] - xs[0]
     nx, ny = len(xs), len(ys)
-    idx4, wts4, slots = [], [], []
+    idx4, wts4 = [], []
     offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    for (i, j) in zip(*np.nonzero(mask)):
-        for slot, (di, dj) in enumerate(offsets):
-            ii, jj = i + di, j + dj
-            if 0 <= ii < nx and 0 <= jj < ny and mask[ii, jj]:
-                continue
-            g = np.array([xs[i] + di * h, ys[j] + dj * h])
-            contact = domain.project_to_boundary(g)
-            gam = field(contact)
-            gam = gam / np.linalg.norm(gam)
-            placed = False
-            s = 0.5 * h
-            while s <= 6.0 * h:
-                q = g - s * gam
-                if domain.signed_distance(q) >= 0.25 * h:
-                    i0 = int(np.clip(np.searchsorted(xs, q[0]) - 1, 0, nx - 2))
-                    j0 = int(np.clip(np.searchsorted(ys, q[1]) - 1, 0, ny - 2))
-                    corners = [(i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)]
-                    if all(mask[a, b] for a, b in corners):
-                        fx = (q[0] - xs[i0]) / h
-                        fy = (q[1] - ys[j0]) / h
-                        idx4.append([flat_index[a, b] for a, b in corners])
-                        wts4.append([(1 - fx) * (1 - fy), fx * (1 - fy),
-                                     (1 - fx) * fy, fx * fy])
-                        slots.append((flat_index[i, j], slot))
-                        placed = True
-                        break
-                s += 0.25 * h
-            if not placed:
-                raise StencilError(
-                    f"no oblique ghost stencil at node ({xs[i]:.4g}, {ys[j]:.4g}) slot {slot}")
+    for i, j, slot in ghosts:
+        di, dj = offsets[slot]
+        g = np.array([xs[i] + di * h, ys[j] + dj * h])
+        contact = domain.project_to_boundary(g)
+        gam = field(contact)
+        gam = gam / np.linalg.norm(gam)
+        s = 0.5 * h
+        while s <= 6.0 * h:
+            q = g - s * gam
+            if domain.signed_distance(q) >= 0.25 * h:
+                i0 = int(np.clip(np.searchsorted(xs, q[0]) - 1, 0, nx - 2))
+                j0 = int(np.clip(np.searchsorted(ys, q[1]) - 1, 0, ny - 2))
+                corners = [(i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)]
+                if all(mask[a, b] for a, b in corners):
+                    fx = (q[0] - xs[i0]) / h
+                    fy = (q[1] - ys[j0]) / h
+                    idx4.append([flat_index[a, b] for a, b in corners])
+                    wts4.append([(1 - fx) * (1 - fy), fx * (1 - fy),
+                                 (1 - fx) * fy, fx * fy])
+                    break
+            s += 0.25 * h
+        else:
+            raise StencilError(
+                f"no oblique ghost stencil at node ({xs[i]:.4g}, {ys[j]:.4g}) slot {slot}")
     return (np.array(idx4, dtype=int).reshape(-1, 4),
-            np.array(wts4, dtype=float).reshape(-1, 4),
-            slots)
+            np.array(wts4, dtype=float).reshape(-1, 4))
+
+
+def _total(terms):
+    """Left-to-right sum of a nonempty list of arrays.
+
+    Unlike ``sum`` it adds no 0.0 start term, which would turn a -0.0 into 0.0.
+    """
+    return sum(terms[1:], terms[0])
 
 
 class _Workspace:
-    """Lattice, active mask, ghost tables, and the one-step update kernel."""
+    """Lattice, active mask, neighbor and ghost tables, and the one-step kernel.
+
+    Slots 2j and 2j + 1 of an active node hold its lower and upper neighbor
+    along axis j: an active node's index, or n_active + g for ghost g, whose
+    value is the weighted sum of its stencil's active values.
+    """
 
     def __init__(self, domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                  n_x: Optional[int]):
@@ -221,58 +227,49 @@ class _Workspace:
         box = domain.bounding_box
         xs = np.linspace(box[0, 0], box[0, 1], n_x)
         h = xs[1] - xs[0]
-        self.domain = domain
         self.coeffs = coeffs
         self.d = d
         self.h = float(h)
+        self.axes = (xs,) + tuple(
+            box[j, 0] + h * np.arange(int(round((box[j, 1] - box[j, 0]) / h)) + 1)
+            for j in range(1, d))
+        shape = tuple(len(a) for a in self.axes)
+        lattice = np.stack([c.ravel() for c in np.meshgrid(*self.axes, indexing="ij")],
+                           axis=1)
+        self.mask = (domain.signed_distance_many(lattice) >= -1e-12).reshape(shape)
+        self.pts = lattice[self.mask.ravel()]
+        node = np.nonzero(self.mask)
+        n_act = len(self.pts)
+        flat_index = -np.ones(shape, dtype=int)
+        flat_index[self.mask] = np.arange(n_act)
+        # a border of -1 marks the lattice's outside as missing too
+        padded = np.pad(flat_index, 1, constant_values=-1)
+        nbr = np.empty((n_act, 2 * d), dtype=int)
+        for j in range(d):
+            for side, shift in enumerate((-1, 1)):
+                nbr[:, 2 * j + side] = padded[tuple(node[k] + 1 + (shift if k == j else 0)
+                                                    for k in range(d))]
+        missing = nbr < 0
+        ghost_node, ghost_slot = np.nonzero(missing)
+        nbr[missing] = n_act + np.arange(len(ghost_node))
+        self.nbr = [np.ascontiguousarray(col) for col in nbr.T]
         if d == 1:
-            mask = domain.signed_distance_many(xs.reshape(-1, 1)) >= -1e-12
-            act = np.nonzero(mask)[0]
-            if not np.array_equal(act, np.arange(act[0], act[-1] + 1)):
+            if not np.array_equal(node[0], np.arange(node[0][0], node[0][-1] + 1)):
                 raise StencilError("active nodes must be contiguous in one dimension")
-            self.axes = (xs,)
-            self.mask = mask
-            self.pts = xs[mask].reshape(-1, 1)
-            self.gather = None
+            # mirror: zero derivative along gamma
+            self.g_idx, self.g_wts = np.array([[1], [n_act - 2]]), np.ones((2, 1))
         else:
-            ys = box[1, 0] + h * np.arange(int(round((box[1, 1] - box[1, 0]) / h)) + 1)
-            XX, YY = np.meshgrid(xs, ys, indexing="ij")
-            lattice = np.stack([XX.ravel(), YY.ravel()], axis=1)
-            mask = (domain.signed_distance_many(lattice) >= -1e-12).reshape(XX.shape)
-            flat_index = -np.ones(mask.shape, dtype=int)
-            flat_index[mask] = np.arange(mask.sum())
-            g_idx, g_wts, g_slots = _ghost_stencils_2d(domain, field, xs, ys, mask,
-                                                       flat_index)
-            n_act = int(mask.sum())
-            nbr = np.empty((n_act, 4), dtype=int)
-            ghost_of = {key: n_act + g for g, key in enumerate(g_slots)}
-            offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-            for (i, j) in zip(*np.nonzero(mask)):
-                me = flat_index[i, j]
-                for slot, (di, dj) in enumerate(offsets):
-                    ii, jj = i + di, j + dj
-                    if (0 <= ii < mask.shape[0] and 0 <= jj < mask.shape[1]
-                            and mask[ii, jj]):
-                        nbr[me, slot] = flat_index[ii, jj]
-                    else:
-                        nbr[me, slot] = ghost_of[(me, slot)]
-            self.axes = (xs, ys)
-            self.mask = mask
-            self.pts = lattice[mask.ravel()]
-            self.gather = (nbr, g_idx, g_wts)
+            self.g_idx, self.g_wts = _pullback_stencils(
+                domain, field, *self.axes, self.mask, flat_index,
+                zip(node[0][ghost_node], node[1][ghost_node], ghost_slot))
 
     def max_slope(self, values: np.ndarray) -> float:
         """Largest neighbor difference quotient of a node array."""
-        if self.d == 1:
-            return float(np.max(np.abs(np.diff(values)))) / self.h
-        nbr = self.gather[0]
-        n_act = len(values)
         worst = 0.0
-        for s in range(4):
-            real = nbr[:, s] < n_act
-            if np.any(real):
-                worst = max(worst, float(np.max(np.abs(
-                    values[real] - values[nbr[real, s]]))))
+        for col in self.nbr[1::2]:
+            real = col < len(values)
+            worst = max(worst, float(np.max(np.abs(values[col[real]] - values[real]),
+                                            initial=0.0)))
         return worst / self.h
 
     def coeff_arrays(self, eps: float, t: float):
@@ -286,48 +283,26 @@ class _Workspace:
     def step(self, v_next: np.ndarray, t_next: float, dt: float, eps: float) -> np.ndarray:
         """One unprojected backward update from the layer at t_next."""
         h = self.h
+        axes = range(self.d)
         b, sst = self.coeff_arrays(eps, t_next)
-        if self.d == 1:
-            vp = np.empty(len(v_next) + 2)
-            vp[1:-1] = v_next
-            vp[0] = v_next[1]       # mirror: zero derivative along gamma
-            vp[-1] = v_next[-2]
-            dplus = (vp[2:] - vp[1:-1]) / h
-            dminus = (vp[1:-1] - vp[:-2]) / h
-            pbar = 0.5 * (dplus + dminus)
-            sstd = sst[:, 0, 0]
-            ham = 0.5 * sstd * pbar ** 2 - b[:, 0] * pbar
-            # local Lax-Friedrichs: dissipation weighted by |H_p| at the node
-            # itself, so a sharp obstacle ramp does not smear the whole grid
-            a1 = np.abs(sstd * pbar - b[:, 0]) + 1e-12
-            diss = 0.5 * a1 * (dplus - dminus)
-            lap = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (h * h)
-            diff = 0.5 * eps * eps * sstd * lap
-            center = 1.0 - dt * a1 / h - dt * eps * eps * sstd / (h * h)
-            if np.min(center) < -1e-12:
-                raise CflError("monotonicity lost: gradient grew beyond the CFL estimate")
-            return v_next - dt * (ham - diss - diff)
-        nbr, g_idx, g_wts = self.gather
-        ghosts = (np.sum(v_next[g_idx] * g_wts, axis=1) if len(g_idx)
-                  else np.empty(0))
-        ext = np.concatenate([v_next, ghosts])
-        vL, vR, vD, vU = (ext[nbr[:, s]] for s in range(4))
-        dpx = (vR - v_next) / h
-        dmx = (v_next - vL) / h
-        dpy = (vU - v_next) / h
-        dmy = (v_next - vD) / h
-        pbar = np.stack([0.5 * (dpx + dmx), 0.5 * (dpy + dmy)], axis=1)
-        sp = np.einsum("nij,nj->ni", sst, pbar)
-        ham = 0.5 * np.einsum("ni,ni->n", pbar, sp) - np.einsum("ni,ni->n", b, pbar)
-        hp = np.abs(sp - b)
-        ax = hp[:, 0] + 1e-12
-        ay = hp[:, 1] + 1e-12
-        diss = 0.5 * ax * (dpx - dmx) + 0.5 * ay * (dpy - dmy)
-        lxx = (vR - 2 * v_next + vL) / (h * h)
-        lyy = (vU - 2 * v_next + vD) / (h * h)
-        diff = 0.5 * eps * eps * (sst[:, 0, 0] * lxx + sst[:, 1, 1] * lyy)
-        center = (1.0 - dt * (ax + ay) / h
-                  - dt * eps * eps * (sst[:, 0, 0] + sst[:, 1, 1]) / (h * h))
+        ext = np.concatenate([v_next,
+                              np.add.reduce(v_next[self.g_idx] * self.g_wts, axis=1)])
+        lo = [ext[col] for col in self.nbr[0::2]]
+        hi = [ext[col] for col in self.nbr[1::2]]
+        dplus = [(hi[i] - v_next) / h for i in axes]
+        dminus = [(v_next - lo[i]) / h for i in axes]
+        pbar = [0.5 * (dplus[i] + dminus[i]) for i in axes]
+        sp = [_total([sst[:, i, j] * pbar[j] for j in axes]) for i in axes]
+        ham = (0.5 * _total([pbar[i] * sp[i] for i in axes])
+               - _total([b[:, i] * pbar[i] for i in axes]))
+        # local Lax-Friedrichs: dissipation weighted by |H_p| at the node
+        # itself, so a sharp obstacle ramp does not smear the whole grid
+        a = [np.abs(sp[i] - b[:, i]) + 1e-12 for i in axes]
+        diss = _total([0.5 * a[i] * (dplus[i] - dminus[i]) for i in axes])
+        lap = [(hi[i] - 2.0 * v_next + lo[i]) / (h * h) for i in axes]
+        diff = 0.5 * eps * eps * _total([sst[:, i, i] * lap[i] for i in axes])
+        center = (1.0 - dt * _total(a) / h
+                  - dt * eps * eps * _total([sst[:, i, i] for i in axes]) / (h * h))
         if np.min(center) < -1e-12:
             raise CflError("monotonicity lost: gradient grew beyond the CFL estimate")
         return v_next - dt * (ham - diss - diff)

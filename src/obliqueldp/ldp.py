@@ -27,6 +27,17 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 INCONCLUSIVE = "inconclusive"
 
+# cap identity check: cap heights, the effectively uncapped reference height,
+# and the relative tolerance of min(cap, reference value)
+CAP_HEIGHTS = (0.05, 1.0)
+CAP_REFERENCE_HEIGHT = 2.0
+CAP_TOL_REL = 0.10
+# goodness proxy: action of each random control, sample size, weak-stability
+# frequency limit
+GOODNESS_ACTION_BOUND = 1.0
+GOODNESS_N_CONTROLS = 12
+GOODNESS_N_MAX = 64
+
 
 @dataclass
 class LdpConfig:
@@ -59,12 +70,6 @@ class LdpConfig:
     dp_n_steps: int = 4
     dp_controls: Sequence[float] = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
     dp_substeps: int = 16
-    cap_heights: Sequence[float] = (0.05, 1.0)
-    cap_reference_height: float = 2.0
-    cap_tol_rel: float = 0.10
-    goodness_action_bound: float = 1.0
-    goodness_n_controls: int = 12
-    goodness_n_max: int = 64
     chunk_size: int = 4096
     n_threads: int = 1
 
@@ -165,6 +170,41 @@ def _gaps(mc: Optional[float], lam: float, dp: Optional[float]) -> dict:
     return out
 
 
+def _experiment(config: LdpConfig, event: EventSpec, bound: str,
+                dp_solve: Callable[[], tuple]) -> LdpReport:
+    """Monte Carlo ladder, action, and DP/PDE value, judged against one side.
+
+    ``dp_solve`` returns the DP or PDE value and its extra ``details`` entries.
+    The upper bound asks the smallest-eps log-rate not to exceed the action
+    plus the slack; the lower bound asks it not to undershoot minus the slack.
+    """
+    estimates, log_rates = _mc_ladder(config, event)
+    lam_res = rate_of_event(config.domain, config.field, config.coeffs,
+                            config.t0, config.x0, event, tol=config.rate_tol,
+                            t_end=config.t_end, n_segments=config.rate_segments,
+                            max_segments=config.rate_max_segments)
+    lam = lam_res.value
+    dp_value, extra = dp_solve()
+
+    smallest = log_rates[-1]
+    slack = _slack(config, lam, smallest)
+    if any(est.zero_hit for est in estimates):
+        verdict = INCONCLUSIVE
+    elif (smallest.value <= lam + slack["total"] if bound == "upper"
+          else smallest.value >= lam - slack["total"]):
+        verdict = CONSISTENT
+    else:
+        verdict = INCONSISTENT
+    details = {"bound": bound, "event": event.kind, "slack": slack,
+               "estimates": _estimate_rows(estimates),
+               "lambda_residual": lam_res.constraint_residual,
+               "gaps": _gaps(None if smallest is None else smallest.value, lam, dp_value),
+               **extra}
+    return LdpReport(eps_ladder=list(config.eps_ladder), log_rates=log_rates,
+                     lambda_value=lam, dp_value=dp_value, verdict=verdict,
+                     details=details)
+
+
 def run_upper_bound_experiment(config: LdpConfig) -> LdpReport:
     """Ball event: the small-noise log-rates must not exceed the action.
 
@@ -174,37 +214,15 @@ def run_upper_bound_experiment(config: LdpConfig) -> LdpReport:
     if len(config.references) != 1:
         raise ValueError("upper-bound experiment uses exactly one tube")
     ref, r = config.references[0], config.radii[0]
-    event = EventSpec.ball(ref, r)
-    estimates, log_rates = _mc_ladder(config, event)
 
-    lam_res = rate_of_event(config.domain, config.field, config.coeffs,
-                            config.t0, config.x0, event, tol=config.rate_tol,
-                            t_end=config.t_end, n_segments=config.rate_segments,
-                            max_segments=config.rate_max_segments)
-    lam = lam_res.value
+    def pde_value():
+        obstacle = tube_obstacle(ref, r, config.obstacle_height, complement=True,
+                                 smoothing=config.cell_width())
+        vg = solve_limit_vi(config.domain, config.field, config.coeffs, obstacle,
+                            MIN_TYPE, n_x=config.n_x, t0=config.t0, t_end=config.t_end)
+        return float(vg.value_at(config.t0, config.x0)), {"vi_n_t": vg.meta["n_t"]}
 
-    obstacle = tube_obstacle(ref, r, config.obstacle_height, complement=True,
-                             smoothing=config.cell_width())
-    vg = solve_limit_vi(config.domain, config.field, config.coeffs, obstacle,
-                        MIN_TYPE, n_x=config.n_x, t0=config.t0, t_end=config.t_end)
-    dp_value = float(vg.value_at(config.t0, config.x0))
-
-    smallest = log_rates[-1]
-    slack = _slack(config, lam, smallest)
-    if any(est.zero_hit for est in estimates):
-        verdict = INCONCLUSIVE
-    elif smallest.value <= lam + slack["total"]:
-        verdict = CONSISTENT
-    else:
-        verdict = INCONSISTENT
-    details = {"bound": "upper", "event": "ball", "slack": slack,
-               "estimates": _estimate_rows(estimates),
-               "lambda_residual": lam_res.constraint_residual,
-               "gaps": _gaps(None if smallest is None else smallest.value, lam, dp_value),
-               "vi_n_t": vg.meta["n_t"]}
-    return LdpReport(eps_ladder=list(config.eps_ladder), log_rates=log_rates,
-                     lambda_value=lam, dp_value=dp_value, verdict=verdict,
-                     details=details)
+    return _experiment(config, EventSpec.ball(ref, r), "upper", pde_value)
 
 
 def run_lower_bound_experiment(config: LdpConfig) -> LdpReport:
@@ -213,41 +231,20 @@ def run_lower_bound_experiment(config: LdpConfig) -> LdpReport:
     The DP value is the multiple-stopping reduction with capped indicator
     obstacles, one per tube.
     """
-    event = EventSpec.complements(config.references, config.radii)
-    estimates, log_rates = _mc_ladder(config, event)
 
-    lam_res = rate_of_event(config.domain, config.field, config.coeffs,
-                            config.t0, config.x0, event, tol=config.rate_tol,
-                            t_end=config.t_end, n_segments=config.rate_segments,
-                            max_segments=config.rate_max_segments)
-    lam = lam_res.value
+    def dp_value():
+        dp_grid = TimeGrid.uniform(config.t0, config.t_end, config.dp_n_steps)
+        obstacles = [tube_indicator_obstacle(ref, r, config.obstacle_height)
+                     for ref, r in zip(config.references, config.radii)]
+        controls = [np.full(config.coeffs.m, a) for a in config.dp_controls]
+        problem = DiscreteProblem.build(config.domain, config.field, config.coeffs,
+                                        dp_grid, controls, obstacles,
+                                        substeps=config.dp_substeps)
+        return (reduced_value(problem, config.t0, config.x0),
+                {"dp_n_steps": config.dp_n_steps})
 
-    dp_grid = TimeGrid.uniform(config.t0, config.t_end, config.dp_n_steps)
-    obstacles = [tube_indicator_obstacle(ref, r, config.obstacle_height)
-                 for ref, r in zip(config.references, config.radii)]
-    m = config.coeffs.m
-    controls = [np.full(m, a) for a in config.dp_controls]
-    problem = DiscreteProblem.build(config.domain, config.field, config.coeffs,
-                                    dp_grid, controls, obstacles,
-                                    substeps=config.dp_substeps)
-    dp_value = reduced_value(problem, config.t0, config.x0)
-
-    smallest = log_rates[-1]
-    slack = _slack(config, lam, smallest)
-    if any(est.zero_hit for est in estimates):
-        verdict = INCONCLUSIVE
-    elif smallest.value >= lam - slack["total"]:
-        verdict = CONSISTENT
-    else:
-        verdict = INCONSISTENT
-    details = {"bound": "lower", "event": "intersection_of_complements",
-               "slack": slack, "estimates": _estimate_rows(estimates),
-               "lambda_residual": lam_res.constraint_residual,
-               "gaps": _gaps(None if smallest is None else smallest.value, lam, dp_value),
-               "dp_n_steps": config.dp_n_steps}
-    return LdpReport(eps_ladder=list(config.eps_ladder), log_rates=log_rates,
-                     lambda_value=lam, dp_value=dp_value, verdict=verdict,
-                     details=details)
+    return _experiment(config, EventSpec.complements(config.references, config.radii),
+                       "lower", dp_value)
 
 
 @dataclass
@@ -295,15 +292,15 @@ def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
             dt_shared = vg.dt
         return float(vg.value_at(config.t0, config.x0))
 
-    v_ref = value_for(config.cap_reference_height)
-    heights = [float(a) for a in config.cap_heights]
+    v_ref = value_for(CAP_REFERENCE_HEIGHT)
+    heights = [float(a) for a in CAP_HEIGHTS]
     values = [value_for(a) for a in heights]
     targets = [min(a, v_ref) for a in heights]
-    ok = all(abs(v - tgt) <= config.cap_tol_rel * max(tgt, 1e-12)
+    ok = all(abs(v - tgt) <= CAP_TOL_REL * max(tgt, 1e-12)
              for v, tgt in zip(values, targets))
     return CapIdentityReport(eps=eps, heights=heights, values=values,
                              reference_value=v_ref, targets=targets,
-                             tol_rel=config.cap_tol_rel, passed=ok)
+                             tol_rel=CAP_TOL_REL, passed=ok)
 
 
 @dataclass
@@ -337,16 +334,16 @@ def goodness_proxy(config: LdpConfig) -> GoodnessReport:
     bound the whole sample.
     """
     weak = weak_stability_check(config.domain, config.field, config.coeffs,
-                                config.t0, config.x0, n_max=config.goodness_n_max,
+                                config.t0, config.x0, n_max=GOODNESS_N_MAX,
                                 t_end=config.t_end)
     rng = np.random.default_rng(config.seed)
     grid = TimeGrid.uniform(config.t0, config.t_end, 256)
     m = config.coeffs.m
     quotients = []
-    for _ in range(config.goodness_n_controls):
+    for _ in range(GOODNESS_N_CONTROLS):
         raw = rng.standard_normal((grid.n_steps, m))
         action = 0.5 * float(np.sum(raw ** 2 * grid.dts[:, None]))
-        ctrl = Control(grid, raw * math.sqrt(config.goodness_action_bound / action))
+        ctrl = Control(grid, raw * math.sqrt(GOODNESS_ACTION_BOUND / action))
         path = solve_reflected_ode(config.domain, config.field, config.coeffs,
                                    ctrl, config.t0, config.x0, grid)
         quotients.append(holder_half_quotient(path))

@@ -174,30 +174,18 @@ def rate_of_path(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                  max_segments: int = 256) -> RateResult:
     """Least action over controls whose reflected path reproduces ``g``.
 
-    The sup-norm mismatch enters as a quadratic penalty with an increasing
-    weight ladder; the reported residual is the final mismatch.
+    This is the action of the ball event of radius ``tol`` around ``g``: the
+    sup-norm mismatch enters as a quadratic penalty with an increasing weight
+    ladder, and the reported residual is the final mismatch.
     """
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    t_end = float(g.nodes[-1])
     gap0 = float(np.linalg.norm(g.at(t0) - x0))
     if gap0 > tol:
-        return RateResult(INFEASIBLE, Control.zero(TimeGrid.uniform(t0, t_end, n_segments),
-                                                   coeffs.m), gap0, 0)
-
-    def run(n_seg, warm=None):
-        batch = _PathBatch(domain, field, coeffs, t0, x0, t_end, n_seg, substeps, [g])
-        starts = [np.zeros((n_seg, coeffs.m)),
-                  _pseudo_inverse_start(coeffs, t0, x0, g, n_seg, t_end)]
-        if warm is not None:
-            starts.append(np.repeat(warm, 2, axis=0))
-        a, action, resid, infeas, nit = _penalty_solve(
-            batch, starts,
-            penalty_of_devs=lambda devs: devs[:, 0] ** 2,
-            residual_of_devs=lambda devs: devs[0],
-            tol=tol)
-        return batch, a, action, resid, infeas, nit
-
-    return _refine(run, n_segments, max_segments, coeffs.m)
+        return RateResult(INFEASIBLE, Control.zero(
+            TimeGrid.uniform(t0, float(g.nodes[-1]), n_segments), coeffs.m), gap0, 0)
+    return rate_of_event(domain, field, coeffs, t0, x0, EventSpec.ball(g, tol), tol=tol,
+                         n_segments=n_segments, substeps=substeps,
+                         max_segments=max_segments)
 
 
 def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,

@@ -145,8 +145,6 @@ class ReflectedPath:
     points: np.ndarray                 # (n_steps + 1, d)
     reflection_increments: np.ndarray  # (n_steps, d); row k landed at node k+1
     boundary_flags: np.ndarray         # (n_steps + 1,) bool
-    tol_feas: float = 1e-8
-    tol_bdry: float = 1e-6
 
     @property
     def dimension(self) -> int:

@@ -194,25 +194,25 @@ class TestFunction:
     def psi(self, x, y) -> float:
         return float(self.psi_many(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
 
-    def grad_x_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    def _grad_psi_many(self, X, Y, wrt: int, step: float) -> np.ndarray:
+        """Central differences of psi in argument ``wrt`` (0 for x, 1 for y)."""
+        args = [np.atleast_2d(np.asarray(X, dtype=float)),
+                np.atleast_2d(np.asarray(Y, dtype=float))]
         cols = []
-        for j in range(X.shape[1]):
-            e = np.zeros(X.shape[1])
+        for j in range(args[wrt].shape[1]):
+            e = np.zeros(args[wrt].shape[1])
             e[j] = step
-            cols.append((self.psi_many(X + e, Y) - self.psi_many(X - e, Y)) / (2.0 * step))
+            plus, minus = list(args), list(args)
+            plus[wrt] = args[wrt] + e
+            minus[wrt] = args[wrt] - e
+            cols.append((self.psi_many(*plus) - self.psi_many(*minus)) / (2.0 * step))
         return np.stack(cols, axis=1)
 
+    def grad_x_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
+        return self._grad_psi_many(X, Y, 0, step)
+
     def grad_y_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        cols = []
-        for j in range(Y.shape[1]):
-            e = np.zeros(Y.shape[1])
-            e[j] = step
-            cols.append((self.psi_many(X, Y + e) - self.psi_many(X, Y - e)) / (2.0 * step))
-        return np.stack(cols, axis=1)
+        return self._grad_psi_many(X, Y, 1, step)
 
 
 class TestFnReport:

@@ -192,6 +192,32 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         assert run_cli("verify-ldp", path, tmp_path / "out") == 1
         assert f"ldp.{key}" in capsys.readouterr().err
 
+    # each case replaces the value at a dotted path; the message names it
+    for i, (subcommand, base, dotted, value) in enumerate((
+            ("simulate", EXAMPLE, "time.t_end", float("nan")),
+            ("simulate", EXAMPLE, "time.t_end", 10 ** 400),
+            ("simulate", EXAMPLE, "x0", [float("nan")]),
+            ("simulate", EXAMPLE, "x0", [0.0, 0.0]),
+            ("simulate", EXAMPLE, "x0", [3.0]),
+            ("verify-ldp", LDP_SMALL, "eps_ladder", [0.5, 0.0]),
+            ("simulate", EXAMPLE, "domain", {"kind": "disk", "radius": -1}),
+            ("simulate", EXAMPLE, "domain", {"kind": "interval", "lo": 1.0, "hi": -1.0}),
+            ("verify-ldp", LDP_SMALL, "ldp.radii", [-0.5]),
+            ("verify-ldp", LDP_SMALL, "ldp.radii", ["x"]),
+            ("verify-ldp", LDP_SMALL, "ldp.dp_controls", ["a"]),
+            ("hjb", EXAMPLE, "hjb.store_every", 0),
+            ("hjb", EXAMPLE, "hjb.n_x", 1))):
+        cfg = json.loads(Path(base).read_text())
+        *head, last = dotted.split(".")
+        block = cfg
+        for key in head:
+            block = block[key]
+        block[last] = value
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(subcommand, path, tmp_path / "out") == 1, dotted
+        assert dotted in capsys.readouterr().err, dotted
+
 
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"

@@ -3,6 +3,7 @@ import pytest
 
 from obliqueldp.geometry import (
     Disk,
+    Ellipse,
     Interval,
     constant_coefficients,
     normal_field,
@@ -188,6 +189,23 @@ def test_two_dimensional_static_tube_on_disk():
     assert vg.value_at(0.0, [0.0, 0.8]) == pytest.approx(1.0, abs=1e-9)
     rep = residual_scan(disk, field, coeffs, vg, obs)
     assert rep.ok()
+
+
+def test_two_dimensional_values_are_pinned():
+    # values recorded from the solver before the lattice, neighbor and ghost
+    # tables were written once for every dimension
+    coeffs = constant_coefficients([0.0, 0.0], np.eye(2))
+    obs = tube_obstacle(ReferencePath.constant([0.0, 0.0], 0.0, 1.0), 0.5, 1.0,
+                        complement=True, smoothing=2 / 30)
+    disk = Disk(1.0)
+    vg = solve_limit_vi(disk, oblique_from_tangent(disk, 0.5), coeffs, obs, n_x=31)
+    assert vg.value_at(0.0, [0.3, 0.2]) == pytest.approx(0.07596726944973012, abs=1e-12)
+    assert vg.value_at(0.0, [0.45, -0.1]) == pytest.approx(0.5607603177827698, abs=1e-12)
+    ell = Ellipse(1.2, 0.7)
+    vg = solve_eps_vi(ell, oblique_from_tangent(ell, 0.3), coeffs, obs, NoiseScale(0.3),
+                      n_x=31)
+    assert vg.value_at(0.0, [0.0, 0.0]) == pytest.approx(0.19815718682096128, abs=1e-12)
+    assert vg.value_at(0.0, [0.3, 0.2]) == pytest.approx(0.41539145428928465, abs=1e-12)
 
 
 def test_value_grid_npz_round_trip(tmp_path):
