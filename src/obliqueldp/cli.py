@@ -26,8 +26,7 @@ from . import __version__
 from .control_stop import DiscreteProblem, multi_stop_value, reduced_value, \
     tube_indicator_obstacle
 from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
-    Interval, ObliqueField, constant_coefficients, constant_field, \
-    normal_field, oblique_from_tangent
+    Interval, ObliqueField, constant_field, normal_field, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
 from .ldp import LdpConfig, run_lower_bound_experiment, run_upper_bound_experiment

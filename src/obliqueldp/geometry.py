@@ -50,6 +50,17 @@ def _as_point(x, dimension: int) -> np.ndarray:
     return p
 
 
+def _row_dots(D: np.ndarray) -> np.ndarray:
+    """``d @ d`` for every row of ``D``, rounded as the 1-d product (the BLAS
+    dot behind ``np.linalg.norm``), which a sum of squares is not always."""
+    return (D[:, None, :] @ D[:, :, None])[:, 0, 0]
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of ``D``, bit for bit."""
+    return np.sqrt(_row_dots(D))
+
+
 class Domain:
     """Bounded domain described by a smooth level function.
 
@@ -455,6 +466,9 @@ class Ellipse(Domain):
     """Open axis-aligned ellipse with semi-axes (a, b)."""
 
     kind = "ellipse"
+    # Rows per block of the (rows, 720) angle scan: small blocks keep its
+    # temporaries in cache and out of the peak memory.
+    _scan_block = 64
 
     def __init__(self, a: float, b: float, center=(0.0, 0.0)):
         if a <= 0 or b <= 0:
@@ -465,6 +479,11 @@ class Ellipse(Domain):
         super().__init__(self._level, bb, grad_level=self._grad_level_fn)
         # Dense parameter scan used to seed Newton refinement of projections.
         self._scan_theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        a, b = self.semi_axes
+        self._scan_x = a * np.cos(self._scan_theta)
+        self._scan_y = b * np.sin(self._scan_theta)
+        j = int(np.argmin(self.semi_axes))
+        self._centre_projection = self.center + np.eye(2)[j] * self.semi_axes[j]
 
     def _level(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
@@ -474,45 +493,90 @@ class Ellipse(Domain):
         z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
         return 2.0 * z / self.semi_axes
 
-    def _closest_angle(self, p: np.ndarray) -> float:
-        """Parameter of the closest boundary point to ``p`` (centered coords)."""
+    def _newton_terms(self, t, x, y):
+        """f and f' of f(t) = (b^2-a^2) sin t cos t + a x sin t - b y cos t,
+        whose zeros are the boundary points normal to the centred point (x, y)."""
         a, b = self.semi_axes
-        th = self._scan_theta
-        d2 = (a * np.cos(th) - p[0]) ** 2 + (b * np.sin(th) - p[1]) ** 2
-        t = th[int(np.argmin(d2))]
-        # Newton on f(t) = (b^2-a^2) sin t cos t + a x sin t - b y cos t = 0.
+        s, c = np.sin(t), np.cos(t)
+        f = (b * b - a * a) * s * c + a * x * s - b * y * c
+        fp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
+        return f, fp
+
+    def _closest_angles(self, P: np.ndarray) -> np.ndarray:
+        """Parameters of the closest boundary points to the rows of ``P``
+        (centred coordinates): the best scan angle, refined by Newton."""
+        t = np.empty(len(P))
+        for lo in range(0, len(P), self._scan_block):
+            blk = P[lo:lo + self._scan_block]
+            d2 = (self._scan_x - blk[:, :1]) ** 2 + (self._scan_y - blk[:, 1:]) ** 2
+            t[lo:lo + self._scan_block] = self._scan_theta[np.argmin(d2, axis=1)]
+        if len(P) == 1:
+            # One row: the same iteration on numpy scalars, without the masks.
+            tt, x, y = t[0], P[0, 0], P[0, 1]
+            for _ in range(60):
+                f, fp = self._newton_terms(tt, x, y)
+                if abs(fp) < 1e-14:
+                    break
+                step = f / fp
+                tt -= step
+                if abs(step) < 1e-15:
+                    break
+            t[0] = tt
+            return t
+        # Every row at once; a row leaves the live set where the scalar loop stops.
+        live = np.arange(len(P))
         for _ in range(60):
-            s, c = np.sin(t), np.cos(t)
-            f = (b * b - a * a) * s * c + a * p[0] * s - b * p[1] * c
-            fp = (b * b - a * a) * (c * c - s * s) + a * p[0] * c + b * p[1] * s
-            if abs(fp) < 1e-14:
-                break
-            step = f / fp
-            t -= step
-            if abs(step) < 1e-15:
+            tl = t[live]
+            f, fp = self._newton_terms(tl, P[live, 0], P[live, 1])
+            go = ~(np.abs(fp) < 1e-14)
+            live, tl, step = live[go], tl[go], f[go] / fp[go]
+            tl -= step
+            t[live] = tl
+            live = live[~(np.abs(step) < 1e-15)]
+            if not len(live):
                 break
         return t
 
+    def _closest_points(self, X: np.ndarray) -> np.ndarray:
+        """Closest boundary points to the rows of ``X`` (B, 2); a row at the
+        centre gets the end of the shorter semi-axis."""
+        P = X - self.center
+        t = self._closest_angles(P)
+        Q = np.empty_like(P)
+        np.cos(t, out=Q[:, 0])
+        np.sin(t, out=Q[:, 1])
+        Q *= self.semi_axes
+        Q += self.center
+        at_centre = _row_norms(P) < 1e-12
+        if at_centre.any():
+            Q[at_centre] = self._centre_projection
+        return Q
+
+    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
+        d = _row_norms(X - self._closest_points(X))
+        inside = _row_dots((X - self.center) / self.semi_axes) <= 1.0
+        return np.where(inside, d, -d)
+
     def project_to_boundary(self, x, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-        p = _as_point(x, 2) - self.center
-        if np.linalg.norm(p) < 1e-12:
-            j = int(np.argmin(self.semi_axes))
-            q = np.zeros(2)
-            q[j] = self.semi_axes[j]
-            return self.center + q
-        t = self._closest_angle(p)
-        q = np.array([self.semi_axes[0] * np.cos(t), self.semi_axes[1] * np.sin(t)])
-        return self.center + q
+        return self._closest_points(_as_point(x, 2)[None, :])[0]
+
+    def project_to_boundary_many(self, X) -> np.ndarray:
+        return self._closest_points(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def signed_distance(self, x) -> float:
-        p = _as_point(x, 2)
-        q = self.project_to_boundary(p)
-        d = float(np.linalg.norm(p - q))
-        return d if self._level(p) <= 0.0 else -d
+        return float(self._signed_distances(_as_point(x, 2)[None, :])[0])
 
     def signed_distance_many(self, X) -> np.ndarray:
+        return self._signed_distances(np.atleast_2d(np.asarray(X, dtype=float)))
+
+    def normal_many(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.signed_distance(row) for row in X])
+        G = 2.0 * ((X - self.center) / self.semi_axes) / self.semi_axes
+        n = _row_norms(G)
+        if np.any(n < 1e-9):
+            raise DegenerateGeometryError(
+                f"vanishing level gradient at {X[int(np.argmax(n < 1e-9))]}")
+        return G / n[:, None]
 
     def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
         return _quadric_pushback(p, g, self.center, self.semi_axes)

@@ -228,6 +228,7 @@ class _Workspace:
         xs = np.linspace(box[0, 0], box[0, 1], n_x)
         h = xs[1] - xs[0]
         self.coeffs = coeffs
+        self._constant = None  # coeff_arrays under constant coefficients
         self.d = d
         self.h = float(h)
         self.axes = (xs,) + tuple(
@@ -273,12 +274,18 @@ class _Workspace:
         return worst / self.h
 
     def coeff_arrays(self, eps: float, t: float):
-        """Drift (n, d) and sigma sigma^T (n, d, d) at every active node."""
+        """Drift (n, d) and sigma sigma^T (n, d, d) at every active node;
+        constant coefficients (which no eps or t changes) are evaluated once."""
+        if self._constant is not None:
+            return self._constant
         n = len(self.pts)
         b, s = self.coeffs.rows(t, self.pts, eps)
         sst = s @ np.swapaxes(s, 1, 2)
-        return (np.broadcast_to(b, (n, b.shape[1])),
-                np.broadcast_to(sst, (n,) + sst.shape[1:]))
+        arrays = (np.broadcast_to(b, (n, b.shape[1])),
+                  np.broadcast_to(sst, (n,) + sst.shape[1:]))
+        if self.coeffs.is_constant:
+            self._constant = arrays
+        return arrays
 
     def step(self, v_next: np.ndarray, t_next: float, dt: float, eps: float) -> np.ndarray:
         """One unprojected backward update from the layer at t_next."""

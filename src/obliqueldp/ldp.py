@@ -10,14 +10,14 @@ attributable to statistics, discretization, or genuine disagreement.
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
 from .reflect import Control, ReferencePath, TimeGrid, holder_half_quotient, solve_reflected_ode
-from .sde import (EventSpec, LogRateInterval, McEstimate, NoiseScale,
+from .sde import (EventSpec, LogRateInterval, NoiseScale,
                   estimate_event_probability, log_rate_estimate)
 from .rate import rate_of_event, weak_stability_check
 from .control_stop import DiscreteProblem, reduced_value, tube_indicator_obstacle

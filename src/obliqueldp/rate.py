@@ -67,9 +67,20 @@ class _PathBatch:
         """(B, n_refs) sup-norm deviations of each controlled path."""
         nodes, seg = self.grid.nodes, self.seg_of_step
 
-        def drift_at(k, X):
-            b, sig = self.coeffs.rows(nodes[k], X)
-            return b - np.einsum("...dm,...m->...d", sig, A[:, seg[k], :])
+        def controlled(t, X, a):
+            b, sig = self.coeffs.rows(t, X)
+            return b - np.einsum("...dm,...m->...d", sig, a)
+
+        if self.coeffs.is_constant:
+            # the drift then changes only at segment boundaries
+            per_seg = [controlled(nodes[0], self.x0[None, :], A[:, j, :])
+                       for j in range(self.n_seg)]
+
+            def drift_at(k, X):
+                return per_seg[seg[k]]
+        else:
+            def drift_at(k, X):
+                return controlled(nodes[k], X, A[:, seg[k], :])
 
         X = np.repeat(self.x0[None, :], A.shape[0], axis=0)
         return sup_deviations(self.domain, self.field, X, self.grid, drift_at, self.g_nodes)[1]

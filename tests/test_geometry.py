@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obliqueldp.geometry import (
     Disk,
@@ -71,6 +72,72 @@ def test_ellipse_projection_idempotent():
         q = ell.project_to_boundary(p)
         q2 = ell.project_to_boundary(q)
         assert np.linalg.norm(q - q2) < 1e-9
+
+
+def test_ellipse_signed_distances_and_projections_are_pinned():
+    # values of the per-row scalar Newton projection, kept bit for bit
+    ell = Ellipse(1.2, 0.7)
+    cases = [
+        ([0.3, 0.2], 0.4706750454472452, [0.3933750956066301, 0.6613199431275641]),
+        ([1.5, -0.4], -0.40288689232682845, [1.145087406652569, -0.20933039284623658]),
+        ([-0.9, 0.65], -0.16027657078606727, [-0.8228142851086485, 0.5095331193496053]),
+        ([0.0, 0.0], 0.7, [0.0, 0.7]),
+        ([0.0, 1.1], -0.40000000000000013, [7.347880794884119e-17, 0.7]),
+        ([-1.2, 0.0], 8.572527594031472e-17, [-1.2, 8.572527594031472e-17]),
+    ]
+    for p, d, q in cases:
+        assert ell.signed_distance(p) == d
+        assert ell.project_to_boundary(p).tolist() == q
+    X = np.array([p for p, _, _ in cases])
+    assert ell.signed_distance_many(X).tolist() == [d for _, d, _ in cases]
+    assert ell.project_to_boundary_many(X).tolist() == [q for _, _, q in cases]
+
+
+def _ellipse_rows(ell, rng, n):
+    """Rows inside, outside, within 1e-9 of the boundary, and at the centre."""
+    th = rng.uniform(0.0, 2.0 * np.pi, n)
+    kind = rng.choice(5, size=n, p=[0.4, 0.3, 0.2, 0.05, 0.05])
+    r = np.choose(kind, [rng.uniform(0.0, 2.0, n), 1.0 + 1e-9 * rng.standard_normal(n),
+                         rng.uniform(2.0, 8.0, n), np.zeros(n), np.full(n, 1e-14)])
+    a, b = ell.semi_axes
+    return ell.center + r[:, None] * np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.2, 3.0), b=st.floats(0.2, 3.0), cx=st.floats(-2.0, 2.0),
+       cy=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(2, 600), cut=st.floats(0.0, 1.0))
+def test_batched_ellipse_projection_matches_rows_and_is_a_closest_point(a, b, cx, cy, seed,
+                                                                         n, cut):
+    ell = Ellipse(a, b, (cx, cy))
+    X = _ellipse_rows(ell, np.random.default_rng(seed), n)
+    Q = ell.project_to_boundary_many(X)
+    sd = ell.signed_distance_many(X)
+    # batch invariance: each row as a one-row call, and a batch cut anywhere
+    # (which moves the scan-block boundaries) gives the same bits
+    for x, q, d in zip(X, Q, sd):
+        assert ell.project_to_boundary(x).tobytes() == q.tobytes()
+        assert ell.signed_distance(x) == d
+    k = int(cut * n)
+    assert np.concatenate([ell.signed_distance_many(X[:k]),
+                           ell.signed_distance_many(X[k:])]).tobytes() == sd.tobytes()
+    assert np.concatenate([ell.project_to_boundary_many(X[:k]),
+                           ell.project_to_boundary_many(X[k:])]).tobytes() == Q.tobytes()
+    N = ell.normal_many(Q)
+    for q, nq in zip(Q, N):
+        assert ell.normal(q).tobytes() == nq.tobytes()
+    # on the boundary, at the projection's distance, and along the normal
+    for x, q, d, nq in zip(X, Q, sd, N):
+        assert abs(ell.level(q)) <= 1e-10
+        r = x - q
+        assert abs(d) == np.linalg.norm(r)
+        assert abs(r[0] * nq[1] - r[1] * nq[0]) <= 1e-9
+        assert np.signbit(d) == (ell.level(x) > 0.0)
+    # no farther than the best of the 720 scan points
+    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    scan = ell.center + np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
+    best = np.min(np.linalg.norm(X[:, None, :] - scan[None, :, :], axis=2), axis=1)
+    assert np.all(np.abs(sd) <= best + 1e-12)
 
 
 def test_custom_level_set_domain_squircle():

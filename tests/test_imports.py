@@ -1,0 +1,69 @@
+"""Every name a package module imports is used there (a stdlib stand-in for F401).
+
+A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
+names other code reaches through the module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "obliqueldp").glob("*.py"))
+
+
+def _imported(tree, lines):
+    """(name, line) for every name bound by an import not marked noqa F401."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            yield name, node.lineno
+
+
+def _used(tree):
+    """Names read anywhere, including inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree, source.splitlines())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unused_and_honours_noqa():
+    src = ("import os\n"
+           "import sys  # noqa: F401\n"
+           "from typing import Optional, Sequence\n"
+           "from a.b import (c,  # noqa: F401\n"
+           "    d)\n"
+           "def f(x: 'Optional[int]') -> Sequence:\n"
+           "    return x\n")
+    assert unused_imports(src) == [("os", 1)]
