@@ -12,6 +12,7 @@ verify-ldp verdict is inconclusive, 1 on configuration or runtime errors.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -65,12 +66,14 @@ def _finite(val) -> bool:
         return False
 
 
-def _num(mapping, key, path, default=_MISSING):
+def _num(mapping, key, path, default=_MISSING, least=None):
     val = _get(mapping, key, path, default)
     if val is default and default is not _MISSING:
         return val
     if not _finite(val):
         raise ConfigError(f"{path}.{key}: expected a finite number")
+    if least is not None and val < least:
+        raise ConfigError(f"{path}.{key}: must be at least {least}")
     return float(val)
 
 
@@ -315,7 +318,7 @@ def _finite_or_none(x):
 
 
 def cmd_simulate(ctx: RunContext):
-    eps = _num(ctx.cfg, "eps", "config")
+    eps = _num(ctx.cfg, "eps", "config", least=0)
     path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs,
                                   NoiseScale(eps), ctx.t0, ctx.x0, ctx.grid,
                                   ctx.seed, trajectory_id=0)
@@ -323,7 +326,7 @@ def cmd_simulate(ctx: RunContext):
     outputs = {"path": "path.csv"}
     events = ctx.events()
     if events:
-        n_samples = _int(ctx.cfg, "n_samples", "config")
+        n_samples = _int(ctx.cfg, "n_samples", "config", least=100)
         rows = []
         for event_id, event in events:
             est = estimate_event_probability(
@@ -338,9 +341,9 @@ def cmd_simulate(ctx: RunContext):
 
 def cmd_rate(ctx: RunContext):
     block = _get(ctx.cfg, "rate", "config")
-    n_segments = _int(block, "n_segments", "rate", 64)
+    n_segments = _int(block, "n_segments", "rate", 64, least=1)
     max_segments = _int(block, "max_segments", "rate", 4 * n_segments)
-    substeps = _int(block, "substeps", "rate", 4)
+    substeps = _int(block, "substeps", "rate", 4, least=1)
     target = _get(block, "target", "rate", None)
     if target is not None:
         ref = build_reference(target, ctx.t0, ctx.t_end, "rate.target")
@@ -374,29 +377,31 @@ def cmd_rate(ctx: RunContext):
 
 def cmd_stopping(ctx: RunContext):
     block = _get(ctx.cfg, "stopping", "config")
-    n_steps = _int(block, "n_steps", "stopping", 4)
+    n_steps = _int(block, "n_steps", "stopping", 4, least=1)
     controls = [np.atleast_1d(np.asarray(a, dtype=float))
                 for a in _get(block, "controls", "stopping")]
+    if not controls:
+        raise ConfigError("stopping.controls: need at least one control")
     grid = TimeGrid.uniform(ctx.t0, ctx.t_end, n_steps)
     obstacles = []
     for i, ob in enumerate(_get(block, "obstacles", "stopping")):
         ref = build_reference(_get(ob, "reference", f"stopping.obstacles[{i}]"),
                               ctx.t0, ctx.t_end, f"stopping.obstacles[{i}].reference")
         obstacles.append(tube_indicator_obstacle(
-            ref, _num(ob, "radius", f"stopping.obstacles[{i}]"),
+            ref, _num(ob, "radius", f"stopping.obstacles[{i}]", least=0),
             _num(ob, "height", f"stopping.obstacles[{i}]", 1.0),
             complement=bool(_get(ob, "complement", f"stopping.obstacles[{i}]", False))))
     if not 1 <= len(obstacles) <= 3:
         raise ConfigError("stopping.obstacles: need between 1 and 3 obstacles")
     problem = DiscreteProblem.build(
         ctx.domain, ctx.field, ctx.coeffs, grid, controls, obstacles,
-        substeps=_int(block, "substeps", "stopping", 16),
+        substeps=_int(block, "substeps", "stopping", 16, least=1),
         obstacle_bound=_num(block, "obstacle_bound", "stopping", math.inf))
     budget = _num(block, "budget", "stopping", 1e8)
     values = {}
     indices = list(range(len(obstacles)))
     for size in range(1, len(indices) + 1):
-        for subset in _subsets(indices, size):
+        for subset in itertools.combinations(indices, size):
             sub = DiscreteProblem(grid=problem.grid, control_set=problem.control_set,
                                   state_rule=problem.state_rule,
                                   obstacles=[obstacles[i] for i in subset],
@@ -409,15 +414,6 @@ def cmd_stopping(ctx: RunContext):
                "reduction_identity_holds": bool(values[full_key] == reduced),
                "n_obstacles": len(obstacles), "n_steps": n_steps}
     return 0, {"stopping": ctx.write_json("stopping.json", payload)}
-
-
-def _subsets(indices, size):
-    if size == 0:
-        yield ()
-        return
-    for i, head in enumerate(indices):
-        for tail in _subsets(indices[i + 1:], size - 1):
-            yield (head, *tail)
 
 
 def cmd_hjb(ctx: RunContext):
@@ -435,18 +431,20 @@ def cmd_hjb(ctx: RunContext):
                               ctx.t0, ctx.t_end, "hjb.obstacle.reference")
         box = ctx.domain.bounding_box
         cell = float(box[0, 1] - box[0, 0]) / (n_x - 1)
-        smoothing = _get(ob_block, "smoothing", "hjb.obstacle", "cell")
+        smoothing = cell
+        if _get(ob_block, "smoothing", "hjb.obstacle", "cell") != "cell":
+            smoothing = _num(ob_block, "smoothing", "hjb.obstacle", least=0)
         obstacle = tube_obstacle(
-            ref, _num(ob_block, "radius", "hjb.obstacle"),
+            ref, _num(ob_block, "radius", "hjb.obstacle", least=0),
             _num(ob_block, "height", "hjb.obstacle", 1.0),
             complement=bool(_get(ob_block, "complement", "hjb.obstacle", False)),
-            smoothing=cell if smoothing == "cell" else float(smoothing))
+            smoothing=smoothing)
     kwargs = dict(n_x=n_x, t0=ctx.t0, t_end=ctx.t_end,
                   store_every=_int(block, "store_every", "hjb", None, least=1))
     dv_est = _num(block, "dv_est", "hjb", None)
     if dv_est is not None:
         kwargs["dv_est"] = dv_est
-    eps = _num(block, "eps", "hjb", 0.0)
+    eps = _num(block, "eps", "hjb", 0.0, least=0)
     if eps > 0.0:
         grid = solve_eps_vi(ctx.domain, ctx.field, ctx.coeffs, obstacle,
                             NoiseScale(eps), vi_type, **kwargs)
@@ -466,13 +464,16 @@ def cmd_testfn_check(ctx: RunContext):
     block = _get(ctx.cfg, "testfn", "config")
     eps = _num(block, "eps", "testfn")
     rho = _num(block, "rho", "testfn")
+    for key, val in (("eps", eps), ("rho", rho)):
+        if not 0.0 < val <= 1.0:
+            raise ConfigError(f"testfn.{key}: must lie in (0, 1]")
     build_kwargs = {}
     for key in ("n_boundary", "probe_samples"):
-        val = _int(block, key, "testfn", None)
+        val = _int(block, key, "testfn", None, least=1)
         if val is not None:
             build_kwargs[key] = val
     tf = build_testfn(ctx.domain, ctx.field, eps, rho, **build_kwargs)
-    report = check_testfn_properties(tf, _int(block, "n_samples", "testfn", 4096))
+    report = check_testfn_properties(tf, _int(block, "n_samples", "testfn", 4096, least=1))
     payload = report.to_dict()
     payload.update({"A": tf.A, "B": tf.B, "C": tf.C, "eps": eps, "rho": rho,
                     "passed": bool(report.min_psi_iii > 0.0
@@ -490,7 +491,7 @@ def _ldp_config(ctx: RunContext) -> tuple:
     kwargs = dict(
         domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
         x0=ctx.x0, t_end=ctx.t_end, references=refs, radii=radii,
-        eps_ladder=ladder, n_samples=_int(ctx.cfg, "n_samples", "config"),
+        eps_ladder=ladder, n_samples=_int(ctx.cfg, "n_samples", "config", least=100),
         n_steps=ctx.n_steps, seed=ctx.seed, scheme_tol=ctx.scheme_tol,
         lambda_fraction=ctx.lambda_fraction, rate_tol=ctx.rate_tol,
         n_threads=ctx.threads)

@@ -84,41 +84,11 @@ class DiscreteProblem:
         return k
 
 
-def _single_stop_value(p: DiscreteProblem, k0: int, x0: np.ndarray,
-                       reward: Callable[[int, np.ndarray], float]) -> float:
-    """Backward recursion for one stop: controller minimizes, stopper maximizes."""
-    n = p.grid.n_steps
-    dts = p.grid.dts
-    memo: dict = {}
-
-    def value(k: int, x: np.ndarray) -> float:
-        key = (k, x.tobytes())
-        got = memo.get(key)
-        if got is not None:
-            return got
-        stop = reward(k, x)
-        if k == n:
-            out = stop
-        else:
-            cont = math.inf
-            for a_idx, a in enumerate(p.control_set):
-                cand = _cell_cost(a, dts[k]) + value(k + 1, p.step(k, x, a_idx))
-                if cand < cont:
-                    cont = cand
-            out = max(stop, cont)
-        memo[key] = out
-        return out
-
-    return value(k0, x0)
-
-
 def value_inf_sup(p: DiscreteProblem, t0: float, x) -> float:
     """Controller minimizes action plus reward; adversary chooses the stop."""
     if len(p.obstacles) != 1:
         raise ValueError("inf-sup value takes exactly one obstacle")
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    k0 = p.node_index(t0)
-    return _single_stop_value(p, k0, x0, lambda k, y: p.psi(0, k, y))
+    return _stopping_value(p, t0, x, max)
 
 
 def value_inf_inf(p: DiscreteProblem, t0: float, x) -> float:
@@ -193,9 +163,19 @@ def reduced_value(p: DiscreteProblem, t0: float, x) -> float:
     remaining set from the same time and state; the innermost sets are plain
     single-stop problems.
     """
-    n_stops = len(p.obstacles)
-    if n_stops == 0:
+    if len(p.obstacles) == 0:
         raise ValueError("need at least one obstacle")
+    return _stopping_value(p, t0, x, min)
+
+
+def _stopping_value(p: DiscreteProblem, t0: float, x,
+                    stopper: Callable[[float, float], float]) -> float:
+    """Backward recursion over (obstacles left, node, state).
+
+    The controller minimizes; ``stopper(stop, cont)`` chooses between
+    stopping and continuing: ``min`` for the reduction, ``max`` for an
+    adversarial single stop.
+    """
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     k0 = p.node_index(t0)
     n = p.grid.n_steps
@@ -224,11 +204,11 @@ def reduced_value(p: DiscreteProblem, t0: float, x) -> float:
                 cand = _cell_cost(a, dts[k]) + value(J, k + 1, p.step(k, y, a_idx))
                 if cand < cont:
                     cont = cand
-            out = min(stop, cont)
+            out = stopper(stop, cont)
         memo[key] = out
         return out
 
-    return value(frozenset(range(n_stops)), k0, x0)
+    return value(frozenset(range(len(p.obstacles))), k0, x0)
 
 
 # ---------------------------------------------------------------------------

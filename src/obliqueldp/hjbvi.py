@@ -319,11 +319,23 @@ class _Workspace:
 # Solvers
 
 
-def _solve_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-              obstacle: Obstacle, vi_type: str, eps: float,
-              terminal: Optional[Callable], n_x: Optional[int], t0: float, t_end: float,
-              dt: Optional[float], dv_est: Optional[float], cfl_factor: float,
-              store_every: Optional[int]) -> ValueGrid:
+def solve_limit_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
+                   obstacle: Obstacle, vi_type: str = MIN_TYPE,
+                   terminal: Optional[Callable] = None, **options) -> ValueGrid:
+    """First-order obstacle problem (the small-noise limit): ``solve_eps_vi``
+    at eps = 0, whose diffusion term is then multiplied by zero."""
+    return solve_eps_vi(domain, field, coeffs, obstacle, NoiseScale(0.0), vi_type,
+                        terminal, **options)
+
+
+def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
+                 obstacle: Obstacle, eps: NoiseScale, vi_type: str = MIN_TYPE,
+                 terminal: Optional[Callable] = None, *, n_x: Optional[int] = None,
+                 t0: float = 0.0, t_end: float = 1.0, dt: Optional[float] = None,
+                 dv_est: Optional[float] = None, cfl_factor: float = 0.9,
+                 store_every: Optional[int] = None) -> ValueGrid:
+    """Second-order obstacle problem at noise level eps (log-transformed form)."""
+    eps = eps.eps
     if vi_type not in (MIN_TYPE, MAX_TYPE):
         raise ValueError(f"unknown vi_type {vi_type!r}")
     ws = _Workspace(domain, field, coeffs, n_x)
@@ -384,32 +396,6 @@ def _solve_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                      vi_type=vi_type, eps=float(eps),
                      meta={"n_t": n_t, "store_every": store_every,
                            "dt_bound": float(dt_bound), "t0": t0, "t_end": t_end})
-
-
-def solve_limit_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                   obstacle: Obstacle, vi_type: str = MIN_TYPE,
-                   terminal: Optional[Callable] = None, *, n_x: Optional[int] = None,
-                   t0: float = 0.0, t_end: float = 1.0, dt: Optional[float] = None,
-                   dv_est: Optional[float] = None, cfl_factor: float = 0.9,
-                   store_every: Optional[int] = None) -> ValueGrid:
-    """First-order obstacle problem (the small-noise limit)."""
-    return _solve_vi(domain, field, coeffs, obstacle, vi_type, 0.0, terminal,
-                     n_x, t0, t_end, dt, dv_est, cfl_factor, store_every)
-
-
-def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                 obstacle: Obstacle, eps: NoiseScale, vi_type: str = MIN_TYPE,
-                 terminal: Optional[Callable] = None, *, n_x: Optional[int] = None,
-                 t0: float = 0.0, t_end: float = 1.0, dt: Optional[float] = None,
-                 dv_est: Optional[float] = None, cfl_factor: float = 0.9,
-                 store_every: Optional[int] = None) -> ValueGrid:
-    """Second-order obstacle problem at noise level eps (log-transformed form).
-
-    With eps = 0 the diffusion term is multiplied by zero in the same code
-    path, reproducing ``solve_limit_vi`` exactly.
-    """
-    return _solve_vi(domain, field, coeffs, obstacle, vi_type, eps.eps, terminal,
-                     n_x, t0, t_end, dt, dv_est, cfl_factor, store_every)
 
 
 def log_transform(u_grid: ValueGrid, eps: NoiseScale) -> ValueGrid:

@@ -10,7 +10,7 @@ attributable to statistics, discretization, or genuine disagreement.
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -258,10 +258,7 @@ class CapIdentityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"eps": self.eps, "heights": list(self.heights),
-                "values": list(self.values), "targets": list(self.targets),
-                "reference_value": self.reference_value,
-                "tol_rel": self.tol_rel, "passed": self.passed}
+        return asdict(self)
 
 
 def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
@@ -318,11 +315,7 @@ class GoodnessReport:
                 and math.isfinite(self.envelope))
 
     def to_dict(self) -> dict:
-        return {"weak_n_values": list(self.weak_n_values),
-                "weak_sup_dists": list(self.weak_sup_dists),
-                "weak_passed": self.weak_passed,
-                "quotients": list(self.quotients), "envelope": self.envelope,
-                "envelope_stable": self.envelope_stable, "passed": self.passed}
+        return dict(asdict(self), passed=self.passed)
 
 
 def goodness_proxy(config: LdpConfig) -> GoodnessReport:

@@ -10,6 +10,8 @@ inequalities; the result is a diagnostic artifact, not a solver input.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
 from .geometry import Domain, ObliqueField
@@ -29,6 +31,20 @@ _AXIS_NODES = np.array([-0.8, -0.4, 0.0, 0.4, 0.8])
 
 class ConstructionError(RuntimeError):
     """Raised when the doubling search cannot satisfy the sampled properties."""
+
+
+def _shifts(P, step: float = _FD_STEP):
+    """The central-difference pairs (P + step e_j, P - step e_j), one per axis j."""
+    d = np.shape(P)[-1]
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = step
+        yield P + e, P - e
+
+
+def _fd_grad(f, stencils, step: float = _FD_STEP) -> list:
+    """Central differences (f(plus) - f(minus)) / (2 step), one per stencil pair."""
+    return [(f(plus) - f(minus)) / (2.0 * step) for plus, minus in stencils]
 
 
 def _bump_grid(dimension: int):
@@ -95,13 +111,7 @@ class SmoothedDirectionField:
 
     def jacobian(self, x, step: float = _FD_STEP) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        d = x.size
-        cols = []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            cols.append((self(x + e) - self(x - e)) / (2.0 * step))
-        return np.stack(cols, axis=1)
+        return np.stack(_fd_grad(self, _shifts(x, step), step), axis=1)
 
     def bound_near_boundary(self, n: int = 128, step: float = _FD_STEP) -> float:
         """Max of value norm plus Jacobian norm over a band inside the boundary."""
@@ -111,12 +121,8 @@ class SmoothedDirectionField:
         for pull in (0.0, 0.5 * self.rho, self.rho, 2.0 * self.rho):
             P = xb - pull * nrm
             vals = self.many(P)
-            jnorm = np.zeros(len(P))
-            for j in range(P.shape[1]):
-                e = np.zeros(P.shape[1])
-                e[j] = step
-                col = (self.many(P + e) - self.many(P - e)) / (2.0 * step)
-                jnorm += np.einsum("ij,ij->i", col, col)
+            jnorm = sum(np.einsum("ij,ij->i", col, col)
+                        for col in _fd_grad(self.many, _shifts(P, step), step))
             total = np.linalg.norm(vals, axis=1) + np.sqrt(jnorm)
             worst = max(worst, float(total.max()))
         return worst
@@ -194,44 +200,26 @@ class TestFunction:
     def psi(self, x, y) -> float:
         return float(self.psi_many(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
 
-    def _grad_psi_many(self, X, Y, wrt: int, step: float) -> np.ndarray:
-        """Central differences of psi in argument ``wrt`` (0 for x, 1 for y)."""
-        args = [np.atleast_2d(np.asarray(X, dtype=float)),
-                np.atleast_2d(np.asarray(Y, dtype=float))]
-        cols = []
-        for j in range(args[wrt].shape[1]):
-            e = np.zeros(args[wrt].shape[1])
-            e[j] = step
-            plus, minus = list(args), list(args)
-            plus[wrt] = args[wrt] + e
-            minus[wrt] = args[wrt] - e
-            cols.append((self.psi_many(*plus) - self.psi_many(*minus)) / (2.0 * step))
-        return np.stack(cols, axis=1)
-
     def grad_x_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        return self._grad_psi_many(X, Y, 0, step)
+        shifted = _shifts(np.asarray(X, dtype=float), step)
+        return np.stack(_fd_grad(lambda S: self.psi_many(S, Y), shifted, step), axis=1)
 
     def grad_y_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        return self._grad_psi_many(X, Y, 1, step)
+        shifted = _shifts(np.asarray(Y, dtype=float), step)
+        return np.stack(_fd_grad(lambda S: self.psi_many(X, S), shifted, step), axis=1)
 
 
+@dataclass(frozen=True)
 class TestFnReport:
     """Sampled property constants for a built test function."""
 
-    def __init__(self, K_psi_i: float, K_psi_ii: float, min_psi_iii: float, n_samples: int):
-        self.K_psi_i = float(K_psi_i)
-        self.K_psi_ii = float(K_psi_ii)
-        self.min_psi_iii = float(min_psi_iii)
-        self.n_samples = int(n_samples)
+    K_psi_i: float
+    K_psi_ii: float
+    min_psi_iii: float
+    n_samples: int
 
     def to_dict(self) -> dict:
-        return {"K_psi_i": self.K_psi_i, "K_psi_ii": self.K_psi_ii,
-                "min_psi_iii": self.min_psi_iii, "n_samples": self.n_samples}
-
-    def __repr__(self) -> str:
-        return ("TestFnReport(K_psi_i={:.6g}, K_psi_ii={:.6g}, min_psi_iii={:.6g}, "
-                "n_samples={})".format(self.K_psi_i, self.K_psi_ii,
-                                       self.min_psi_iii, self.n_samples))
+        return asdict(self)
 
 
 def _boundary_pair_set(domain: Domain, rho: float, n_generic: int):
@@ -258,30 +246,16 @@ def _boundary_pair_set(domain: Domain, rho: float, n_generic: int):
     return np.vstack(xs), np.vstack(ys)
 
 
-def _stencil_raws(domain, smoother, eps, X, Y, side: str, step: float = _FD_STEP):
-    """Cached ingredient tuples for central differences in the given slot."""
-    d = X.shape[1]
-    out = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        if side == "x":
-            out.append((_pair_raw(domain, smoother, eps, X + e, Y),
-                        _pair_raw(domain, smoother, eps, X - e, Y)))
-        else:
-            out.append((_pair_raw(domain, smoother, eps, X, Y + e),
-                        _pair_raw(domain, smoother, eps, X, Y - e)))
-    return out
-
-
-def _directional_from_stencil(stencils, gammas, A, B, C, eps, rho, sup_d,
-                              step: float = _FD_STEP) -> np.ndarray:
-    acc = np.zeros(len(gammas))
-    for j, (plus, minus) in enumerate(stencils):
-        deriv = (_psi_from_raw(plus, A, B, C, eps, rho, sup_d)
-                 - _psi_from_raw(minus, A, B, C, eps, rho, sup_d)) / (2.0 * step)
-        acc += gammas[:, j] * deriv
-    return acc
+def _double(ok, start: float, name: str, worst) -> float:
+    """Double ``start`` until ``ok`` holds; past the cap, name the worst sample
+    at the last value tried."""
+    value = start
+    while not ok(value):
+        value *= 2.0
+        if value > _DOUBLING_CAP:
+            raise ConstructionError(f"{name} constant search exceeded the doubling cap; "
+                                    f"worst {worst(value / 2.0)}")
+    return value
 
 
 def build_testfn(domain: Domain, field: ObliqueField, eps: float, rho: float,
@@ -316,70 +290,68 @@ def build_testfn(domain: Domain, field: ObliqueField, eps: float, rho: float,
     Xb, Yb = _boundary_pair_set(domain, rho, n_boundary)
     Yc, Xc = _boundary_pair_set(domain, rho, n_boundary)
 
-    raw_all = _pair_raw(domain, smoother, eps,
-                        np.vstack([Xi, Xb, Xc]), np.vstack([Yi, Yb, Yc]))
-    sep2_all, q0_all, q1_all = raw_all[0], raw_all[1], raw_all[2]
+    X_all, Y_all = np.vstack([Xi, Xb, Xc]), np.vstack([Yi, Yb, Yc])
+    sep2_all, q0_all, q1_all, _, _ = _pair_raw(domain, smoother, eps, X_all, Y_all)
 
-    A = 1.0
-    while True:
-        slack = q0_all + A * q1_all - 0.5 * sep2_all
+    def lower_slack(a):
+        """Worst slack of the sampled lower sandwich bound, and its pair."""
+        slack = q0_all + a * q1_all - 0.5 * sep2_all
         i = int(np.argmin(slack))
-        if slack[i] >= -1e-12 * (1.0 + 0.5 * sep2_all[i]):
-            break
-        A *= 2.0
-        if A > _DOUBLING_CAP:
-            raise ConstructionError(
-                "quadratic constant search exceeded the doubling cap; worst "
-                f"pair x={np.vstack([Xi, Xb, Xc])[i]}, y={np.vstack([Yi, Yb, Yc])[i]}, "
-                f"lower-bound slack {slack[i]:.3e}")
+        return slack[i], i
 
+    def sandwich_ok(a) -> bool:
+        slack, i = lower_slack(a)
+        return slack >= -1e-12 * (1.0 + 0.5 * sep2_all[i])
+
+    def worst_pair(a) -> str:
+        slack, i = lower_slack(a)
+        return f"pair x={X_all[i]}, y={Y_all[i]}, lower-bound slack {slack:.3e}"
+
+    A = _double(sandwich_ok, 1.0, "quadratic", worst_pair)
+
+    def raw(X, Y):
+        return _pair_raw(domain, smoother, eps, X, Y)
+
+    # pair ingredients at the shifted points do not depend on B and C
+    sten_x = [(raw(P, Yb), raw(M, Yb)) for P, M in _shifts(Xb)]
+    sten_y = [(raw(Xc, P), raw(Xc, M)) for P, M in _shifts(Yc)]
     gam_x = field.gamma_many(domain, Xb)
     gam_y = field.gamma_many(domain, Yc)
-    sten_x = _stencil_raws(domain, smoother, eps, Xb, Yb, "x")
-    sten_y = _stencil_raws(domain, smoother, eps, Xc, Yc, "y")
     near_x = np.linalg.norm(Xb - Yb, axis=1) <= 2.0 * rho
     near_y = np.linalg.norm(Xc - Yc, axis=1) <= 2.0 * rho
 
-    def min_product(B, C, near_only: bool):
-        vx = _directional_from_stencil(sten_x, gam_x, A, B, C, eps, rho, sup_d)
-        vy = _directional_from_stencil(sten_y, gam_y, A, B, C, eps, rho, sup_d)
+    def products(B, C):
+        """gamma . grad psi at the boundary point of each pair, per family."""
+        def psi(r):
+            return _psi_from_raw(r, A, B, C, eps, rho, sup_d)
+        return [sum(gam[:, j] * col for j, col in enumerate(_fd_grad(psi, sten)))
+                for gam, sten in ((gam_x, sten_x), (gam_y, sten_y))]
+
+    def positive(B, C, near_only: bool) -> bool:
+        vx, vy = products(B, C)
         if near_only:
-            vals = np.concatenate([vx[near_x], vy[near_y]])
-        else:
-            vals = np.concatenate([vx, vy])
-        return float(vals.min())
+            vx, vy = vx[near_x], vy[near_y]
+        # not `>`: a NaN minimum ends the search
+        return not np.concatenate([vx, vy]).min() <= 1e-9
 
-    floor = 1e-9
-
-    def worst_pair_message(B, C):
-        vx = _directional_from_stencil(sten_x, gam_x, A, B, C, eps, rho, sup_d)
-        vy = _directional_from_stencil(sten_y, gam_y, A, B, C, eps, rho, sup_d)
+    def worst_sample(B, C) -> str:
+        vx, vy = products(B, C)
         if vx.min() <= vy.min():
             i = int(np.argmin(vx))
-            return f"x={Xb[i]}, y={Yb[i]}, product {vx[i]:.3e}"
+            return f"sample x={Xb[i]}, y={Yb[i]}, product {vx[i]:.3e}"
         i = int(np.argmin(vy))
-        return f"x={Xc[i]}, y={Yc[i]}, product {vy[i]:.3e}"
+        return f"sample x={Xc[i]}, y={Yc[i]}, product {vy[i]:.3e}"
 
     B = 1.0
-    C = 1.0
-    while min_product(B, C, True) <= floor:
-        B *= 2.0
-        if B > _DOUBLING_CAP:
-            raise ConstructionError(
-                "additive constant search exceeded the doubling cap; worst sample "
-                + worst_pair_message(B / 2.0, C))
-    while min_product(B, C, False) <= floor:
-        C *= 2.0
-        if C > _DOUBLING_CAP:
-            raise ConstructionError(
-                "exponential constant search exceeded the doubling cap; worst sample "
-                + worst_pair_message(B, C / 2.0))
-        while min_product(B, C, True) <= floor:
-            B *= 2.0
-            if B > _DOUBLING_CAP:
-                raise ConstructionError(
-                    "additive constant search exceeded the doubling cap; worst sample "
-                    + worst_pair_message(B / 2.0, C))
+
+    def exponential_ok(c) -> bool:
+        # each exponential constant re-enters the additive search
+        nonlocal B
+        B = _double(lambda b: positive(b, c, True), B, "additive",
+                    lambda b: worst_sample(b, c))
+        return positive(B, c, False)
+
+    C = _double(exponential_ok, 1.0, "exponential", lambda c: worst_sample(B, c))
 
     tf = TestFunction(domain, field, eps, rho, A, B, C, smoother, sup_distance=sup_d)
     probe = check_testfn_properties(tf, probe_samples)

@@ -206,9 +206,24 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("verify-ldp", LDP_SMALL, "ldp.radii", ["x"]),
             ("verify-ldp", LDP_SMALL, "ldp.dp_controls", ["a"]),
             ("hjb", EXAMPLE, "hjb.store_every", 0),
-            ("hjb", EXAMPLE, "hjb.n_x", 1))):
+            ("hjb", EXAMPLE, "hjb.n_x", 1),
+            ("hjb", EXAMPLE, "hjb.eps", -0.1),
+            ("hjb", EXAMPLE, "hjb.obstacle.radius", -0.5),
+            ("hjb", EXAMPLE, "hjb.obstacle.smoothing", "abc"),
+            ("stopping", EXAMPLE, "stopping.obstacles[0].radius", -0.25),
+            ("stopping", EXAMPLE, "stopping.n_steps", 0),
+            ("stopping", EXAMPLE, "stopping.substeps", 0),
+            ("stopping", EXAMPLE, "stopping.controls", []),
+            ("testfn-check", EXAMPLE, "testfn.eps", 2.0),
+            ("testfn-check", EXAMPLE, "testfn.n_boundary", 0),
+            ("rate", EXAMPLE, "rate.n_segments", 0),
+            ("rate", EXAMPLE, "rate.substeps", 0),
+            ("simulate", EXAMPLE, "eps", -0.5),
+            ("simulate", EXAMPLE, "n_samples", 10))):
         cfg = json.loads(Path(base).read_text())
-        *head, last = dotted.split(".")
+        # "a.b[0].c" walks keys a, b, list index 0, then sets c
+        *head, last = [int(k[1:-1]) if k.startswith("[") else k
+                       for k in dotted.replace("[", ".[").split(".")]
         block = cfg
         for key in head:
             block = block[key]
@@ -217,6 +232,15 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert run_cli(subcommand, path, tmp_path / "out") == 1, dotted
         assert dotted in capsys.readouterr().err, dotted
+
+
+def test_testfn_check_builds_from_one_boundary_point(tmp_path):
+    cfg = json.loads(Path(EXAMPLE).read_text())
+    cfg["testfn"]["n_boundary"] = 1
+    path = tmp_path / "one_point.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("testfn-check", path, tmp_path / "out") == 0
+    assert json.loads((tmp_path / "out" / "testfn.json").read_text())["passed"] is True
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

@@ -88,6 +88,33 @@ def test_reduction_identity_is_bit_exact_on_random_instances():
         assert lhs == rhs, f"trial {trial}: {lhs!r} != {rhs!r}"
 
 
+# (inf-sup, inf-inf) values recorded before the two single-stop values
+# shared one backward recursion with the reduction
+RECORDED_SINGLE_STOP_VALUES = [
+    (2.1010095104445576, 1.8186479249488194),
+    (1.6562621889670457, 1.4254513815991117),
+    (0.1272082435220132, -0.3646520520491814),
+    (2.816704730344063, 2.6149858909724535),
+    (1.9784495853739394, 1.9570045281351733),
+    (1.4304074143290153, 0.8935630910162053),
+    (1.9774031626389594, 1.7631574863968744),
+    (2.8046362790600727, 2.4365908538297814),
+    (2.8276033483938083, 1.922186191819212),
+    (0.7673838941093911, 0.5925138933620512),
+]
+
+
+def test_single_stop_values_are_pinned_on_random_instances():
+    rng = np.random.default_rng(20261018)
+    for trial, (sup_val, inf_val) in enumerate(RECORDED_SINGLE_STOP_VALUES):
+        controls = rng.choice([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0], size=3,
+                              replace=False)
+        p = _problem([_random_obstacle(rng)], controls=controls, n_steps=2 + trial % 2)
+        x0 = [float(rng.uniform(-0.5, 0.5))]
+        assert value_inf_sup(p, 0.0, x0) == sup_val, trial
+        assert value_inf_inf(p, 0.0, x0) == inf_val, trial
+
+
 def test_tube_indicator_strict_membership():
     ref = ReferencePath.constant([0.0], 0.0, 1.0)
     psi = tube_indicator_obstacle(ref, 0.5, 2.0)

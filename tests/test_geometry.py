@@ -10,7 +10,6 @@ from obliqueldp.geometry import (
     ObliqueConditionError,
     constant_coefficients,
     constant_field,
-    normal_field,
     oblique_from_tangent,
     validate_coefficients,
     validate_oblique,

@@ -11,7 +11,6 @@ from obliqueldp.geometry import (
 )
 from obliqueldp.hjbvi import (
     MAX_TYPE,
-    MIN_TYPE,
     CflError,
     NanError,
     constant_obstacle,

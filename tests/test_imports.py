@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there (a stdlib stand-in for F401).
+"""Every name a package or test module imports is used there (a stdlib stand-in
+for F401).
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "obliqueldp").glob("*.py"))
+PACKAGE = ROOT / "src" / "obliqueldp"
+FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree, lines):
@@ -53,7 +55,8 @@ def unused_imports(source: str):
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", FILES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
