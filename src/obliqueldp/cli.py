@@ -88,6 +88,13 @@ def _num_list(mapping, key, path, positive=False) -> list:
     return [float(val) for val in vals]
 
 
+def _coords(val, field: str, d: int) -> np.ndarray:
+    """The list of ``d`` finite numbers at the dotted ``field``."""
+    if not isinstance(val, list) or len(val) != d or not all(map(_finite, val)):
+        raise ConfigError(f"{field}: expected a list of {d} finite numbers")
+    return np.array(val, dtype=float)
+
+
 def _int(mapping, key, path, default=_MISSING, least=None):
     val = _get(mapping, key, path, default)
     if val is default and default is not _MISSING:
@@ -225,24 +232,29 @@ def build_coefficients(block, d: int) -> CoefficientField:
                             constant_sigma=None if family is not None else s_const)
 
 
-def build_reference(block, t0: float, t_end: float, path: str) -> ReferencePath:
+def build_reference(block, t0: float, t_end: float, path: str, d: int) -> ReferencePath:
     kind = _get(block, "kind", path)
+
+    def point(key):
+        return _coords(_get(block, key, path), f"{path}.{key}", d)
+
     if kind == "constant":
-        return ReferencePath.constant(_get(block, "point", path), t0, t_end)
+        return ReferencePath.constant(point("point"), t0, t_end)
     if kind == "linear":
-        start = np.atleast_1d(np.asarray(_get(block, "start", path), dtype=float))
-        end = np.atleast_1d(np.asarray(_get(block, "end", path), dtype=float))
-        return ReferencePath(np.array([t0, t_end]), np.stack([start, end]))
+        return ReferencePath(np.array([t0, t_end]), np.stack([point("start"), point("end")]))
     if kind == "polyline":
-        return ReferencePath(np.asarray(_get(block, "times", path), dtype=float),
-                             np.asarray(_get(block, "points", path), dtype=float))
+        rows = _get(block, "points", path)
+        if not isinstance(rows, list):
+            raise ConfigError(f"{path}.points: expected a list of points")
+        points = [_coords(row, f"{path}.points[{i}]", d) for i, row in enumerate(rows)]
+        return ReferencePath(np.asarray(_get(block, "times", path), dtype=float), points)
     raise ConfigError(f"{path}.kind: unknown reference kind '{kind}' "
                       f"(expected constant, linear, or polyline)")
 
 
-def build_event(block, t0: float, t_end: float, path: str) -> EventSpec:
+def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
     kind = _get(block, "kind", path)
-    refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]")
+    refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]", d)
             for i, r in enumerate(_get(block, "references", path))]
     radii = _num_list(block, "radii", path, positive=True)
     try:
@@ -269,9 +281,7 @@ class RunContext:
         self.n_steps = _int(time_spec, "n_steps", "time", least=1)
         if self.t_end <= self.t0:
             raise ConfigError("time.t_end: must exceed time.t0")
-        self.x0 = np.array(_num_list(cfg, "x0", "config"))
-        if len(self.x0) != self.domain.dimension:
-            raise ConfigError(f"config.x0: expected {self.domain.dimension} coordinates")
+        self.x0 = _coords(_get(cfg, "x0", "config"), "config.x0", self.domain.dimension)
         if self.domain.signed_distance(self.x0) < -1e-12:
             raise ConfigError("config.x0: outside the closure of the domain")
         tol = _get(cfg, "tolerances", "config", {})
@@ -289,7 +299,8 @@ class RunContext:
     def events(self) -> list:
         out = []
         for i, block in enumerate(_get(self.cfg, "events", "config", [])):
-            event = build_event(block, self.t0, self.t_end, f"events[{i}]")
+            event = build_event(block, self.t0, self.t_end, f"events[{i}]",
+                                self.domain.dimension)
             out.append((str(_get(block, "id", f"events[{i}]", f"event-{i}")), event))
         return out
 
@@ -342,11 +353,11 @@ def cmd_simulate(ctx: RunContext):
 def cmd_rate(ctx: RunContext):
     block = _get(ctx.cfg, "rate", "config")
     n_segments = _int(block, "n_segments", "rate", 64, least=1)
-    max_segments = _int(block, "max_segments", "rate", 4 * n_segments)
+    max_segments = _int(block, "max_segments", "rate", 4 * n_segments, least=n_segments)
     substeps = _int(block, "substeps", "rate", 4, least=1)
     target = _get(block, "target", "rate", None)
     if target is not None:
-        ref = build_reference(target, ctx.t0, ctx.t_end, "rate.target")
+        ref = build_reference(target, ctx.t0, ctx.t_end, "rate.target", ctx.domain.dimension)
         result = rate_of_path(ctx.domain, ctx.field, ctx.coeffs, ctx.t0, ctx.x0,
                               ref, tol=ctx.rate_tol, n_segments=n_segments,
                               substeps=substeps, max_segments=max_segments)
@@ -378,26 +389,27 @@ def cmd_rate(ctx: RunContext):
 def cmd_stopping(ctx: RunContext):
     block = _get(ctx.cfg, "stopping", "config")
     n_steps = _int(block, "n_steps", "stopping", 4, least=1)
-    controls = [np.atleast_1d(np.asarray(a, dtype=float))
-                for a in _get(block, "controls", "stopping")]
-    if not controls:
-        raise ConfigError("stopping.controls: need at least one control")
+    controls = _get(block, "controls", "stopping")
+    if not isinstance(controls, list) or not controls:
+        raise ConfigError("stopping.controls: need a list of at least one control")
+    controls = [_coords(a, f"stopping.controls[{i}]", ctx.coeffs.m)
+                for i, a in enumerate(controls)]
     grid = TimeGrid.uniform(ctx.t0, ctx.t_end, n_steps)
     obstacles = []
     for i, ob in enumerate(_get(block, "obstacles", "stopping")):
-        ref = build_reference(_get(ob, "reference", f"stopping.obstacles[{i}]"),
-                              ctx.t0, ctx.t_end, f"stopping.obstacles[{i}].reference")
+        at = f"stopping.obstacles[{i}]"
+        ref = build_reference(_get(ob, "reference", at), ctx.t0, ctx.t_end,
+                              f"{at}.reference", ctx.domain.dimension)
         obstacles.append(tube_indicator_obstacle(
-            ref, _num(ob, "radius", f"stopping.obstacles[{i}]", least=0),
-            _num(ob, "height", f"stopping.obstacles[{i}]", 1.0),
-            complement=bool(_get(ob, "complement", f"stopping.obstacles[{i}]", False))))
+            ref, _num(ob, "radius", at, least=0), _num(ob, "height", at, 1.0),
+            complement=bool(_get(ob, "complement", at, False))))
     if not 1 <= len(obstacles) <= 3:
         raise ConfigError("stopping.obstacles: need between 1 and 3 obstacles")
     problem = DiscreteProblem.build(
         ctx.domain, ctx.field, ctx.coeffs, grid, controls, obstacles,
         substeps=_int(block, "substeps", "stopping", 16, least=1),
         obstacle_bound=_num(block, "obstacle_bound", "stopping", math.inf))
-    budget = _num(block, "budget", "stopping", 1e8)
+    budget = _num(block, "budget", "stopping", 1e8, least=1)
     values = {}
     indices = list(range(len(obstacles)))
     for size in range(1, len(indices) + 1):
@@ -427,8 +439,8 @@ def cmd_hjb(ctx: RunContext):
     if "height" in ob_block and "reference" not in ob_block:
         obstacle = constant_obstacle(_num(ob_block, "height", "hjb.obstacle"))
     else:
-        ref = build_reference(_get(ob_block, "reference", "hjb.obstacle"),
-                              ctx.t0, ctx.t_end, "hjb.obstacle.reference")
+        ref = build_reference(_get(ob_block, "reference", "hjb.obstacle"), ctx.t0,
+                              ctx.t_end, "hjb.obstacle.reference", ctx.domain.dimension)
         box = ctx.domain.bounding_box
         cell = float(box[0, 1] - box[0, 0]) / (n_x - 1)
         smoothing = cell
@@ -484,7 +496,7 @@ def cmd_testfn_check(ctx: RunContext):
 
 def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
-    refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]")
+    refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]", ctx.domain.dimension)
             for i, r in enumerate(_get(block, "references", "ldp"))]
     radii = _num_list(block, "radii", "ldp", positive=True)
     ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
@@ -497,7 +509,8 @@ def _ldp_config(ctx: RunContext) -> tuple:
         n_threads=ctx.threads)
     for key in ("n_x", "rate_segments", "rate_max_segments", "dp_n_steps", "dp_substeps"):
         if key in block:
-            kwargs[key] = _int(block, key, "ldp", least=2 if key == "n_x" else 1)
+            least = {"n_x": 2, "rate_max_segments": kwargs.get("rate_segments", 1)}.get(key, 1)
+            kwargs[key] = _int(block, key, "ldp", least=least)
     if "obstacle_height" in block:
         kwargs["obstacle_height"] = _num(block, "obstacle_height", "ldp")
     if "dp_controls" in block:

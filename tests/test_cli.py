@@ -184,9 +184,9 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "coefficients.drift.name" in err and "cubic" in err
 
-    for key, value in (("n_x", "abc"), ("dp_n_steps", 2.5)):
+    for key, value in (("n_x", "abc"), ("dp_n_steps", 2.5), ("rate_max_segments", 4)):
         cfg = json.loads(Path(LDP_SMALL).read_text())
-        cfg["ldp"][key] = value
+        cfg["ldp"].update({"rate_segments": 8, key: value})
         path = tmp_path / f"bad_{key}.json"
         path.write_text(json.dumps(cfg))
         assert run_cli("verify-ldp", path, tmp_path / "out") == 1
@@ -219,7 +219,19 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("rate", EXAMPLE, "rate.n_segments", 0),
             ("rate", EXAMPLE, "rate.substeps", 0),
             ("simulate", EXAMPLE, "eps", -0.5),
-            ("simulate", EXAMPLE, "n_samples", 10))):
+            ("simulate", EXAMPLE, "n_samples", 10),
+            ("stopping", EXAMPLE, "stopping.obstacles[0].reference.point", [0.0, 0.0]),
+            ("hjb", EXAMPLE, "hjb.obstacle.reference.point", [0.0, 1.0]),
+            ("simulate", EXAMPLE, "events[0].references[0].point", [0.0, 0.0]),
+            ("rate", EXAMPLE, "rate.target.end", [0.5, 0.1]),
+            ("rate", EXAMPLE, "rate.target", {"kind": "polyline", "times": [0.0, 1.0],
+                                              "points": [[0.0], [0.5, 0.1]]}),
+            ("stopping", EXAMPLE, "stopping.controls[0]", ["a"]),
+            ("stopping", EXAMPLE, "stopping.controls[0]", [1.0, 2.0]),
+            ("rate", EXAMPLE, "rate.max_segments", 0),
+            ("rate", EXAMPLE, "rate.max_segments", -4),
+            ("stopping", EXAMPLE, "stopping.budget", 0),
+            ("stopping", EXAMPLE, "stopping.budget", -5))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k

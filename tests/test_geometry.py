@@ -92,14 +92,39 @@ def test_ellipse_signed_distances_and_projections_are_pinned():
     assert ell.project_to_boundary_many(X).tolist() == [q for _, _, q in cases]
 
 
-def _ellipse_rows(ell, rng, n):
+def _squircle(a=1.0, b=1.0, center=(0.0, 0.0)):
+    """(x/a)^4 + (y/b)^4 < 1 around ``center``, with the polar boundary curve
+    r(t) = ((3 + cos 4t)/4)^(-1/4) stretched by (a, b)."""
+    c, s = np.asarray(center, dtype=float), np.array([a, b], dtype=float)
+
+    def level(x):
+        z = (np.asarray(x) - c) / s
+        return z[0] ** 4 + z[1] ** 4 - 1.0
+
+    def grad(x):
+        return 4.0 * ((np.asarray(x) - c) / s) ** 3 / s
+
+    def curve(t):
+        # np.power, not **, which rounds differently on a numpy scalar
+        u, s4, c4 = (3.0 + np.cos(4.0 * t)) / 4.0, np.sin(4.0 * t), np.cos(4.0 * t)
+        p = np.power(u, -1.25)
+        r, r1, r2 = (np.asarray(v)[..., None] for v in (
+            np.power(u, -0.25), 0.25 * p * s4, 0.3125 * p / u * s4 * s4 + p * c4))
+        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        e1 = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        return s * r * e, s * (r1 * e + r * e1), s * (r2 * e + 2.0 * r1 * e1 - r * e)
+
+    return Domain(level, np.stack([c - 1.1 * s, c + 1.1 * s], axis=1), boundary=curve,
+                  grad_level=grad, center=c), level, grad, curve
+
+
+def _rows(dom, rng, n):
     """Rows inside, outside, within 1e-9 of the boundary, and at the centre."""
     th = rng.uniform(0.0, 2.0 * np.pi, n)
     kind = rng.choice(5, size=n, p=[0.4, 0.3, 0.2, 0.05, 0.05])
     r = np.choose(kind, [rng.uniform(0.0, 2.0, n), 1.0 + 1e-9 * rng.standard_normal(n),
                          rng.uniform(2.0, 8.0, n), np.zeros(n), np.full(n, 1e-14)])
-    a, b = ell.semi_axes
-    return ell.center + r[:, None] * np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
+    return dom.center + r[:, None] * dom.boundary(th)[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,46 +133,41 @@ def _ellipse_rows(ell, rng, n):
        n=st.integers(2, 600), cut=st.floats(0.0, 1.0))
 def test_batched_ellipse_projection_matches_rows_and_is_a_closest_point(a, b, cx, cy, seed,
                                                                          n, cut):
-    ell = Ellipse(a, b, (cx, cy))
-    X = _ellipse_rows(ell, np.random.default_rng(seed), n)
-    Q = ell.project_to_boundary_many(X)
-    sd = ell.signed_distance_many(X)
-    # batch invariance: each row as a one-row call, and a batch cut anywhere
-    # (which moves the scan-block boundaries) gives the same bits
-    for x, q, d in zip(X, Q, sd):
-        assert ell.project_to_boundary(x).tobytes() == q.tobytes()
-        assert ell.signed_distance(x) == d
-    k = int(cut * n)
-    assert np.concatenate([ell.signed_distance_many(X[:k]),
-                           ell.signed_distance_many(X[k:])]).tobytes() == sd.tobytes()
-    assert np.concatenate([ell.project_to_boundary_many(X[:k]),
-                           ell.project_to_boundary_many(X[k:])]).tobytes() == Q.tobytes()
-    N = ell.normal_many(Q)
-    for q, nq in zip(Q, N):
-        assert ell.normal(q).tobytes() == nq.tobytes()
-    # on the boundary, at the projection's distance, and along the normal
-    for x, q, d, nq in zip(X, Q, sd, N):
-        assert abs(ell.level(q)) <= 1e-10
-        r = x - q
-        assert abs(d) == np.linalg.norm(r)
-        assert abs(r[0] * nq[1] - r[1] * nq[0]) <= 1e-9
-        assert np.signbit(d) == (ell.level(x) > 0.0)
-    # no farther than the best of the 720 scan points
-    th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    scan = ell.center + np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
-    best = np.min(np.linalg.norm(X[:, None, :] - scan[None, :, :], axis=2), axis=1)
-    assert np.all(np.abs(sd) <= best + 1e-12)
+    # the ellipse's closed-form Newton terms, and the generic ones on a squircle
+    for dom in (Ellipse(a, b, (cx, cy)), _squircle(a, b, (cx, cy))[0]):
+        X = _rows(dom, np.random.default_rng(seed), n)
+        Q = dom.project_to_boundary_many(X)
+        sd = dom.signed_distance_many(X)
+        # batch invariance: each row as a one-row call, and a batch cut anywhere
+        # (which moves the scan-block boundaries) gives the same bits
+        for x, q, d in zip(X, Q, sd):
+            assert dom.project_to_boundary(x).tobytes() == q.tobytes()
+            assert dom.signed_distance(x) == d
+        k = int(cut * n)
+        assert np.concatenate([dom.signed_distance_many(X[:k]),
+                               dom.signed_distance_many(X[k:])]).tobytes() == sd.tobytes()
+        assert np.concatenate([dom.project_to_boundary_many(X[:k]),
+                               dom.project_to_boundary_many(X[k:])]).tobytes() == Q.tobytes()
+        N = dom.normal_many(Q)
+        for q, nq in zip(Q, N):
+            assert dom.normal(q).tobytes() == nq.tobytes()
+        # on the boundary, at the projection's distance, and along the normal
+        for x, q, d, nq in zip(X, Q, sd, N):
+            assert abs(dom.level(q)) <= 1e-10
+            r = x - q
+            assert abs(d) == np.linalg.norm(r)
+            assert abs(r[0] * nq[1] - r[1] * nq[0]) <= 1e-9
+            assert np.signbit(d) == (dom.level(x) > 0.0)
+        # no farther than the best of the curve's 720 scan points
+        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        scan = dom.center + dom.boundary(th)[0]
+        best = np.min(np.linalg.norm(X[:, None, :] - scan[None, :, :], axis=2), axis=1)
+        assert np.all(np.abs(sd) <= best + 1e-12)
 
 
 def test_custom_level_set_domain_squircle():
     # x^4 + y^4 < 1 via the generic machinery; oracle by dense boundary scan
-    def level(x):
-        return x[0] ** 4 + x[1] ** 4 - 1.0
-
-    def grad(x):
-        return np.array([4.0 * x[0] ** 3, 4.0 * x[1] ** 3])
-
-    sq = Domain(level, [[-1.1, 1.1], [-1.1, 1.1]], grad_level=grad)
+    sq, level, grad, curve = _squircle()
     assert sq.signed_distance([0.5, 0.5]) == pytest.approx(0.476141373, abs=1e-6)
     assert sq.signed_distance([1.2, 0.1]) == pytest.approx(-0.200024902, abs=1e-6)
     for p in [[0.3, -0.6], [0.9, 0.2], [-0.7, -0.7]]:
@@ -156,6 +176,12 @@ def test_custom_level_set_domain_squircle():
         assert abs(abs(sq.signed_distance(p)) - np.linalg.norm(np.asarray(p) - q)) < 1e-9
     n = sq.normal(sq.project_to_boundary([0.9, 0.2]))
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
+    # a planar domain needs both its curve and its level gradient
+    box = sq.bounding_box
+    with pytest.raises(ValueError, match="boundary"):
+        Domain(level, box, grad_level=grad)
+    with pytest.raises(ValueError, match="grad_level"):
+        Domain(level, box, boundary=curve)
 
 
 def test_validate_oblique_accepts_normal_and_tilted_fields():
