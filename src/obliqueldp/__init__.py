@@ -48,6 +48,7 @@ from .rate import (  # noqa: F401
 )
 from .control_stop import (  # noqa: F401
     DiscreteProblem,
+    ObstacleBoundError,
     multi_stop_value,
     reduced_value,
     tube_indicator_obstacle,

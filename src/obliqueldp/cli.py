@@ -24,8 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .control_stop import DiscreteProblem, multi_stop_value, reduced_value, \
-    tube_indicator_obstacle
+from .control_stop import DiscreteProblem, ObstacleBoundError, multi_stop_value, \
+    reduced_value, tube_indicator_obstacle
 from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
     Interval, ObliqueField, constant_field, normal_field, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
@@ -408,19 +408,22 @@ def cmd_stopping(ctx: RunContext):
     problem = DiscreteProblem.build(
         ctx.domain, ctx.field, ctx.coeffs, grid, controls, obstacles,
         substeps=_int(block, "substeps", "stopping", 16, least=1),
-        obstacle_bound=_num(block, "obstacle_bound", "stopping", math.inf))
+        obstacle_bound=_num(block, "obstacle_bound", "stopping", math.inf, least=0))
     budget = _num(block, "budget", "stopping", 1e8, least=1)
     values = {}
     indices = list(range(len(obstacles)))
-    for size in range(1, len(indices) + 1):
-        for subset in itertools.combinations(indices, size):
-            sub = DiscreteProblem(grid=problem.grid, control_set=problem.control_set,
-                                  state_rule=problem.state_rule,
-                                  obstacles=[obstacles[i] for i in subset],
-                                  obstacle_bound=problem.obstacle_bound)
-            values[",".join(map(str, subset))] = float(multi_stop_value(
-                sub, ctx.t0, ctx.x0, budget=budget))
-    reduced = float(reduced_value(problem, ctx.t0, ctx.x0))
+    try:
+        for size in range(1, len(indices) + 1):
+            for subset in itertools.combinations(indices, size):
+                sub = DiscreteProblem(grid=problem.grid, control_set=problem.control_set,
+                                      state_rule=problem.state_rule,
+                                      obstacles=[obstacles[i] for i in subset],
+                                      obstacle_bound=problem.obstacle_bound)
+                values[",".join(map(str, subset))] = float(multi_stop_value(
+                    sub, ctx.t0, ctx.x0, budget=budget))
+        reduced = float(reduced_value(problem, ctx.t0, ctx.x0))
+    except ObstacleBoundError as exc:
+        raise ConfigError(f"stopping.obstacle_bound: {exc}") from exc
     full_key = ",".join(map(str, indices))
     payload = {"values_by_subset": values, "reduced_value": reduced,
                "reduction_identity_holds": bool(values[full_key] == reduced),
@@ -455,6 +458,8 @@ def cmd_hjb(ctx: RunContext):
                   store_every=_int(block, "store_every", "hjb", None, least=1))
     dv_est = _num(block, "dv_est", "hjb", None)
     if dv_est is not None:
+        if dv_est <= 0.0:
+            raise ConfigError("hjb.dv_est: must be positive")
         kwargs["dv_est"] = dv_est
     eps = _num(block, "eps", "hjb", 0.0, least=0)
     if eps > 0.0:

@@ -24,6 +24,10 @@ class EnumerationLimitError(RuntimeError):
     """Raised when a brute-force enumeration would exceed the budget."""
 
 
+class ObstacleBoundError(ValueError):
+    """Raised when an obstacle value exceeds the problem's declared bound."""
+
+
 Obstacle = Callable[[float, np.ndarray], float]
 
 
@@ -66,7 +70,8 @@ class DiscreteProblem:
     def psi(self, i: int, k: int, x: np.ndarray) -> float:
         val = float(self.obstacles[i](float(self.grid.nodes[k]), x))
         if abs(val) > self.obstacle_bound:
-            raise ValueError(f"obstacle {i} exceeds declared bound at node {k}")
+            raise ObstacleBoundError(
+                f"obstacle {i} exceeds declared bound {self.obstacle_bound} at node {k}")
         return val
 
     def step(self, k: int, x: np.ndarray, a_idx: int) -> np.ndarray:

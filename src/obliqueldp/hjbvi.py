@@ -9,8 +9,6 @@ pulled back along the reflection field.
 
 from __future__ import annotations
 
-import csv
-import io
 import zipfile
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
@@ -122,30 +120,34 @@ class ValueGrid:
                      + (1 - fx) * fy * cell[0, 1] + fx * fy * cell[1, 1])
 
     def export_csv(self, path) -> None:
-        pts = self.points
+        """One row ``t,x1[,x2],v`` per stored node, CRLF line ends.
+
+        Times and coordinates are written as ``%.10g``, values as ``%.17g``.
+        Each node's coordinates are formatted once and each layer is written
+        in one call; no field ever needs quoting.
+        """
+        coords = [",".join(["%.10g" % c for c in p]) for p in self.points.tolist()]
+        header = ["t"] + [f"x{j+1}" for j in range(self.dimension)] + ["v"]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{j+1}" for j in range(self.dimension)] + ["v"])
-            for ti, layer in zip(self.times, self.layers):
-                for p, v in zip(pts, layer):
-                    w.writerow([f"{ti:.10g}"] + [f"{c:.10g}" for c in p] + [f"{v:.17g}"])
+            fh.write(",".join(header) + "\r\n")
+            for ti, layer in zip(self.times.tolist(), self.layers):
+                t = "%.10g," % ti
+                fh.write("".join([f"{t}{c},{v:.17g}\r\n"
+                                  for c, v in zip(coords, layer.tolist())]))
 
     def save_npz(self, path) -> None:
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf, dim=self.dimension, mask=self.mask, times=self.times,
-            layers=self.layers, h=self.h, dt=self.dt, eps=self.eps,
-            vi_type=self.vi_type, **{f"axis{j}": a for j, a in enumerate(self.axes)})
-        buf.seek(0)
-        # rewrite the archive with fixed entry timestamps so the same grid
-        # always produces the same bytes
-        with zipfile.ZipFile(buf) as src, \
-                zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as dst:
-            for info in src.infolist():
-                fixed = zipfile.ZipInfo(info.filename,
-                                        date_time=(1980, 1, 1, 0, 0, 0))
-                fixed.compress_type = zipfile.ZIP_DEFLATED
-                dst.writestr(fixed, src.read(info.filename))
+        """The arrays as ``.npy`` entries of a deflated zip, each dated
+        1980-01-01 so that the same grid always produces the same bytes."""
+        arrays = dict(dim=self.dimension, mask=self.mask, times=self.times,
+                      layers=self.layers, h=self.h, dt=self.dt, eps=self.eps,
+                      vi_type=self.vi_type,
+                      **{f"axis{j}": a for j, a in enumerate(self.axes)})
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, val in arrays.items():
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                info.compress_type = zipfile.ZIP_DEFLATED
+                with zf.open(info, "w") as fh:
+                    np.lib.format.write_array(fh, np.asanyarray(val), allow_pickle=False)
 
 
 def load_npz(path) -> ValueGrid:

@@ -112,6 +112,19 @@ def test_hjb_outputs(tmp_path):
     assert len(grid.times) == payload["n_stored_layers"]
 
 
+def test_hjb_repeat_runs_are_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("hjb", EXAMPLE, first) == 0
+    assert run_cli("hjb", EXAMPLE, second) == 0
+    for name in ("value.csv", "value.npz", "hjb.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    m1 = json.loads((first / "manifest.json").read_text())
+    m2 = json.loads((second / "manifest.json").read_text())
+    m1.pop("timestamp")
+    m2.pop("timestamp")
+    assert m1 == m2
+
+
 def test_testfn_check_report(tmp_path):
     out = tmp_path / "tf"
     assert run_cli("testfn-check", EXAMPLE, out) == 0
@@ -231,7 +244,11 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("rate", EXAMPLE, "rate.max_segments", 0),
             ("rate", EXAMPLE, "rate.max_segments", -4),
             ("stopping", EXAMPLE, "stopping.budget", 0),
-            ("stopping", EXAMPLE, "stopping.budget", -5))):
+            ("stopping", EXAMPLE, "stopping.budget", -5),
+            ("stopping", EXAMPLE, "stopping.obstacle_bound", -1.0),
+            ("stopping", EXAMPLE, "stopping.obstacle_bound", 0.5),
+            ("hjb", EXAMPLE, "hjb.dv_est", -1.0),
+            ("hjb", EXAMPLE, "hjb.dv_est", 0.0))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k

@@ -1,3 +1,8 @@
+import csv
+import dataclasses
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from obliqueldp.hjbvi import (
     CflError,
     NanError,
     constant_obstacle,
+    ValueGrid,
     load_npz,
     log_transform,
     residual_scan,
@@ -218,3 +224,53 @@ def test_value_grid_npz_round_trip(tmp_path):
     assert back.vi_type == vg.vi_type
     assert back.h == vg.h
     assert back.value_at(0.0, [0.3]) == vg.value_at(0.0, [0.3])
+
+
+def _reference_csv(grid: ValueGrid, path) -> None:
+    """The row-by-row ``csv.writer`` export that ``export_csv`` replaced."""
+    pts = grid.points
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"x{j+1}" for j in range(grid.dimension)] + ["v"])
+        for ti, layer in zip(grid.times, grid.layers):
+            for p, v in zip(pts, layer):
+                w.writerow([f"{ti:.10g}"] + [f"{c:.10g}" for c in p] + [f"{v:.17g}"])
+
+
+def _reference_npz(grid: ValueGrid, path) -> None:
+    """``np.savez_compressed`` rewritten with fixed entry timestamps, the
+    two-pass writer that ``save_npz`` replaced."""
+    buf = io.BytesIO()
+    np.savez_compressed(
+        buf, dim=grid.dimension, mask=grid.mask, times=grid.times,
+        layers=grid.layers, h=grid.h, dt=grid.dt, eps=grid.eps,
+        vi_type=grid.vi_type, **{f"axis{j}": a for j, a in enumerate(grid.axes)})
+    buf.seek(0)
+    with zipfile.ZipFile(buf) as src, \
+            zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as dst:
+        for info in src.infolist():
+            fixed = zipfile.ZipInfo(info.filename, date_time=(1980, 1, 1, 0, 0, 0))
+            fixed.compress_type = zipfile.ZIP_DEFLATED
+            dst.writestr(fixed, src.read(info.filename))
+
+
+def test_value_grid_writers_match_the_reference_bytes(tmp_path):
+    iv, field, coeffs = _setup_1d()
+    line = solve_limit_vi(iv, field, coeffs, tube_obstacle(
+        ReferencePath.constant([0.0], 0.0, 1.0), 0.5, 1.0, complement=True), n_x=41)
+    disk = Disk(1.0)
+    plane = solve_limit_vi(disk, oblique_from_tangent(disk, 0.5),
+                           constant_coefficients([0.0, 0.0], np.eye(2)),
+                           tube_obstacle(ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
+                                         0.5, 1.0, complement=True), n_x=21)
+    assert plane.dimension == 2 and not plane.mask.all()   # ghost stencils in play
+    special = line.layers.copy()
+    special[0, :7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1.5e-310]
+    odd = dataclasses.replace(line, layers=special)
+    for name, grid in (("line", line), ("plane", plane), ("odd", odd)):
+        for write, reference, suffix in ((ValueGrid.export_csv, _reference_csv, "csv"),
+                                         (ValueGrid.save_npz, _reference_npz, "npz")):
+            got, want = tmp_path / f"{name}.{suffix}", tmp_path / f"{name}_ref.{suffix}"
+            write(grid, got)
+            reference(grid, want)
+            assert got.read_bytes() == want.read_bytes(), (name, suffix)
