@@ -155,47 +155,89 @@ def build_field(block, domain: Domain) -> ObliqueField:
                       f"(expected normal, oblique_tangent, or constant)")
 
 
+def _matrix(val, field: str, d: int, m=None) -> np.ndarray:
+    """The ``d`` x ``m`` nested list of finite numbers at the dotted
+    ``field``; ``m`` None takes the width of the first row."""
+    ok = (isinstance(val, list) and len(val) == d
+          and all(isinstance(row, list) for row in val))
+    if ok:
+        width = len(val[0]) if m is None else m
+        ok = width >= 1 and all(len(row) == width and all(map(_finite, row))
+                                for row in val)
+    if not ok:
+        raise ConfigError(f"{field}: expected a {d} x {m or 'm'} matrix of finite numbers")
+    return np.array(val, dtype=float)
+
+
+def _per_point(value, x):
+    """A constant ``value`` at a point, or broadcast to every row of ``x``."""
+    return value if np.ndim(x) < 2 else np.broadcast_to(value, (len(x),) + value.shape)
+
+
+# The built-in coefficients take a point (d,) or rows (B, d).  A row comes out
+# with the bits of the point call: per-row matrix products, the same float
+# order in every sum.
+
+
 def _drift_builtin(block, d: int):
-    name = _get(block, "name", "coefficients.drift")
+    path = "coefficients.drift"
+    name = _get(block, "name", path)
     if name == "constant":
-        vec = np.asarray(_get(block, "value", "coefficients.drift"), dtype=float)
-        return (lambda t, x: vec), 0.0, vec
+        vec = _coords(_get(block, "value", path), f"{path}.value", d)
+        return (lambda t, x: _per_point(vec, x)), 0.0, vec
     if name == "linear":
-        mat = np.atleast_2d(np.asarray(_get(block, "matrix", "coefficients.drift"),
-                                       dtype=float))
-        off = np.asarray(_get(block, "offset", "coefficients.drift",
-                              [0.0] * d), dtype=float)
+        mat = _matrix(_get(block, "matrix", path), f"{path}.matrix", d, d)
+        off = _coords(_get(block, "offset", path, [0.0] * d), f"{path}.offset", d)
         lip = float(np.linalg.norm(mat, 2))
-        return (lambda t, x: off + mat @ np.atleast_1d(x)), lip, None
+
+        def drift(t, x):
+            x = np.atleast_1d(x)
+            if x.ndim < 2:
+                return off + mat @ x
+            # (d, d) @ (d, 1) per row: X @ mat.T can round differently
+            return off + np.matmul(mat, x[:, :, None])[:, :, 0]
+
+        return drift, lip, None
     if name == "rotational":
         if d != 2:
             raise ConfigError("coefficients.drift: built-in 'rotational' "
                               "needs a two-dimensional domain")
-        omega = _num(block, "omega", "coefficients.drift")
-        return (lambda t, x: omega * np.array([-x[1], x[0]])), abs(omega), None
+        omega = _num(block, "omega", path)
+
+        def drift(t, x):
+            if np.ndim(x) < 2:
+                return omega * np.array([-x[1], x[0]])
+            return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
+
+        return drift, abs(omega), None
     raise ConfigError(f"coefficients.drift.name: unknown built-in '{name}' "
                       f"(expected constant, linear, or rotational)")
 
 
 def _dispersion_builtin(block, d: int):
-    name = _get(block, "name", "coefficients.dispersion")
+    path = "coefficients.dispersion"
+    name = _get(block, "name", path)
     if name == "constant":
-        mat = np.atleast_2d(np.asarray(_get(block, "value", "coefficients.dispersion"),
-                                       dtype=float))
-        return (lambda t, x: mat), 0.0, mat
+        mat = _matrix(_get(block, "value", path), f"{path}.value", d)
+        return (lambda t, x: _per_point(mat, x)), 0.0, mat
     if name == "linear":
-        base = np.atleast_2d(np.asarray(_get(block, "base", "coefficients.dispersion"),
-                                        dtype=float))
-        slopes = [np.atleast_2d(np.asarray(s, dtype=float))
-                  for s in _get(block, "slopes", "coefficients.dispersion")]
-        if len(slopes) != d:
-            raise ConfigError("coefficients.dispersion.slopes: need one matrix "
-                              "per state coordinate")
+        base = _matrix(_get(block, "base", path), f"{path}.base", d)
+        slopes = _get(block, "slopes", path)
+        if not isinstance(slopes, list) or len(slopes) != d:
+            raise ConfigError(f"{path}.slopes: need one matrix per state coordinate")
+        slopes = [_matrix(s, f"{path}.slopes[{j}]", d, base.shape[1])
+                  for j, s in enumerate(slopes)]
         lip = math.sqrt(sum(float(np.sum(s * s)) for s in slopes))
 
         def sigma(t, x):
             x = np.atleast_1d(x)
-            return base + sum(x[j] * slopes[j] for j in range(len(slopes)))
+            if x.ndim == 2:
+                x = x.T[:, :, None, None]  # coordinate j of every row, (B, 1, 1)
+            # base + (0 + x_0 S_0 + x_1 S_1 + ...), summed left to right
+            total = 0
+            for j, s in enumerate(slopes):
+                total = total + x[j] * s
+            return base + total
 
         return sigma, lip, None
     raise ConfigError(f"coefficients.dispersion.name: unknown built-in '{name}' "
@@ -206,30 +248,30 @@ def build_coefficients(block, d: int) -> CoefficientField:
     b_fun, b_lip, b_const = _drift_builtin(_get(block, "drift", "coefficients"), d)
     s_fun, s_lip, s_const = _dispersion_builtin(
         _get(block, "dispersion", "coefficients"), d)
-    m = np.atleast_2d(np.asarray(s_fun(0.0, np.zeros(d)), dtype=float)).shape[1]
+    m = s_fun(0.0, np.zeros(d)).shape[1]
     family = None
     pert = _get(block, "perturbation", "coefficients", None)
     if pert is not None:
-        shift = np.asarray(_get(pert, "drift_shift", "coefficients.perturbation",
-                                [0.0] * d), dtype=float)
-        scale = _num(pert, "dispersion_scale", "coefficients.perturbation", 0.0)
-        order = _num(pert, "order", "coefficients.perturbation", 1.0)
+        path = "coefficients.perturbation"
+        shift = _coords(_get(pert, "drift_shift", path, [0.0] * d), f"{path}.drift_shift", d)
+        scale = _num(pert, "dispersion_scale", path, 0.0)
+        order = _num(pert, "order", path, 1.0)
         if order <= 0:
             raise ConfigError("coefficients.perturbation.order: must be positive")
 
+        # like the built-ins, these take a point or rows
         def b_of(eps):
-            return lambda t, x: np.asarray(b_fun(t, x), dtype=float) \
-                + (eps ** order) * shift
+            return lambda t, x: b_fun(t, x) + (eps ** order) * shift
 
         def sigma_of(eps):
-            return lambda t, x: (1.0 + scale * eps ** order) \
-                * np.asarray(s_fun(t, x), dtype=float)
+            return lambda t, x: (1.0 + scale * eps ** order) * s_fun(t, x)
 
         family = EpsFamily(b_of=b_of, sigma_of=sigma_of)
     return CoefficientField(b=b_fun, sigma=s_fun, m=m,
                             lipschitz_x=b_lip + s_lip, eps_family=family,
                             constant_b=None if family is not None else b_const,
-                            constant_sigma=None if family is not None else s_const)
+                            constant_sigma=None if family is not None else s_const,
+                            takes_rows=True)
 
 
 def build_reference(block, t0: float, t_end: float, path: str, d: int) -> ReferencePath:

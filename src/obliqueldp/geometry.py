@@ -227,6 +227,38 @@ class Domain:
         return float(brentq(lambda lam: self.signed_distance(p - lam * g),
                             0.0, hi, xtol=1e-14, rtol=8.9e-16))
 
+    def oblique_pushback(self, p: np.ndarray, field: "ObliqueField"):
+        """``(q, dz)`` with ``q = p - dz`` on the boundary and ``dz`` = lam *
+        gamma(q), lam >= 0 least, for a planar domain: a bracketed root in
+        the curve parameter of (p - g(t)) x gamma(g(t)), seeded by the
+        720-angle scan.  Works where the fixed-point ray misses the boundary."""
+
+        def terms(t):
+            c = self.center + self.boundary(np.atleast_1d(t))[0]
+            g = field.gamma_many(self, c)
+            r = p - c
+            return r[:, 0] * g[:, 1] - r[:, 1] * g[:, 0], np.add.reduce(r * g, axis=1), g
+
+        t = self._scan_theta
+        cross, along, _ = terms(t)
+        # a sign change where p lies ahead along gamma (a root behind it
+        # belongs to a negative lam)
+        ends = np.roll(np.arange(len(t)), -1)
+        found = np.nonzero((np.sign(cross) != np.sign(cross[ends]))
+                           & ((along > 0.0) | (along[ends] > 0.0)))[0]
+        best = None
+        for i in found:
+            hi = t[ends[i]] if ends[i] else 2.0 * np.pi
+            root = brentq(lambda s: terms(s)[0][0], t[i], hi, xtol=1e-15, rtol=8.9e-16)
+            _, along_r, g = terms(root)
+            lam = along_r[0] / float(g[0] @ g[0])
+            if lam >= 0.0 and (best is None or lam < best[0]):
+                best = (lam, g[0])
+        if best is None:
+            raise ReflectionError(f"no boundary contact along the field from {p}")
+        lam, g = best
+        return p - lam * g, lam * g
+
     def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
         """Closed-form ``(Q, dZ)`` pushback of the rows of ``P`` along ``field``
         (interior rows unchanged, zero dZ), or None when there is none."""
@@ -657,7 +689,9 @@ class CoefficientField:
 
     When the coefficients are literal constants they are also stored as
     arrays (``constant_b``, ``constant_sigma``) so batch simulators can step
-    whole trajectory blocks at once.
+    whole trajectory blocks at once.  ``takes_rows`` marks callables (and
+    eps-family members) that also take rows ``X`` (B, d) and return (B, d)
+    and (B, d, m), each row with the bits of the point call.
     """
 
     b: Callable[[float, np.ndarray], np.ndarray]
@@ -667,6 +701,7 @@ class CoefficientField:
     eps_family: Optional[EpsFamily] = None
     constant_b: Optional[np.ndarray] = None
     constant_sigma: Optional[np.ndarray] = None
+    takes_rows: bool = False
 
     @property
     def is_constant(self) -> bool:
@@ -683,16 +718,26 @@ class CoefficientField:
             return self.sigma
         return self.eps_family.sigma_of(eps)
 
+    def pointwise(self, eps: Optional[float] = None):
+        """Drift and dispersion of the family member ``eps`` (None: the base
+        pair) as functions of ``(t, x)`` that return float arrays (d,) and
+        (d, m) at a point."""
+        b_fun, s_fun = self.b_eps(eps), self.sigma_eps(eps)
+        if self.takes_rows:
+            return b_fun, s_fun
+        return (lambda t, x: np.atleast_1d(np.asarray(b_fun(t, x), dtype=float)),
+                lambda t, x: np.atleast_2d(np.asarray(s_fun(t, x), dtype=float)))
+
     def rows(self, t: float, X, eps: Optional[float] = None):
         """Drift (B, d) and dispersion (B, d, m) at every row of ``X``, for the
         family member ``eps`` (None: the base pair).  Constant coefficients
         come back as single rows, (1, d) and (1, d, m), that broadcast."""
         if self.is_constant:
             return self.constant_b[None, :], self.constant_sigma[None, :, :]
-        b_fun, s_fun = self.b_eps(eps), self.sigma_eps(eps)
-        b = np.array([np.atleast_1d(np.asarray(b_fun(t, x), dtype=float)) for x in X])
-        s = np.array([np.atleast_2d(np.asarray(s_fun(t, x), dtype=float)) for x in X])
-        return b, s
+        b_fun, s_fun = self.pointwise(eps)
+        if self.takes_rows:
+            return b_fun(t, X), s_fun(t, X)
+        return np.array([b_fun(t, x) for x in X]), np.array([s_fun(t, x) for x in X])
 
 
 def constant_coefficients(b_vec, sigma_mat, lipschitz_x: float = 0.0) -> CoefficientField:

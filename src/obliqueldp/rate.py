@@ -126,11 +126,11 @@ def _pseudo_inverse_start(coeffs, t0, x0, target: ReferencePath, n_seg, t_end) -
     mids = 0.5 * (seg_nodes[:-1] + seg_nodes[1:])
     a0 = np.zeros((n_seg, coeffs.m))
     h = (t_end - t0) / (4.0 * n_seg)
+    b_fun, s_fun = coeffs.pointwise()
     for j, tm in enumerate(mids):
         xm = target.at(tm)
         gdot = (target.at(min(tm + h, t_end)) - target.at(max(tm - h, t0))) / (2 * h)
-        b = np.atleast_1d(np.asarray(coeffs.b(tm, xm), dtype=float))
-        sig = np.atleast_2d(np.asarray(coeffs.sigma(tm, xm), dtype=float))
+        b, sig = b_fun(tm, xm), s_fun(tm, xm)
         gram = sig @ sig.T
         try:
             a0[j] = sig.T @ np.linalg.solve(gram, b - gdot)

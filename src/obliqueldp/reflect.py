@@ -188,15 +188,22 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
         return p, np.zeros_like(p)
     c = domain.project_to_boundary(p)
     lam_prev = None
-    for _ in range(max_rounds):
-        g = field(c)
-        lam = domain.pushback_lambda(p, g, field.c0)
-        q = p - lam * g
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
-            return q, lam * g
-        lam_prev = lam
-        c = domain.project_to_boundary(q)
-    raise ReflectionError(f"oblique pushback did not converge from {p}")
+    try:
+        for _ in range(max_rounds):
+            g = field(c)
+            lam = domain.pushback_lambda(p, g, field.c0)
+            q = p - lam * g
+            if lam_prev is not None and abs(lam - lam_prev) < tol:
+                return q, lam * g
+            lam_prev = lam
+            c = domain.project_to_boundary(q)
+        raise ReflectionError(f"oblique pushback did not converge from {p}")
+    except ReflectionError:
+        if domain.dimension != 2:
+            raise
+        # A large overshoot under a strongly oblique field: the ray misses the
+        # boundary or the rounds do not settle.  Solve for the contact directly.
+        return domain.oblique_pushback(p, field)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +227,10 @@ def _checked_start(domain: Domain, grid: TimeGrid, t0: float, x) -> np.ndarray:
 
 def _drift(coeffs: CoefficientField, control: Optional[Control], t: float,
            x: np.ndarray) -> np.ndarray:
-    b = np.atleast_1d(np.asarray(coeffs.b(t, x), dtype=float))
+    b_fun, s_fun = coeffs.pointwise()
     if control is None:
-        return b
-    sig = np.atleast_2d(np.asarray(coeffs.sigma(t, x), dtype=float))
-    return b - sig @ control.at(t)
+        return b_fun(t, x)
+    return b_fun(t, x) - s_fun(t, x) @ control.at(t)
 
 
 def reflect_rows(domain: Domain, field: ObliqueField, P: np.ndarray):

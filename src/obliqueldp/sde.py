@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,14 +104,28 @@ class LogRateInterval:
     hi: float
 
 
-def trajectory_noise(seed: int, trajectory_id: int, n_steps: int, m: int) -> np.ndarray:
+def trajectory_noise(seed: int, trajectory_id: int, n_steps: int, m: int,
+                     gen: Optional[np.random.Generator] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard normal (n_steps, m) block for one trajectory.
 
     Row k is a pure function of (seed, trajectory_id, k): the Philox stream is
-    keyed by the pair and consumed in step order.
+    keyed by the pair and consumed in step order.  A caller drawing many
+    blocks passes its own Philox-backed ``gen``, which is re-keyed to the
+    pair (counter 0, empty buffer) and gives the bits of a fresh generator,
+    and may pass ``out`` to draw into.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed, trajectory_id]))
-    return gen.standard_normal((n_steps, m))
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(key=[seed, trajectory_id]))
+    else:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      # the conversion Philox(key=...) applies, rounding included
+                      "key": np.asarray([seed, trajectory_id]).astype(np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+    return gen.standard_normal((n_steps, m), out=out)
 
 
 def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
@@ -120,17 +134,15 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
     """One reflected Euler trajectory of the noisy dynamics."""
     x0 = _checked_start(domain, grid, t0, x)
     xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m)
-    b_fun = coeffs.b_eps(eps.eps)
-    s_fun = coeffs.sigma_eps(eps.eps)
+    b_fun, s_fun = coeffs.pointwise(eps.eps)
     nodes = grid.nodes
     scale = eps.eps * np.sqrt(grid.dts)
 
     def drift_at(k, xk):
-        return np.atleast_1d(np.asarray(b_fun(nodes[k], xk), dtype=float))
+        return b_fun(nodes[k], xk)
 
     def shock_at(k, xk):
-        sig = np.atleast_2d(np.asarray(s_fun(nodes[k], xk), dtype=float))
-        return scale[k] * (sig @ xi[k])
+        return scale[k] * (s_fun(nodes[k], xk) @ xi[k])
 
     pts, incs, flags = _euler_reflect(domain, field, x0, grid, drift_at, shock_at)
     return ReflectedPath(grid=grid, points=pts, reflection_increments=incs,
@@ -154,15 +166,21 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
             ends.append(pts[-1].copy())
             devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
         return np.array(ends), np.array(devs)
+    # One generator per block, re-keyed per trajectory; blocks may run on
+    # several threads at once, so it is never shared between them.
+    gen = np.random.Generator(np.random.Philox(key=0))
     xi = np.empty((len(ids), grid.n_steps, coeffs.m))
     for j, tid in enumerate(ids):
-        xi[j] = trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m)
+        trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m, gen, out=xi[j])
     shocks = xi @ coeffs.constant_sigma.T  # (B, n, d)
+    del xi
+    # time-major, so that step k reads one contiguous (B, d) slice
+    shocks = np.ascontiguousarray(shocks.transpose(1, 0, 2))
     scale = eps.eps * np.sqrt(grid.dts)
     b = coeffs.constant_b
     X = np.repeat(x0[None, :], len(ids), axis=0)
     return sup_deviations(domain, field, X, grid, lambda k, _X: b, g_nodes,
-                          shock_at=lambda k, _X: scale[k] * shocks[:, k, :])
+                          shock_at=lambda k, _X: scale[k] * shocks[k])
 
 
 def sample_terminal_values(domain: Domain, field: ObliqueField, coeffs: CoefficientField,

@@ -13,6 +13,8 @@ from obliqueldp.hjbvi import load_npz
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "example_1d.json")
 LDP_SMALL = str(CONFIG_DIR / "ldp_1d_small.json")
+# state-dependent drift and dispersion on the interval
+OU = str(CONFIG_DIR.parent / "perfbench" / "configs" / "ou_1d.json")
 
 
 def run_cli(subcommand, config, out, *extra):
@@ -248,7 +250,16 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("stopping", EXAMPLE, "stopping.obstacle_bound", -1.0),
             ("stopping", EXAMPLE, "stopping.obstacle_bound", 0.5),
             ("hjb", EXAMPLE, "hjb.dv_est", -1.0),
-            ("hjb", EXAMPLE, "hjb.dv_est", 0.0))):
+            ("hjb", EXAMPLE, "hjb.dv_est", 0.0),
+            ("hjb", EXAMPLE, "coefficients.drift.value", [0.0, 1.0]),
+            ("hjb", EXAMPLE, "coefficients.dispersion.value", [[1.0, "x"]]),
+            ("hjb", OU, "coefficients.drift.offset", [0.2, 0.1]),
+            ("hjb", OU, "coefficients.drift.matrix", [[1.0, 2.0]]),
+            ("hjb", OU, "coefficients.drift.matrix", [[float("nan")]]),
+            ("hjb", OU, "coefficients.dispersion.base", [[1.0], [0.0]]),
+            ("hjb", OU, "coefficients.dispersion.base", [["a"]]),
+            ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3, 0.1]]]),
+            ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3]], [[0.1]]]))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -261,6 +272,14 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert run_cli(subcommand, path, tmp_path / "out") == 1, dotted
         assert dotted in capsys.readouterr().err, dotted
+
+    for shift in ([0.1, 0.2], [float("inf")]):
+        cfg = json.loads(Path(OU).read_text())
+        cfg["coefficients"]["perturbation"] = {"drift_shift": shift}
+        path = tmp_path / "bad_shift.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("hjb", path, tmp_path / "out") == 1
+        assert "coefficients.perturbation.drift_shift" in capsys.readouterr().err
 
 
 def test_testfn_check_builds_from_one_boundary_point(tmp_path):

@@ -76,6 +76,37 @@ def test_reflect_step_oblique_pushback_fixed_points():
     assert abs(cross) < 1e-9
 
 
+def _disk_contact(p, kappa, radius=1.0):
+    """Closed-form oblique pushback onto the circle: p = (R + lam) n + lam kappa t
+    at the contact angle theta, with n, t the normal and tangent there."""
+    lam = (-radius + np.sqrt(radius ** 2 + (1 + kappa ** 2) * (p @ p - radius ** 2))) \
+        / (1 + kappa ** 2)
+    theta = np.arctan2(p[1], p[0]) - np.arctan2(lam * kappa, radius + lam)
+    return radius * np.array([np.cos(theta), np.sin(theta)]), lam
+
+
+def test_oblique_pushback_recovers_where_the_ray_misses():
+    # the closed form reproduces the pinned fixed point above
+    q, _ = _disk_contact(np.array([1.05, 0.30]), 0.5)
+    np.testing.assert_allclose(q, [0.972142668073, 0.234389916403], atol=1e-11)
+    # under kappa = 1 the first ray along gamma(projection) misses the circle
+    disk, field = _disk_setup(1.0)
+    for p in ([1.45, 0.0], [1.5, 0.0], [0.0, 1.42]):
+        p = np.array(p)
+        q, dz = reflect_step(disk, field, p)
+        c, lam = _disk_contact(p, 1.0)
+        np.testing.assert_allclose(q, c, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dz, lam * field(c), rtol=0.0, atol=1e-12)
+    ell = Ellipse(1.2, 0.7)
+    field = oblique_from_tangent(ell, 1.0)
+    p = np.array([1.8, 0.0])
+    q, dz = reflect_step(ell, field, p)
+    assert abs(ell.signed_distance(q)) <= 1e-12
+    np.testing.assert_allclose(q + dz, p, rtol=0.0, atol=1e-15)
+    g = field(q)
+    assert abs(dz[0] * g[1] - dz[1] * g[0]) <= 1e-12 and dz @ g > 0.0
+
+
 def test_one_dimensional_drift_sticks_to_endpoint():
     iv = Interval(-1.0, 1.0)
     field = normal_field(iv)
@@ -218,7 +249,7 @@ def _scaled_boundary_point(domain, r, theta):
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(_DOMAINS)),
        kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)),
-       rows=st.lists(st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 2.0 * np.pi)),
+       rows=st.lists(st.tuples(st.floats(0.0, 1.6), st.floats(0.0, 2.0 * np.pi)),
                      min_size=1, max_size=6))
 def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, rows):
     domain = _DOMAINS[kind]

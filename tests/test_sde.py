@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from obliqueldp.geometry import Interval, constant_coefficients, normal_field
+from obliqueldp.geometry import Disk, Interval, constant_coefficients, normal_field, \
+    oblique_from_tangent
 from obliqueldp.reflect import ReferencePath, TimeGrid, solve_reflected_ode
 from obliqueldp.sde import (
+    _block,
     EventSpec,
     InfiniteEstimateError,
     McEstimate,
@@ -40,6 +44,41 @@ def test_trajectory_noise_is_keyed_by_seed_and_id():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (32, 2)
     assert np.max(np.abs(a - c)) > 0.1
+
+
+def test_rekeyed_noise_equals_a_fresh_philox_stream():
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for seed, tid, n, m in ((0, 0, 1, 1), (3, 17, 32, 2), (20240801, 4095, 1024, 1),
+                            (2**63 + 5, 2**40, 7, 3), (3, 18, 32, 2), (3, 17, 5, 2)):
+        # (a seed beyond 2**53 goes through Philox's own lossy key conversion)
+        fresh = np.random.Generator(np.random.Philox(key=[seed, tid])).standard_normal((n, m))
+        # drawing an odd count first leaves a half-used buffer behind
+        gen.standard_normal(3)
+        out = np.empty((n, m))
+        got = trajectory_noise(seed, tid, n, m, gen, out=out)
+        assert got is out
+        assert out.tobytes() == fresh.tobytes()
+        assert trajectory_noise(seed, tid, n, m).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("kind, ends_digest, devs_digest", [
+    ("normal", "e1559cf8d4581469", "d2c1c5b809fd60e2"),
+    ("oblique", "d0e0456c8202e4ba", "cc4a45ec14ad5c44"),
+])
+def test_two_dimensional_block_is_pinned(kind, ends_digest, devs_digest):
+    # a non-diagonal sigma; digests recorded before the block re-keyed one
+    # generator and stored its shocks time-major
+    disk = Disk(1.0)
+    field = normal_field(disk) if kind == "normal" else oblique_from_tangent(disk, 0.5)
+    coeffs = constant_coefficients([0.1, -0.2], [[0.8, 0.3], [-0.2, 0.6]])
+    refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
+            ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
+    ends, devs = _block(disk, field, coeffs, NoiseScale(0.5), 0.0,
+                        TimeGrid.uniform(0.0, 1.0, 32), np.array([0.2, 0.1]), 17,
+                        np.arange(5, 69), refs)
+    assert ends.shape == (64, 2) and devs.shape == (64, 2)
+    assert hashlib.sha256(ends.tobytes()).hexdigest()[:16] == ends_digest
+    assert hashlib.sha256(devs.tobytes()).hexdigest()[:16] == devs_digest
 
 
 def test_zero_noise_reduces_to_the_drift_ode():
