@@ -7,6 +7,7 @@ the domain and negative outside.  Dimensions 1 and 2 are supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -163,10 +164,14 @@ class Domain:
                 break
         return t
 
+    def _curve_points(self, t):
+        """The boundary curve at ``t`` without its derivatives, ``boundary(t)[0]``."""
+        return self.boundary(t)[0]
+
     def _closest_points(self, X: np.ndarray) -> np.ndarray:
         """Closest boundary points to the rows of ``X`` (B, 2)."""
         P = X - self.center
-        Q = self.center + self.boundary(self._closest_angles(P))[0]
+        Q = self.center + self._curve_points(self._closest_angles(P))
         if self._centre_projection is not None:
             at_centre = _row_norms(P) < 1e-12
             if at_centre.any():
@@ -234,7 +239,7 @@ class Domain:
         720-angle scan.  Works where the fixed-point ray misses the boundary."""
 
         def terms(t):
-            c = self.center + self.boundary(np.atleast_1d(t))[0]
+            c = self.center + self._curve_points(np.atleast_1d(t))
             g = field.gamma_many(self, c)
             r = p - c
             return r[:, 0] * g[:, 1] - r[:, 1] * g[:, 0], np.add.reduce(r * g, axis=1), g
@@ -264,6 +269,11 @@ class Domain:
         (interior rows unchanged, zero dZ), or None when there is none."""
         return None
 
+    def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
+        """Closed-form ``(q, dz)`` pushback of one exterior point ``p`` along
+        ``field`` (``q = p - dz`` on the boundary), or None when there is none."""
+        return None
+
     def interior_radius(self) -> float:
         """Maximum of the signed distance over the closure (sup-norm of d)."""
         return float(self.signed_distance_many(self.sample_closure(2048)).max())
@@ -278,7 +288,7 @@ class Domain:
         speed = np.sqrt(g1[:, 0] ** 2 + g1[:, 1] ** 2)
         arc = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(th))])
         targets = arc[-1] * (np.arange(n) + 0.5) / n
-        return self.center + self.boundary(np.interp(targets, arc, th))[0]
+        return self.center + self._curve_points(np.interp(targets, arc, th))
 
     def sample_closure(self, n: int) -> np.ndarray:
         """Quasi-uniform sample of the closure (low-discrepancy + rejection)."""
@@ -437,6 +447,31 @@ class Disk(Domain):
         dZ[out] = r * ((s - self.radius) / s)
         return Q, dZ
 
+    def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
+        """The exact contact under gamma = n + kappa*J n (J: the turn by +90
+        degrees): p - centre = (R + lam) u + lam kappa J u with q = centre + R u,
+        so lam is the root of (R + lam)^2 + (lam kappa)^2 = |p - centre|^2 and
+        u is p - centre turned back and normalised."""
+        kappa = field.param("kappa")
+        if field.kind != "oblique-tangent" or kappa is None:
+            return None
+        k, R = float(kappa), self.radius
+        cx, cy = float(self.center[0]), float(self.center[1])
+        rx, ry = float(p[0]) - cx, float(p[1]) - cy
+        # an overshoot of an ulp or two may round to delta <= 0: lam = 0 then
+        delta = max(rx * rx + ry * ry - R * R, 0.0)
+        # the positive root, written without the cancellation of -R + sqrt(...)
+        lam = delta / (R + math.sqrt(R * R + (1.0 + k * k) * delta))
+        a, b = R + lam, lam * k
+        ux, uy = a * rx + b * ry, a * ry - b * rx
+        s = math.hypot(ux, uy)
+        ux, uy = ux / s, uy / s
+        return (np.array([cx + R * ux, cy + R * uy]),
+                np.array([lam * (ux - k * uy), lam * (uy + k * ux)]))
+
+    def _curve_points(self, t):
+        return _unit_circle(t) * self.radius
+
     def boundary_points(self, n: int) -> np.ndarray:
         th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -503,6 +538,9 @@ class Ellipse(Domain):
     def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
         return _quadric_pushback(p, g, self.center, self.semi_axes)
 
+    def _curve_points(self, t):
+        return _unit_circle(t) * self.semi_axes
+
     def sample_closure(self, n: int) -> np.ndarray:
         u = _sobol_points(2, n)
         r = np.sqrt(u[:, 0])
@@ -514,15 +552,21 @@ class Ellipse(Domain):
         return float(np.min(self.semi_axes))
 
 
+def _unit_circle(t) -> np.ndarray:
+    """(cos t, sin t), of shape ``t.shape + (2,)``."""
+    e = np.empty(np.shape(t) + (2,))
+    np.cos(t, out=e[..., 0])
+    np.sin(t, out=e[..., 1])
+    return e
+
+
 def _axis_curve(semi_axes) -> Callable:
     """The curve (a cos t, b sin t) with its first and second derivatives."""
     a, b = semi_axes
     scale, turn = np.array([a, b], dtype=float), np.array([-a, b], dtype=float)
 
     def curve(t):
-        e = np.empty(np.shape(t) + (2,))
-        np.cos(t, out=e[..., 0])
-        np.sin(t, out=e[..., 1])
+        e = _unit_circle(t)
         g = e * scale
         return g, e[..., ::-1] * turn, -g
 

@@ -181,11 +181,17 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
     """Push an exterior predictor ``p`` back into the closure along the field.
 
     Returns the corrected point and the reflection increment ``dz`` (so that
-    corrected = p - dz).  Interior points are returned unchanged.
+    corrected = p - dz).  Interior points are returned unchanged.  A domain
+    with a closed-form contact for the field (``Domain.closed_contact``)
+    answers first; otherwise fixed-point rounds re-project the contact and
+    solve for the ray length along the field there.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if domain.signed_distance(p) >= 0.0:
         return p, np.zeros_like(p)
+    closed = domain.closed_contact(p, field)
+    if closed is not None:
+        return closed
     c = domain.project_to_boundary(p)
     lam_prev = None
     try:

@@ -130,10 +130,12 @@ def trajectory_noise(seed: int, trajectory_id: int, n_steps: int, m: int,
 
 def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                            eps: NoiseScale, t0: float, x, grid: TimeGrid, seed: int,
-                           trajectory_id: int = 0) -> ReflectedPath:
-    """One reflected Euler trajectory of the noisy dynamics."""
+                           trajectory_id: int = 0,
+                           gen: Optional[np.random.Generator] = None) -> ReflectedPath:
+    """One reflected Euler trajectory of the noisy dynamics; ``gen`` is an
+    optional Philox-backed generator to re-key (see ``trajectory_noise``)."""
     x0 = _checked_start(domain, grid, t0, x)
-    xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m)
+    xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m, gen)
     b_fun, s_fun = coeffs.pointwise(eps.eps)
     nodes = grid.nodes
     scale = eps.eps * np.sqrt(grid.dts)
@@ -158,17 +160,17 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
     (B, n_refs) of one trajectory block.  Constant coefficients advance the
     whole block at once; otherwise each trajectory is simulated on its own."""
     g_nodes = [ref.at(grid.nodes) for ref in references]
+    # One generator per block, re-keyed per trajectory; blocks may run on
+    # several threads at once, so it is never shared between them.
+    gen = np.random.Generator(np.random.Philox(key=0))
     if not coeffs.is_constant:
         ends, devs = [], []
         for tid in ids:
             pts = simulate_reflected_sde(domain, field, coeffs, eps, t0, x0, grid, seed,
-                                         trajectory_id=int(tid)).points
+                                         trajectory_id=int(tid), gen=gen).points
             ends.append(pts[-1].copy())
             devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
         return np.array(ends), np.array(devs)
-    # One generator per block, re-keyed per trajectory; blocks may run on
-    # several threads at once, so it is never shared between them.
-    gen = np.random.Generator(np.random.Philox(key=0))
     xi = np.empty((len(ids), grid.n_steps, coeffs.m))
     for j, tid in enumerate(ids):
         trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m, gen, out=xi[j])

@@ -165,6 +165,14 @@ def test_batched_ellipse_projection_matches_rows_and_is_a_closest_point(a, b, cx
         assert np.all(np.abs(sd) <= best + 1e-12)
 
 
+def test_curve_points_are_the_boundary_curve():
+    th = np.linspace(-7.0, 7.0, 101)
+    for dom in (Disk(1.3, (0.2, -0.4)), Ellipse(1.2, 0.7, (-0.5, 0.3)), _squircle()[0]):
+        assert dom._curve_points(th).tobytes() == dom.boundary(th)[0].tobytes()
+        for t in (np.float64(0.37), np.float64(-2.5), th[17]):
+            assert dom._curve_points(t).tobytes() == dom.boundary(t)[0].tobytes()
+
+
 def test_custom_level_set_domain_squircle():
     # x^4 + y^4 < 1 via the generic machinery; oracle by dense boundary scan
     sq, level, grad, curve = _squircle()

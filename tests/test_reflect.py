@@ -9,6 +9,7 @@ from obliqueldp.geometry import (
     Disk,
     Ellipse,
     Interval,
+    ObliqueField,
     constant_coefficients,
     normal_field,
     oblique_from_tangent,
@@ -89,14 +90,18 @@ def test_oblique_pushback_recovers_where_the_ray_misses():
     # the closed form reproduces the pinned fixed point above
     q, _ = _disk_contact(np.array([1.05, 0.30]), 0.5)
     np.testing.assert_allclose(q, [0.972142668073, 0.234389916403], atol=1e-11)
-    # under kappa = 1 the first ray along gamma(projection) misses the circle
+    # under kappa = 1 the first ray along gamma(projection) misses the circle;
+    # the custom copy of the field has no closed form and takes the rounds,
+    # then the bracketed fallback
     disk, field = _disk_setup(1.0)
+    custom = _as_custom(field)
     for p in ([1.45, 0.0], [1.5, 0.0], [0.0, 1.42]):
         p = np.array(p)
-        q, dz = reflect_step(disk, field, p)
         c, lam = _disk_contact(p, 1.0)
-        np.testing.assert_allclose(q, c, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(dz, lam * field(c), rtol=0.0, atol=1e-12)
+        for f in (field, custom):
+            q, dz = reflect_step(disk, f, p)
+            np.testing.assert_allclose(q, c, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(dz, lam * field(c), rtol=0.0, atol=1e-12)
     ell = Ellipse(1.2, 0.7)
     field = oblique_from_tangent(ell, 1.0)
     p = np.array([1.8, 0.0])
@@ -105,6 +110,44 @@ def test_oblique_pushback_recovers_where_the_ray_misses():
     np.testing.assert_allclose(q + dz, p, rtol=0.0, atol=1e-15)
     g = field(q)
     assert abs(dz[0] * g[1] - dz[1] * g[0]) <= 1e-12 and dz @ g > 0.0
+
+
+def _as_custom(field):
+    """The same gamma as a field of unknown kind: no closed-form contact."""
+    return ObliqueField(field.gamma, field.lipschitz_bound, field.c0, kind="custom")
+
+
+@settings(max_examples=150, deadline=None)
+@given(radius=st.floats(0.1, 5.0), cx=st.floats(-3.0, 3.0), cy=st.floats(-3.0, 3.0),
+       kappa=st.one_of(st.sampled_from([-3.0, -1.0, 0.0, 3.0]), st.floats(0.01, 3.0),
+                       st.floats(-3.0, -0.01)),
+       overshoot=st.floats(-9.0, 0.5), theta=st.floats(0.0, 2.0 * np.pi))
+def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, overshoot,
+                                                     theta):
+    # p lies radius * 10**overshoot beyond the circle.  The bracketed oracle
+    # needs |kappa| above half its scan spacing when the overshoot is tiny, so
+    # kappa = 0 is checked against the radial projection instead.
+    centre = np.array([cx, cy])
+    disk = Disk(radius, centre)
+    field = oblique_from_tangent(disk, kappa, n_certify=16)
+    p = centre + radius * (1.0 + 10.0 ** overshoot) * np.array([np.cos(theta), np.sin(theta)])
+    q, dz = disk.closed_contact(p, field)
+    scale = np.linalg.norm(p - centre) + np.linalg.norm(centre)
+    assert abs(np.hypot(*(q - centre)) - radius) <= 4 * np.spacing(max(radius, cx, -cx, cy, -cy))
+    g = field(q)
+    assert abs(dz[0] * g[1] - dz[1] * g[0]) <= 1e-14 * np.linalg.norm(dz) * np.linalg.norm(g)
+    assert dz @ g >= 0.0
+    assert np.abs(q + dz - p).max() <= 1e-15 * scale
+    if kappa:
+        q1, dz1 = disk.oblique_pushback(p, field)
+    else:
+        q1, dz1 = disk.project_to_boundary(p), p - disk.project_to_boundary(p)
+    np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-13 * scale)
+    # reflect_step answers with the closed form; other fields have none
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(reflect_step(disk, field, p), (q, dz)))
+    assert disk.closed_contact(p, _as_custom(field)) is None
+    assert disk.closed_contact(p, normal_field(disk, n_certify=16)) is None
 
 
 def test_one_dimensional_drift_sticks_to_endpoint():

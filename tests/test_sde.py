@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from obliqueldp.geometry import Disk, Interval, constant_coefficients, normal_field, \
-    oblique_from_tangent
+from obliqueldp.geometry import CoefficientField, Disk, Interval, ObliqueField, \
+    constant_coefficients, normal_field, oblique_from_tangent
 from obliqueldp.reflect import ReferencePath, TimeGrid, solve_reflected_ode
 from obliqueldp.sde import (
     _block,
@@ -63,22 +63,50 @@ def test_rekeyed_noise_equals_a_fresh_philox_stream():
 
 @pytest.mark.parametrize("kind, ends_digest, devs_digest", [
     ("normal", "e1559cf8d4581469", "d2c1c5b809fd60e2"),
-    ("oblique", "d0e0456c8202e4ba", "cc4a45ec14ad5c44"),
+    ("oblique", "fde12ea2bdd99016", "7061b078a21fce30"),
 ])
 def test_two_dimensional_block_is_pinned(kind, ends_digest, devs_digest):
-    # a non-diagonal sigma; digests recorded before the block re-keyed one
-    # generator and stored its shocks time-major
+    # a non-diagonal sigma; the normal digests were recorded before the block
+    # re-keyed one generator and stored its shocks time-major, the oblique
+    # ones when the disk contact became closed-form
     disk = Disk(1.0)
     field = normal_field(disk) if kind == "normal" else oblique_from_tangent(disk, 0.5)
     coeffs = constant_coefficients([0.1, -0.2], [[0.8, 0.3], [-0.2, 0.6]])
     refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
             ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
-    ends, devs = _block(disk, field, coeffs, NoiseScale(0.5), 0.0,
-                        TimeGrid.uniform(0.0, 1.0, 32), np.array([0.2, 0.1]), 17,
-                        np.arange(5, 69), refs)
+
+    def block(f):
+        return _block(disk, f, coeffs, NoiseScale(0.5), 0.0, TimeGrid.uniform(0.0, 1.0, 32),
+                      np.array([0.2, 0.1]), 17, np.arange(5, 69), refs)
+
+    ends, devs = block(field)
     assert ends.shape == (64, 2) and devs.shape == (64, 2)
     assert hashlib.sha256(ends.tobytes()).hexdigest()[:16] == ends_digest
     assert hashlib.sha256(devs.tobytes()).hexdigest()[:16] == devs_digest
+    # the same gamma as a custom field takes reflect_step's fixed-point rounds
+    custom = ObliqueField(field.gamma, field.lipschitz_bound, field.c0, kind="custom")
+    ends1, devs1 = block(custom)
+    np.testing.assert_allclose(ends1, ends, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(devs1, devs, rtol=0.0, atol=1e-11)
+
+
+def test_state_dependent_block_equals_fresh_trajectories():
+    # one re-keyed generator per block gives each trajectory's own stream
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, 0.5)
+    coeffs = CoefficientField(b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1]]),
+                              sigma=lambda t, x: np.array([[0.8, 0.3 * x[0]], [-0.2, 0.6]]),
+                              m=2, lipschitz_x=0.9)
+    refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
+            ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
+    grid, x0, ids = TimeGrid.uniform(0.0, 1.0, 32), np.array([0.2, 0.1]), np.arange(5, 21)
+    ends, devs = _block(disk, field, coeffs, NoiseScale(0.5), 0.0, grid, x0, 17, ids, refs)
+    g_nodes = [ref.at(grid.nodes) for ref in refs]
+    for tid, end, dev in zip(ids, ends, devs):
+        pts = simulate_reflected_sde(disk, field, coeffs, NoiseScale(0.5), 0.0, x0, grid, 17,
+                                     trajectory_id=int(tid)).points
+        assert end.tobytes() == pts[-1].tobytes()
+        assert dev.tolist() == [np.linalg.norm(pts - g, axis=1).max() for g in g_nodes]
 
 
 def test_zero_noise_reduces_to_the_drift_ode():
