@@ -245,16 +245,16 @@ class Domain:
             return r[:, 0] * g[:, 1] - r[:, 1] * g[:, 0], np.add.reduce(r * g, axis=1), g
 
         t = self._scan_theta
-        cross, along, _ = terms(t)
-        # a sign change where p lies ahead along gamma (a root behind it
-        # belongs to a negative lam)
+        cross = terms(t)[0]
         ends = np.roll(np.arange(len(t)), -1)
-        found = np.nonzero((np.sign(cross) != np.sign(cross[ends]))
-                           & ((along > 0.0) | (along[ends] > 0.0)))[0]
-        best = None
-        for i in found:
+        # roots: scan angles where the cross product vanishes, and one in each
+        # strict sign change; a root behind p belongs to a negative lam
+        roots = list(t[cross == 0.0])
+        for i in np.nonzero(np.sign(cross) * np.sign(cross[ends]) < 0.0)[0]:
             hi = t[ends[i]] if ends[i] else 2.0 * np.pi
-            root = brentq(lambda s: terms(s)[0][0], t[i], hi, xtol=1e-15, rtol=8.9e-16)
+            roots.append(brentq(lambda s: terms(s)[0][0], t[i], hi, xtol=1e-15, rtol=8.9e-16))
+        best = None
+        for root in roots:
             _, along_r, g = terms(root)
             lam = along_r[0] / float(g[0] @ g[0])
             if lam >= 0.0 and (best is None or lam < best[0]):

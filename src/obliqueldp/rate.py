@@ -43,8 +43,10 @@ class _PathBatch:
 
     Controls live on ``n_seg`` uniform segments; the state is stepped on a
     finer uniform simulation grid (``substeps`` per segment).  All controls
-    advance together through the batched reflected Euler step, with the
-    coefficients evaluated on the batch's rows at every step.
+    advance together through ``sup_deviations``.  Constant coefficients give
+    every step a drift that does not read the state, built for all segments
+    at once, and such a batch is stepped a window at a time; otherwise the
+    coefficients are evaluated on the batch's rows at every step.
     """
 
     def __init__(self, domain, field, coeffs, t0, x0, t_end, n_seg, substeps,
@@ -72,12 +74,9 @@ class _PathBatch:
             return b - np.einsum("...dm,...m->...d", sig, a)
 
         if self.coeffs.is_constant:
-            # the drift then changes only at segment boundaries
-            per_seg = [controlled(nodes[0], self.x0[None, :], A[:, j, :])
-                       for j in range(self.n_seg)]
-
-            def drift_at(k, X):
-                return per_seg[seg[k]]
+            # the drift then changes only at segment boundaries: one batched
+            # b - sigma a for every segment, spread to a (n_steps, B, d) array
+            drift_at = controlled(nodes[0], self.x0[None, :], A.transpose(1, 0, 2))[seg]
         else:
             def drift_at(k, X):
                 return controlled(nodes[k], X, A[:, seg[k], :])

@@ -5,8 +5,10 @@ closure of the domain, is pushed back along the oblique field evaluated at
 the boundary contact point.  ``advance`` is that step for a batch of rows;
 every stepper in the package (deterministic paths, Monte Carlo blocks, the
 rate solver's control batches, the dynamic program's transitions) goes
-through it.  A windowed Picard iteration solves the same problem as a fixed
-point and doubles as an independent check of the stepper.
+through it; a batch stepped window by window (``sup_deviations``) sends
+through it the rows that leave the closure.  A windowed Picard iteration
+solves the same problem as a fixed point and doubles as an independent
+check of the stepper.
 """
 
 from __future__ import annotations
@@ -272,13 +274,28 @@ def advance(domain: Domain, field: ObliqueField, X: np.ndarray, drift, dt: float
     return reflect_rows(domain, field, P.reshape(-1, P.shape[-1]))
 
 
+# Steps per window of the time-blocked path in ``sup_deviations``.
+WINDOW = 64
+
+
 def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: TimeGrid,
-                   drift_at: Callable, g_nodes: Sequence[np.ndarray],
+                   drift_at, g_nodes: Sequence[np.ndarray],
                    shock_at: Optional[Callable] = None):
-    """Step the rows of ``X`` across the grid with step-k inputs
-    ``drift_at(k, X)`` and ``shock_at(k, X)``; return the terminal rows and
-    their (B, n_refs) sup-norm deviations from the references ``g_nodes``
-    (each sampled at the grid nodes)."""
+    """Step the rows of ``X`` (B, d) across the grid; return the terminal
+    rows and their (B, n_refs) sup-norm deviations from the references
+    ``g_nodes`` (each sampled at the grid nodes).
+
+    The step-k inputs are ``drift_at(k, X)`` and ``shock_at(k, X)``, or,
+    when ``drift_at`` is an array, its row k (broadcast to (B, d)): the
+    drifts then do not read the state.  Without a shock such a batch is
+    deterministic and state-free, and is stepped ``WINDOW`` steps at a time:
+    every row's predictors come from one running sum of its increments, the
+    same sequential float order as ``advance``, and one
+    ``signed_distance_many`` call finds the rows that leave the closure.
+    Those rows alone re-run the window through ``advance`` from the earliest
+    first exit among them, so every result is bitwise that of the per-step
+    loop.
+    """
     # Running maxima of squared distances: the square root is monotone, so
     # taking it once at the end gives the max of the per-node norms exactly.
     sq = np.zeros((len(g_nodes), len(X)))
@@ -290,10 +307,49 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
 
     track(X, 0)
     dts = grid.dts
+    if not callable(drift_at):
+        drifts = np.broadcast_to(drift_at, (grid.n_steps,) + X.shape)
+        if shock_at is None:
+            return _step_windows(domain, field, X, dts, drifts, g_nodes, sq)
+
+        def drift_at(k, _X):
+            return drifts[k]
     for k in range(grid.n_steps):
         X, _ = advance(domain, field, X, drift_at(k, X), dts[k],
                        None if shock_at is None else shock_at(k, X))
         track(X, k + 1)
+    return X, np.sqrt(sq.T)
+
+
+def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
+    """``sup_deviations`` of a deterministic, state-free batch, ``WINDOW``
+    steps at a time, with the running squared maxima ``sq`` of node 0."""
+    B, d = X.shape
+    for k0 in range(0, len(dts), WINDOW):
+        k1 = min(k0 + WINDOW, len(dts))
+        # P[j] is the predictor of node k0 + j while no row has been reflected
+        P = np.empty((k1 - k0 + 1, B, d))
+        P[0] = X
+        np.multiply(drifts[k0:k1], dts[k0:k1, None, None], out=P[1:])
+        np.add.accumulate(P, axis=0, out=P)
+        outside = (domain.signed_distance_many(P[1:].reshape(-1, d)) < 0.0).reshape(-1, B)
+        left = np.nonzero(outside.any(axis=0))[0]
+        # the first exit: nodes before it are exact for every row
+        j0 = int(outside[:, left].argmax(axis=0).min()) if len(left) else k1 - k0
+        for s, g in zip(sq, g_nodes):
+            D = P[1:] - g[k0 + 1:k1 + 1, None, :]
+            S = np.add.reduce(D * D, axis=2)
+            S[j0:, left] = 0.0
+            np.maximum(s, S.max(axis=0), out=s)
+        X = P[-1].copy()
+        if len(left):
+            Y = P[j0, left]
+            for k in range(k0 + j0, k1):
+                Y, _ = advance(domain, field, Y, drifts[k, left], dts[k])
+                for s, g in zip(sq, g_nodes):
+                    D = Y - g[k + 1]
+                    s[left] = np.maximum(s[left], np.add.reduce(D * D, axis=1))
+            X[left] = Y
     return X, np.sqrt(sq.T)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from obliqueldp.geometry import (
     normal_field,
     oblique_from_tangent,
 )
-from obliqueldp.rate import rate_of_event, rate_of_path, weak_stability_check
-from obliqueldp.reflect import ReferencePath, TimeGrid
+from obliqueldp.rate import _PathBatch, rate_of_event, rate_of_path, weak_stability_check
+from obliqueldp.reflect import ReferencePath, TimeGrid, sup_deviations
 from obliqueldp.sde import EventSpec
 
 
@@ -114,3 +116,64 @@ def test_weak_stability_of_oscillating_controls():
     assert rep.n_values[-1] == 64
     # tail decays like 1/n
     assert rep.sup_dists[-1] == pytest.approx(rep.sup_dists[-2] / 2.0, rel=0.05)
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def _exit_event(point, radius):
+    return EventSpec.complements([ReferencePath.constant(point, 0.0, 1.0)], [radius])
+
+
+@pytest.mark.parametrize("case, value, iterations, digest", [
+    ("interval exit", 0.12537506685609054, 21, "bfc061b87f043b8b"),
+    ("disk oblique exit", 0.08032014752831126, 67, "d172ff57c1aec536"),
+    ("disk ball path", 0.5426818510906501, 52, "eaf1527134b6aebf"),
+    ("interval exit from the boundary", 0.12537506685570188, 47, "38da07099cc1e8e1"),
+])
+def test_constant_coefficient_solves_are_pinned(case, value, iterations, digest):
+    # recorded with one reflected Euler step per time step; the windowed
+    # stepping of constant-coefficient batches must keep every bit
+    iv, field, coeffs = _setup_1d()
+    disk = Disk(1.0)
+    oblique = oblique_from_tangent(disk, 0.5)
+    if case == "interval exit":
+        res = rate_of_event(iv, field, coeffs, 0.0, [0.0], _exit_event([0.0], 0.5),
+                            n_segments=8, max_segments=8)
+    elif case == "disk oblique exit":
+        res = rate_of_event(disk, oblique, constant_coefficients([0.0, 0.0], np.eye(2)),
+                            0.0, [0.5, 0.0], _exit_event([0.5, 0.0], 0.4),
+                            n_segments=16, max_segments=32)
+    elif case == "disk ball path":
+        g = ReferencePath(np.array([0.0, 1.0]), np.array([[0.2, 0.1], [0.7, 0.5]]))
+        res = rate_of_path(disk, oblique,
+                           constant_coefficients([0.1, -0.2], [[0.8, 0.3], [-0.2, 0.6]]),
+                           0.0, [0.2, 0.1], g, n_segments=8, max_segments=16)
+    else:
+        # the escape starts that push into the endpoint reflect inside windows
+        res = rate_of_event(iv, field, coeffs, 0.0, [0.9], _exit_event([0.9], 0.5),
+                            n_segments=8, max_segments=16)
+    assert res.value == value
+    assert res.iterations == iterations
+    assert _digest(res.optimizer.values) == digest
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_batched_segment_drifts_equal_the_per_segment_loop(m):
+    # the per-segment drift b - sigma a of every segment in one expression,
+    # against one einsum per segment and one advance per step
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, 0.5)
+    sigma = [[0.8, 0.3], [-0.2, 0.6]] if m == 2 else [[0.7], [-0.4]]
+    coeffs = constant_coefficients([0.1, -0.2], sigma)
+    refs = [ReferencePath.constant([0.5, 0.0], 0.0, 1.0),
+            ReferencePath(np.array([0.0, 1.0]), np.array([[0.5, 0.0], [0.2, 0.6]]))]
+    batch = _PathBatch(disk, field, coeffs, 0.0, [0.5, 0.0], 1.0, 16, 4, refs)
+    A = np.random.default_rng(m).normal(0.0, 2.0, (9, 16, m))
+    b, sig = coeffs.rows(0.0, batch.x0[None, :])
+    per_seg = [b - np.einsum("...dm,...m->...d", sig, A[:, j, :]) for j in range(16)]
+    X = np.repeat(batch.x0[None, :], len(A), axis=0)
+    _, devs = sup_deviations(disk, field, X, batch.grid,
+                             lambda k, _X: per_seg[batch.seg_of_step[k]], batch.g_nodes)
+    assert batch.max_devs(A).tobytes() == devs.tobytes()

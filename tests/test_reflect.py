@@ -14,6 +14,7 @@ from obliqueldp.geometry import (
     normal_field,
     oblique_from_tangent,
 )
+from obliqueldp import reflect
 from obliqueldp.reflect import (
     Control,
     TimeGrid,
@@ -124,9 +125,8 @@ def _as_custom(field):
        overshoot=st.floats(-9.0, 0.5), theta=st.floats(0.0, 2.0 * np.pi))
 def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, overshoot,
                                                      theta):
-    # p lies radius * 10**overshoot beyond the circle.  The bracketed oracle
-    # needs |kappa| above half its scan spacing when the overshoot is tiny, so
-    # kappa = 0 is checked against the radial projection instead.
+    # p lies radius * 10**overshoot beyond the circle; under kappa = 0 the
+    # radial projection is a second oracle.
     centre = np.array([cx, cy])
     disk = Disk(radius, centre)
     field = oblique_from_tangent(disk, kappa, n_certify=16)
@@ -138,16 +138,28 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
     assert abs(dz[0] * g[1] - dz[1] * g[0]) <= 1e-14 * np.linalg.norm(dz) * np.linalg.norm(g)
     assert dz @ g >= 0.0
     assert np.abs(q + dz - p).max() <= 1e-15 * scale
-    if kappa:
-        q1, dz1 = disk.oblique_pushback(p, field)
-    else:
-        q1, dz1 = disk.project_to_boundary(p), p - disk.project_to_boundary(p)
-    np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-13 * scale)
-    np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-13 * scale)
+    oracles = [disk.oblique_pushback(p, field)]
+    if not kappa:
+        oracles.append((disk.project_to_boundary(p), p - disk.project_to_boundary(p)))
+    for q1, dz1 in oracles:
+        np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-13 * scale)
     # reflect_step answers with the closed form; other fields have none
     assert all(a.tobytes() == b.tobytes() for a, b in zip(reflect_step(disk, field, p), (q, dz)))
     assert disk.closed_contact(p, _as_custom(field)) is None
     assert disk.closed_contact(p, normal_field(disk, n_certify=16)) is None
+
+
+def test_oblique_pushback_under_a_normal_field():
+    # a tiny overshoot, whose root the scan brackets between two points where
+    # p is behind gamma, and a root exactly on a scan angle
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, 0.0)
+    for p in (1.000001 * np.array([np.cos(1.0), np.sin(1.0)]), np.array([2.0, 0.0])):
+        q, dz = disk.oblique_pushback(p, field)
+        c = disk.project_to_boundary(p)
+        np.testing.assert_allclose(q, c, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(dz, p - c, rtol=0.0, atol=1e-15)
 
 
 def test_one_dimensional_drift_sticks_to_endpoint():
@@ -315,3 +327,92 @@ def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kap
         g = field(domain.project_to_boundary(q))
         cosang = float(dz @ g) / (np.linalg.norm(dz) * np.linalg.norm(g))
         assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6
+
+
+_WINDOWED = {
+    "interval": (_DOMAINS["interval"], _normal("interval")),
+    "disk-normal": (_DOMAINS["disk"], _normal("disk")),
+    "disk-oblique": (_DOMAINS["disk"], oblique_from_tangent(_DOMAINS["disk"], 0.5, n_certify=64)),
+    "ellipse-oblique": (_DOMAINS["ellipse"],
+                        oblique_from_tangent(_DOMAINS["ellipse"], 0.3, n_certify=64)),
+    "disk-custom": (_DOMAINS["disk"],
+                    _as_custom(oblique_from_tangent(_DOMAINS["disk"], 1.0, n_certify=64))),
+}
+
+
+def _per_step(domain, field, X, grid, drifts, g_nodes):
+    """Terminal rows and sup-norm deviations by one ``advance`` per step."""
+    devs = [np.linalg.norm(X - g[0], axis=1) for g in g_nodes]
+    for k, dt in enumerate(grid.dts):
+        X, _ = reflect.advance(domain, field, X, drifts[k], dt)
+        devs = [np.maximum(dv, np.linalg.norm(X - g[k + 1], axis=1))
+                for dv, g in zip(devs, g_nodes)]
+    return X, np.stack(devs, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_WINDOWED)),
+       n_steps=st.sampled_from([2 * reflect.WINDOW + 5, reflect.WINDOW + 1, reflect.WINDOW,
+                                reflect.WINDOW - 1, 9, 1]),
+       rows=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.999, 1.0 - 1e-12, 1.0]),
+                               st.floats(0.0, 2.0 * np.pi),
+                               st.one_of(st.none(), st.sampled_from(
+                                   [0, 1, reflect.WINDOW // 2, reflect.WINDOW - 1,
+                                    reflect.WINDOW, -1]))),
+                     min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 16))
+def test_windowed_steps_equal_the_per_step_loop(case, n_steps, rows, seed):
+    # Each row starts at r times a boundary point and, when it has an exit
+    # step e, drifts outward so that its predictor first leaves at step e (at
+    # step 0, mid-window, at a window's last step, at the next window's first
+    # step or at the last step) and turns back inward two steps later; a row
+    # on the boundary rests until step e.  Rows without one take random drifts.
+    domain, field = _WINDOWED[case]
+    grid = TimeGrid.uniform(0.0, 1.0, n_steps)
+    center = domain.bounding_box.mean(axis=1)
+    rng = np.random.default_rng(seed)
+    X = np.empty((len(rows), domain.dimension))
+    drifts = np.empty((n_steps, len(rows), domain.dimension))
+    for i, (r, theta, exit_step) in enumerate(rows):
+        w = _scaled_boundary_point(domain, 1.0, theta) - center
+        X[i] = center + r * w
+        if exit_step is None:
+            drifts[:, i] = rng.normal(0.0, 0.5, (n_steps, domain.dimension))
+            continue
+        e, k = exit_step % n_steps, np.arange(n_steps)[:, None]
+        speed = (1.0 - r) / (e + 0.5) if r < 1.0 else 0.05
+        push = np.where(k <= e + 2, 1.0, -0.5) * ((k >= e) if r == 1.0 else 1.0)
+        drifts[:, i] = push * (speed / grid.dts[0]) * w
+    g_nodes = [np.repeat(center[None, :], n_steps + 1, axis=0),
+               np.linspace(center, center + 0.3, n_steps + 1)]
+    end, devs = reflect.sup_deviations(domain, field, X, grid, drifts, g_nodes)
+    end1, devs1 = _per_step(domain, field, X, grid, drifts, g_nodes)
+    assert end.tobytes() == end1.tobytes()
+    assert devs.tobytes() == devs1.tobytes()
+
+
+def test_windowed_batch_inside_the_closure_steps_without_advance(monkeypatch):
+    disk, field = _disk_setup(0.5)
+    calls = {"advance": 0, "sd_many": 0}
+    advance, sd_many = reflect.advance, disk.signed_distance_many
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reflect, "advance", counted("advance", advance))
+    monkeypatch.setattr(disk, "signed_distance_many", counted("sd_many", sd_many))
+    n_steps = 2 * reflect.WINDOW + 5
+    grid = TimeGrid.uniform(0.0, 1.0, n_steps)
+    X = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.1]])
+    drifts = np.random.default_rng(1).uniform(-0.3, 0.3, (n_steps, 3, 2))
+    g_nodes = [np.zeros((n_steps + 1, 2))]
+    end, devs = reflect.sup_deviations(disk, field, X, grid, drifts, g_nodes)
+    assert calls == {"advance": 0, "sd_many": -(-n_steps // reflect.WINDOW)}
+    # the same batch given as a callable takes one advance per step
+    end1, devs1 = reflect.sup_deviations(disk, field, X, grid,
+                                         lambda k, _X: drifts[k], g_nodes)
+    assert calls["advance"] == n_steps
+    assert end.tobytes() == end1.tobytes() and devs.tobytes() == devs1.tobytes()
