@@ -186,6 +186,19 @@ class Domain:
         d = _row_norms(X - self._closest_points(X))
         return np.where(self._inside(X), d, -d)
 
+    def outside_many(self, X) -> np.ndarray:
+        """``signed_distance_many(X) < 0.0``, bit for bit: the level function
+        clears the rows in the closure, and only the others are projected
+        (a row outside lies at a positive distance unless it rounds onto its
+        own closest point)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = ~self._inside(X)
+        rows = np.nonzero(out)[0]
+        if len(rows):
+            Y = X[rows]
+            out[rows] = _row_norms(Y - self._closest_points(Y)) > 0.0
+        return out
+
     # -- core operations ---------------------------------------------------
 
     def project_to_boundary(self, x) -> np.ndarray:
@@ -244,15 +257,17 @@ class Domain:
             r = p - c
             return r[:, 0] * g[:, 1] - r[:, 1] * g[:, 0], np.add.reduce(r * g, axis=1), g
 
-        t = self._scan_theta
+        # the scan closed at 2*pi, whose cross product may round off the one at 0
+        t = np.append(self._scan_theta, 2.0 * np.pi)
         cross = terms(t)[0]
-        ends = np.roll(np.arange(len(t)), -1)
         # roots: scan angles where the cross product vanishes, and one in each
         # strict sign change; a root behind p belongs to a negative lam
         roots = list(t[cross == 0.0])
-        for i in np.nonzero(np.sign(cross) * np.sign(cross[ends]) < 0.0)[0]:
-            hi = t[ends[i]] if ends[i] else 2.0 * np.pi
-            roots.append(brentq(lambda s: terms(s)[0][0], t[i], hi, xtol=1e-15, rtol=8.9e-16))
+        if np.sign(cross[-1]) * np.sign(cross[0]) < 0.0:
+            roots.append(0.0)  # a root at the seam, within rounding of 0
+        for i in np.nonzero(np.sign(cross[:-1]) * np.sign(cross[1:]) < 0.0)[0]:
+            roots.append(brentq(lambda s: terms(s)[0][0], t[i], t[i + 1],
+                                xtol=1e-15, rtol=8.9e-16))
         best = None
         for root in roots:
             _, along_r, g = terms(root)
@@ -270,9 +285,48 @@ class Domain:
         return None
 
     def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
-        """Closed-form ``(q, dz)`` pushback of one exterior point ``p`` along
-        ``field`` (``q = p - dz`` on the boundary), or None when there is none."""
-        return None
+        """``(q, dz)`` pushback of one exterior point ``p`` along ``field``
+        (``q = p - dz`` on the boundary), or None when the field has no
+        direct contact and takes the fixed-point rounds.
+
+        Under a ``normal`` or ``oblique-tangent`` field, gamma at the curve
+        point g(t) is parallel to w = (g'_y + kappa g'_x, -g'_x + kappa g'_y),
+        the normal plus kappa times the tangent scaled by |g'|, so the contact
+        is a root of f(t) = (p - centre - g) x w.  Newton's method finds it
+        from the closest point, which is the root at kappa = 0; ``dz`` is
+        lam * gamma(q) as in ``oblique_pushback``, which answers for a row
+        that does not settle or lands behind p (lam < 0) by more than a
+        rounding error.  A row behind by less comes back unchanged."""
+        if self.dimension != 2 or field.kind not in ("normal", "oblique-tangent"):
+            return None
+        k = 0.0 if field.kind == "normal" else field.param("kappa")
+        if k is None:
+            return None
+        x, y = float(p[0] - self.center[0]), float(p[1] - self.center[1])
+        t = self._closest_angles(np.array([[x, y]]))[0]
+        for _ in range(60):
+            g, g1, g2 = (v.tolist() for v in self.boundary(t))
+            rx, ry = x - g[0], y - g[1]
+            wx, wy = g1[1] + k * g1[0], k * g1[1] - g1[0]
+            f = rx * wy - ry * wx
+            fp = (wx * g1[1] - wy * g1[0] + rx * (k * g2[1] - g2[0])
+                  - ry * (g2[1] + k * g2[0]))
+            if not fp:
+                break
+            step = f / fp
+            t -= step
+            if abs(step) < 1e-15:
+                q = self.center + self._curve_points(t)
+                gam = field.gamma_many(self, q[None, :])[0]
+                gg = float(gam @ gam)
+                lam = float(np.add.reduce((p - q) * gam)) / gg
+                if lam >= 0.0:
+                    return p - lam * gam, lam * gam
+                if -lam * math.sqrt(gg) <= 1e-14 * (1.0 + float(np.abs(p).max())):
+                    # p lies on the boundary up to rounding: lam is 0
+                    return p, np.zeros(2)
+                break
+        return self.oblique_pushback(p, field)
 
     def interior_radius(self) -> float:
         """Maximum of the signed distance over the closure (sup-norm of d)."""
@@ -334,6 +388,9 @@ class Interval(Domain):
     def signed_distance_many(self, X) -> np.ndarray:
         x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
         return np.minimum(x - self.a, self.b - x)
+
+    def outside_many(self, X) -> np.ndarray:
+        return self.signed_distance_many(X) < 0.0
 
     def project_to_boundary(self, x) -> np.ndarray:
         x0 = float(_as_point(x, 1)[0])
@@ -400,12 +457,17 @@ class Disk(Domain):
         return r / nr
 
     def signed_distance(self, x) -> float:
-        return self.radius - float(np.linalg.norm(_as_point(x, 2) - self.center))
+        # the sum of squares of signed_distance_many, bit for bit
+        dx, dy = (_as_point(x, 2) - self.center).tolist()
+        return self.radius - math.sqrt(dx * dx + dy * dy)
 
     def signed_distance_many(self, X) -> np.ndarray:
         # np.linalg.norm(axis=1) without its per-call overhead, same rounding
         D = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
         return self.radius - np.sqrt(np.add.reduce(D * D, axis=1))
+
+    def outside_many(self, X) -> np.ndarray:
+        return self.signed_distance_many(X) < 0.0
 
     def project_to_boundary(self, x) -> np.ndarray:
         r = _as_point(x, 2) - self.center

@@ -183,10 +183,13 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
     """Push an exterior predictor ``p`` back into the closure along the field.
 
     Returns the corrected point and the reflection increment ``dz`` (so that
-    corrected = p - dz).  Interior points are returned unchanged.  A domain
-    with a closed-form contact for the field (``Domain.closed_contact``)
-    answers first; otherwise fixed-point rounds re-project the contact and
-    solve for the ray length along the field there.
+    corrected = p - dz).  Interior points are returned unchanged.  Under a
+    ``normal`` or ``oblique-tangent`` field a planar domain's direct contact
+    (``Domain.closed_contact``: the disk's closed form, otherwise Newton's
+    method in the curve parameter) answers first; custom and constant fields
+    take fixed-point rounds that re-project the contact and solve for the
+    ray length along the field there, then ``Domain.oblique_pushback`` where
+    they fail.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if domain.signed_distance(p) >= 0.0:
@@ -245,13 +248,15 @@ def reflect_rows(domain: Domain, field: ObliqueField, P: np.ndarray):
     """Push every exterior row of ``P`` (B, d) back into the closure.
 
     Returns ``(Q, dZ)`` with ``Q = P - dZ``; interior rows come back unchanged
-    with zero dZ.  Rows without a closed form go through ``reflect_step``.
+    with zero dZ.  Without a batch closed form (``Domain.pushback_many``),
+    ``Domain.outside_many`` picks the exterior rows, projecting only rows
+    outside the closure, and each goes through ``reflect_step``.
     """
     closed = domain.pushback_many(P, field)
     if closed is not None:
         return closed
     Q, dZ = P, np.zeros(P.shape)
-    out = np.nonzero(domain.signed_distance_many(P) < 0.0)[0]
+    out = np.nonzero(domain.outside_many(P))[0]
     if len(out):
         Q = P.copy()
         for i in out:
@@ -291,7 +296,7 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
     deterministic and state-free, and is stepped ``WINDOW`` steps at a time:
     every row's predictors come from one running sum of its increments, the
     same sequential float order as ``advance``, and one
-    ``signed_distance_many`` call finds the rows that leave the closure.
+    ``Domain.outside_many`` call finds the rows that leave the closure.
     Those rows alone re-run the window through ``advance`` from the earliest
     first exit among them, so every result is bitwise that of the per-step
     loop.
@@ -323,7 +328,10 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
 
 def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
     """``sup_deviations`` of a deterministic, state-free batch, ``WINDOW``
-    steps at a time, with the running squared maxima ``sq`` of node 0."""
+    steps at a time, with the running squared maxima ``sq`` of node 0.  The
+    exterior test of a window's predictors (``Domain.outside_many``) is the
+    sign of their signed distances, bit for bit, and projects only the
+    predictors outside the closure."""
     B, d = X.shape
     for k0 in range(0, len(dts), WINDOW):
         k1 = min(k0 + WINDOW, len(dts))
@@ -332,7 +340,7 @@ def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
         P[0] = X
         np.multiply(drifts[k0:k1], dts[k0:k1, None, None], out=P[1:])
         np.add.accumulate(P, axis=0, out=P)
-        outside = (domain.signed_distance_many(P[1:].reshape(-1, d)) < 0.0).reshape(-1, B)
+        outside = domain.outside_many(P[1:].reshape(-1, d)).reshape(-1, B)
         left = np.nonzero(outside.any(axis=0))[0]
         # the first exit: nodes before it are exact for every row
         j0 = int(outside[:, left].argmax(axis=0).min()) if len(left) else k1 - k0

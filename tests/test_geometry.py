@@ -10,10 +10,12 @@ from obliqueldp.geometry import (
     ObliqueConditionError,
     constant_coefficients,
     constant_field,
+    normal_field,
     oblique_from_tangent,
     validate_coefficients,
     validate_oblique,
 )
+from obliqueldp.reflect import reflect_step
 
 
 def test_interval_signed_distance_and_projection():
@@ -36,6 +38,18 @@ def test_disk_signed_distance_matches_radius_formula():
     np.testing.assert_allclose(disk.signed_distance_many(pts), expect, atol=1e-12)
     q = disk.project_to_boundary([2.0, -1.0])
     np.testing.assert_allclose(q, [3.0, -1.0], atol=1e-12)
+
+
+def test_disk_signed_distance_rounds_like_the_batch():
+    # points within 1e-16 of the circle, where a BLAS dot and a sum of
+    # squares can round to opposite signs
+    disk = Disk(1.0, center=(0.1, -0.2))
+    rng = np.random.default_rng(3)
+    th = rng.uniform(0.0, 2.0 * np.pi, 20000)
+    r = 1.0 + rng.choice([-1e-16, 1e-16], size=20000)
+    X = disk.center + r[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    sd = disk.signed_distance_many(X)
+    assert [disk.signed_distance(x) for x in X] == sd.tolist()
 
 
 def test_disk_batch_projection_and_normals_match_pointwise():
@@ -163,6 +177,70 @@ def test_batched_ellipse_projection_matches_rows_and_is_a_closest_point(a, b, cx
         scan = dom.center + dom.boundary(th)[0]
         best = np.min(np.linalg.norm(X[:, None, :] - scan[None, :, :], axis=2), axis=1)
         assert np.all(np.abs(sd) <= best + 1e-12)
+
+
+def test_exterior_mask_is_the_signed_distance_sign():
+    # rows inside, outside, at the centre, and within an ulp of the boundary
+    rng = np.random.default_rng(11)
+    th = rng.uniform(0.0, 2.0 * np.pi, 300)
+    for dom in (Ellipse(1.2, 0.7, (-0.5, 0.3)), Ellipse(0.4, 1.7), _squircle(1.3, 0.6)[0],
+                Disk(1.3, (0.2, -0.4))):
+        B = dom.center + dom.boundary(th)[0]
+        X = np.concatenate([
+            dom.center[None, :], dom.center + np.array([[1e-14, -1e-14]]),
+            dom.center + rng.uniform(0.0, 1.8, (300, 1)) * (B - dom.center),
+            B, np.nextafter(B, np.inf), np.nextafter(B, -np.inf),
+            np.nextafter(B, dom.center), np.nextafter(B, 2.0 * B - dom.center)])
+        assert dom.outside_many(X).tobytes() == (dom.signed_distance_many(X) < 0.0).tobytes()
+    iv = Interval(-1.0, 3.0)
+    x = np.array([-1.0, 3.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(3.0, 4.0), 5.0])
+    X = x[:, None]
+    assert iv.outside_many(X).tobytes() == (iv.signed_distance_many(X) < 0.0).tobytes()
+
+
+def _contact_case(shape, a, b, cx, cy, kappa):
+    dom = Ellipse(a, b, (cx, cy)) if shape == "ellipse" else _squircle(a, b, (cx, cy))[0]
+    if kappa is None:
+        return dom, normal_field(dom, n_certify=16)
+    return dom, oblique_from_tangent(dom, kappa, n_certify=16)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(["ellipse", "squircle"]), a=st.floats(0.4, 2.5),
+       b=st.floats(0.4, 2.5), cx=st.floats(-2.0, 2.0), cy=st.floats(-2.0, 2.0),
+       kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+       theta=st.floats(0.0, 2.0 * np.pi),
+       overshoot=st.one_of(st.just(0.0), st.floats(1e-9, 0.05)))
+def test_newton_contact_is_the_oblique_pushback(shape, a, b, cx, cy, kappa, theta,
+                                                overshoot):
+    # a predictor on the curve or up to 5% outside, pushed back along the
+    # normal (kappa None) or the tilted field by reflect_step, which takes
+    # the Newton contact
+    dom, field = _contact_case(shape, a, b, cx, cy, kappa)
+    p = dom.center + (1.0 + overshoot) * dom.boundary(np.float64(theta))[0]
+    fallbacks, oblique_pushback = [], dom.oblique_pushback
+    dom.oblique_pushback = lambda *args: fallbacks.append(args) or oblique_pushback(*args)
+    q, dz = reflect_step(dom, field, p)
+    if dom.signed_distance(p) >= 0.0:
+        assert q.tobytes() == p.tobytes() and not dz.any()
+        return
+    assert all(u.tobytes() == v.tobytes()
+               for u, v in zip((q, dz), dom.closed_contact(p, field)))
+    assert abs(dom.level(q)) <= 1e-12
+    if not overshoot:
+        # outside by a rounding error, and pushed back by one at most
+        assert np.abs(dz).max() <= 1e-14
+        return
+    np.testing.assert_allclose(q + dz, p, rtol=0.0, atol=1e-15 * np.abs(p).max())
+    g = field(q)
+    size = np.linalg.norm(dz)
+    assert abs(dz[0] * g[1] - dz[1] * g[0]) <= 1e-10 * size * np.linalg.norm(g)
+    assert dz @ dom.normal(q) > 0.0
+    # Newton settled in front of p: no bracketed fallback
+    assert not fallbacks
+    q1, dz1 = oblique_pushback(p, field)
+    np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-11)
 
 
 def test_curve_points_are_the_boundary_curve():

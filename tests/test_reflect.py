@@ -150,6 +150,40 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
     assert disk.closed_contact(p, normal_field(disk, n_certify=16)) is None
 
 
+def test_oscillating_rounds_case_takes_the_newton_contact(monkeypatch):
+    # the fixed-point rounds oscillate from this predictor and used to run all
+    # of them before the bracketed fallback; the Newton contact needs one
+    # closest-point scan besides the interior test's
+    ell = Ellipse(1.2, 0.7)
+    field = oblique_from_tangent(ell, 0.25)
+    p = np.array([1.575, 0.0])
+    scans, fallbacks = [], []
+    closest_angles, oblique_pushback = ell._closest_angles, ell.oblique_pushback
+    monkeypatch.setattr(ell, "_closest_angles",
+                        lambda P: scans.append(len(P)) or closest_angles(P))
+    monkeypatch.setattr(ell, "oblique_pushback",
+                        lambda *a: fallbacks.append(a) or oblique_pushback(*a))
+    q, dz = reflect_step(ell, field, p)
+    assert len(scans) <= 3 and not fallbacks
+    q1, dz1 = oblique_pushback(p, field)
+    np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-12)
+
+
+def test_exterior_ellipse_rows_go_through_reflect_step(monkeypatch):
+    # perfbench/tracing.py counts reflect.reflect_step calls on the oblique
+    # workloads: the ellipse's contact answers per row inside it
+    ell = Ellipse(1.2, 0.7)
+    field = oblique_from_tangent(ell, 0.3, n_certify=64)
+    calls = []
+    step = reflect.reflect_step
+    monkeypatch.setattr(reflect, "reflect_step", lambda *a: calls.append(a[2]) or step(*a))
+    P = np.array([[0.2, 0.1], [1.3, 0.2], [-0.4, 0.3]])
+    Q, dZ = reflect_rows(ell, field, P)
+    assert [c.tolist() for c in calls] == [[1.3, 0.2]]
+    assert abs(ell.signed_distance(Q[1])) <= 1e-12 and dZ[1].any()
+
+
 def test_oblique_pushback_under_a_normal_field():
     # a tiny overshoot, whose root the scan brackets between two points where
     # p is behind gamma, and a root exactly on a scan angle
@@ -160,6 +194,18 @@ def test_oblique_pushback_under_a_normal_field():
         c = disk.project_to_boundary(p)
         np.testing.assert_allclose(q, c, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(dz, p - c, rtol=0.0, atol=1e-15)
+
+
+def test_oblique_pushback_finds_a_root_at_the_seam_of_the_scan():
+    # roots within rounding of the angle 0, where the cross product at 2*pi
+    # rounds to the other sign than at 0
+    ell = Ellipse(1.0, 1.0)
+    for field, t in ((normal_field(ell, n_certify=16), 2.0 * np.pi),
+                     (oblique_from_tangent(ell, 4.4321210021707683e-185, n_certify=16), 0.0)):
+        p = 1.03125 * ell.boundary(np.float64(t))[0]
+        q, dz = ell.oblique_pushback(p, field)
+        np.testing.assert_allclose(q, [1.0, 0.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(dz, [0.03125, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_one_dimensional_drift_sticks_to_endpoint():
@@ -303,15 +349,19 @@ def _scaled_boundary_point(domain, r, theta):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(_DOMAINS)),
-       kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+       kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)), custom=st.booleans(),
        rows=st.lists(st.tuples(st.floats(0.0, 1.6), st.floats(0.0, 2.0 * np.pi)),
                      min_size=1, max_size=6))
-def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, rows):
+def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, custom,
+                                                                       rows):
+    # a custom copy of the field keeps the fixed-point rounds under test
     domain = _DOMAINS[kind]
     if kappa is None or domain.dimension == 1:
         field = _normal(kind)
     else:
         field = oblique_from_tangent(domain, kappa, n_certify=64)
+    if custom:
+        field = _as_custom(field)
     P = np.array([_scaled_boundary_point(domain, r, th) for r, th in rows])
     Q, dZ = reflect_rows(domain, field, P)
     for p, q, dz, sd in zip(P, Q, dZ, domain.signed_distance_many(P)):
@@ -337,6 +387,8 @@ _WINDOWED = {
                         oblique_from_tangent(_DOMAINS["ellipse"], 0.3, n_certify=64)),
     "disk-custom": (_DOMAINS["disk"],
                     _as_custom(oblique_from_tangent(_DOMAINS["disk"], 1.0, n_certify=64))),
+    "ellipse-custom": (_DOMAINS["ellipse"],
+                       _as_custom(oblique_from_tangent(_DOMAINS["ellipse"], 0.3, n_certify=64))),
 }
 
 
