@@ -565,7 +565,7 @@ def _ldp_config(ctx: RunContext) -> tuple:
     try:
         config = LdpConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"eps_ladder: {exc}" if "ladder" in str(exc)
+        raise ConfigError(f"config.{exc}" if str(exc).startswith("eps_ladder:")
                           else f"ldp: {exc}")
     bound = _get(block, "bound", "ldp", "lower")
     if bound not in ("lower", "upper", "both"):

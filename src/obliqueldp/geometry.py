@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import qmc
 
 
 class GeometryError(RuntimeError):
@@ -34,11 +32,19 @@ class ReflectionError(RuntimeError):
 
 def _sobol_points(d: int, n: int, skip: int = 0) -> np.ndarray:
     """First ``n`` unscrambled Sobol points in [0,1)^d (after ``skip``)."""
+    from scipy.stats import qmc
     sob = qmc.Sobol(d=d, scramble=False)
     total = skip + n
     m = max(1, int(np.ceil(np.log2(max(total, 2)))))
     pts = sob.random_base2(m)
     return pts[skip:skip + n]
+
+
+def _behind_by_rounding(p: np.ndarray, lam: float, g: np.ndarray) -> bool:
+    """Whether the contact ``p - lam*g`` with ``lam < 0`` lies behind ``p`` by
+    no more than a rounding error, so that ``p`` is on the boundary."""
+    return -lam * math.sqrt(float(g @ g)) <= 1e-14 * (1.0 + float(np.abs(p).max()))
+
 
 def _as_point(x, dimension: int) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -230,6 +236,7 @@ class Domain:
     def pushback_lambda(self, p: np.ndarray, g: np.ndarray, c0: float) -> float:
         """Minimal lambda >= 0 with ``p - lambda*g`` on the boundary, by
         safeguarded bracketing bisection along the ray."""
+        from scipy.optimize import brentq
         f0 = self.signed_distance(p)
         if f0 >= 0.0:
             return 0.0
@@ -249,7 +256,10 @@ class Domain:
         """``(q, dz)`` with ``q = p - dz`` on the boundary and ``dz`` = lam *
         gamma(q), lam >= 0 least, for a planar domain: a bracketed root in
         the curve parameter of (p - g(t)) x gamma(g(t)), seeded by the
-        720-angle scan.  Works where the fixed-point ray misses the boundary."""
+        720-angle scan.  Works where the fixed-point ray misses the boundary.
+        A ``p`` whose contacts all lie behind it, one by a rounding error
+        only, is on the boundary and comes back unchanged."""
+        from scipy.optimize import brentq
 
         def terms(t):
             c = self.center + self._curve_points(np.atleast_1d(t))
@@ -268,16 +278,18 @@ class Domain:
         for i in np.nonzero(np.sign(cross[:-1]) * np.sign(cross[1:]) < 0.0)[0]:
             roots.append(brentq(lambda s: terms(s)[0][0], t[i], t[i + 1],
                                 xtol=1e-15, rtol=8.9e-16))
-        best = None
+        contacts = []
         for root in roots:
             _, along_r, g = terms(root)
-            lam = along_r[0] / float(g[0] @ g[0])
-            if lam >= 0.0 and (best is None or lam < best[0]):
-                best = (lam, g[0])
-        if best is None:
-            raise ReflectionError(f"no boundary contact along the field from {p}")
-        lam, g = best
-        return p - lam * g, lam * g
+            contacts.append((along_r[0] / float(g[0] @ g[0]), g[0]))
+        front = [c for c in contacts if c[0] >= 0.0]
+        if front:
+            lam, g = min(front, key=lambda c: c[0])
+            return p - lam * g, lam * g
+        if any(_behind_by_rounding(p, lam, g) for lam, g in contacts):
+            # p lies on the boundary up to rounding: lam is 0
+            return p, np.zeros(2)
+        raise ReflectionError(f"no boundary contact along the field from {p}")
 
     def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
         """Closed-form ``(Q, dZ)`` pushback of the rows of ``P`` along ``field``
@@ -318,11 +330,10 @@ class Domain:
             if abs(step) < 1e-15:
                 q = self.center + self._curve_points(t)
                 gam = field.gamma_many(self, q[None, :])[0]
-                gg = float(gam @ gam)
-                lam = float(np.add.reduce((p - q) * gam)) / gg
+                lam = float(np.add.reduce((p - q) * gam)) / float(gam @ gam)
                 if lam >= 0.0:
                     return p - lam * gam, lam * gam
-                if -lam * math.sqrt(gg) <= 1e-14 * (1.0 + float(np.abs(p).max())):
+                if _behind_by_rounding(p, lam, gam):
                     # p lies on the boundary up to rounding: lam is 0
                     return p, np.zeros(2)
                 break

@@ -80,10 +80,10 @@ class LdpConfig:
         self.eps_ladder = [float(e) for e in self.eps_ladder]
         if len(self.references) != len(self.radii):
             raise ValueError("references and radii must pair up")
-        if sorted(self.eps_ladder, reverse=True) != self.eps_ladder:
-            raise ValueError("eps_ladder must be strictly decreasing")
-        if len(set(self.eps_ladder)) != len(self.eps_ladder):
-            raise ValueError("eps_ladder must be strictly decreasing")
+        if not self.eps_ladder:
+            raise ValueError("eps_ladder: must not be empty")
+        if sorted(set(self.eps_ladder), reverse=True) != self.eps_ladder:
+            raise ValueError("eps_ladder: must be strictly decreasing")
 
     @property
     def mc_grid(self) -> TimeGrid:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import CoefficientField, Domain, ObliqueField
 from .reflect import Control, ReferencePath, TimeGrid, solve_reflected_ode, sup_deviations
@@ -95,6 +94,7 @@ class _PathBatch:
 
 def _fd_minimize(objective, a0: np.ndarray, fd_step: float = 1e-6, maxiter: int = 200):
     """L-BFGS-B on a batched objective with forward-difference gradients."""
+    from scipy.optimize import minimize
     n = a0.size
 
     def fun_grad(a):

@@ -189,7 +189,7 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     path = tmp_path / "bad_ladder.json"
     path.write_text(json.dumps(cfg))
     assert run_cli("verify-ldp", path, tmp_path / "out") == 1
-    assert "eps_ladder" in capsys.readouterr().err
+    assert "config.eps_ladder: must be strictly decreasing" in capsys.readouterr().err
 
     cfg = json.loads(Path(EXAMPLE).read_text())
     cfg["coefficients"]["drift"]["name"] = "cubic"
@@ -215,6 +215,7 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("simulate", EXAMPLE, "x0", [0.0, 0.0]),
             ("simulate", EXAMPLE, "x0", [3.0]),
             ("verify-ldp", LDP_SMALL, "eps_ladder", [0.5, 0.0]),
+            ("verify-ldp", LDP_SMALL, "eps_ladder", []),
             ("simulate", EXAMPLE, "domain", {"kind": "disk", "radius": -1}),
             ("simulate", EXAMPLE, "domain", {"kind": "interval", "lo": 1.0, "hi": -1.0}),
             ("verify-ldp", LDP_SMALL, "ldp.radii", [-0.5]),

@@ -243,6 +243,24 @@ def test_newton_contact_is_the_oblique_pushback(shape, a, b, cx, cy, kappa, thet
     np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-11)
 
 
+def test_oblique_pushback_of_a_point_outside_by_rounding():
+    # predictors within 3e-16 of random ellipses: the near contact's lam may
+    # round negative, and no contact then lies in front of p
+    rng = np.random.default_rng(12)
+    outside = 0
+    while outside < 200:
+        dom = Ellipse(*rng.uniform(0.4, 2.5, 2), rng.uniform(-2.0, 2.0, 2))
+        field = oblique_from_tangent(dom, rng.uniform(-1.0, 1.0), n_certify=16)
+        for th in rng.uniform(0.0, 2.0 * np.pi, 8):
+            p = dom.center + dom.boundary(np.float64(th))[0] + rng.uniform(-3e-16, 3e-16, 2)
+            if dom.signed_distance(p) >= 0.0:
+                continue
+            outside += 1
+            q, dz = dom.oblique_pushback(p, field)
+            assert np.abs(dz).max() <= 1e-14 and abs(dom.level(q)) <= 1e-14
+            np.testing.assert_allclose(q + dz, p, rtol=0.0, atol=1e-15)
+
+
 def test_curve_points_are_the_boundary_curve():
     th = np.linspace(-7.0, 7.0, 101)
     for dom in (Disk(1.3, (0.2, -0.4)), Ellipse(1.2, 0.7, (-0.5, 0.3)), _squircle()[0]):

@@ -1,11 +1,14 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
-for F401).
+for F401), and the pipelines that never call scipy's solvers do not load them.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,40 @@ def test_each_domain_class_binds_signed_distance_many():
 
     for cls in (Domain, Interval, Disk, Ellipse):
         assert "signed_distance_many" in cls.__dict__, cls.__name__
+
+
+_COLD_START = """
+import json
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from obliqueldp.cli import RunContext, load_config, run
+
+def solvers():
+    return [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
+
+out = Path(sys.argv[2])
+for cfg in sys.argv[4:]:
+    RunContext(load_config(cfg), out, 1, 1)
+loaded = {"RunContext": solvers()}
+for sub in ("hjb", "stopping", "simulate"):
+    assert run(sys.argv[3], sub, out=out / sub) == 0, sub
+    loaded[sub] = solvers()
+print(json.dumps(loaded))
+"""
+
+
+def test_pipelines_without_a_solve_load_no_scipy_solvers(tmp_path):
+    # scipy.optimize and scipy.stats take most of a cold start; only the
+    # L-BFGS rate solve, the bracketed pushbacks and Sobol sampling import
+    # them, so building every bundled config's context (which certifies its
+    # field) and the hjb, stopping and simulate pipelines must not
+    configs = sorted((ROOT / "configs").glob("*.json")) + sorted(
+        (ROOT / "perfbench" / "configs").glob("*.json"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(PACKAGE.parent), str(tmp_path),
+         str(ROOT / "configs" / "example_1d.json"), *map(str, configs)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "RunContext": [], "hjb": [], "stopping": [], "simulate": []}
