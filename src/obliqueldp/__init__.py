@@ -59,7 +59,6 @@ from .hjbvi import (  # noqa: F401
     ValueGrid,
     constant_obstacle,
     load_npz,
-    log_transform,
     residual_scan,
     solve_eps_vi,
     solve_limit_vi,

@@ -11,6 +11,7 @@ verify-ldp verdict is inconclusive, 1 on configuration or runtime errors.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -30,7 +31,7 @@ from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
     Interval, ObliqueField, constant_field, normal_field, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
-from .ldp import LdpConfig, run_lower_bound_experiment, run_upper_bound_experiment
+from .ldp import LdpConfig, dump_json, run_lower_bound_experiment, run_upper_bound_experiment
 from .rate import rate_of_event, rate_of_path
 from .reflect import ReferencePath, TimeGrid
 from .sde import EventSpec, NoiseScale, estimate_event_probability, \
@@ -126,14 +127,16 @@ def load_config(path) -> dict:
 
 def build_domain(block) -> Domain:
     kind = _get(block, "kind", "domain")
+
+    def center():
+        return _coords(_get(block, "center", "domain", [0.0, 0.0]), "domain.center", 2)
+
     if kind == "interval":
         make, args = Interval, (_num(block, "lo", "domain"), _num(block, "hi", "domain"))
     elif kind == "disk":
-        make, args = Disk, (_num(block, "radius", "domain", 1.0),
-                            tuple(_get(block, "center", "domain", [0.0, 0.0])))
+        make, args = Disk, (_num(block, "radius", "domain", 1.0), center())
     elif kind == "ellipse":
-        make, args = Ellipse, (_num(block, "a", "domain"), _num(block, "b", "domain"),
-                               tuple(_get(block, "center", "domain", [0.0, 0.0])))
+        make, args = Ellipse, (_num(block, "a", "domain"), _num(block, "b", "domain"), center())
     else:
         raise ConfigError(f"domain.kind: unknown built-in '{kind}' "
                           f"(expected interval, disk, or ellipse)")
@@ -150,7 +153,8 @@ def build_field(block, domain: Domain) -> ObliqueField:
     if kind == "oblique_tangent":
         return oblique_from_tangent(domain, _num(block, "kappa", "field"))
     if kind == "constant":
-        return constant_field(_get(block, "vector", "field"), domain)
+        return constant_field(_coords(_get(block, "vector", "field"), "field.vector",
+                                      domain.dimension), domain)
     raise ConfigError(f"field.kind: unknown built-in '{kind}' "
                       f"(expected normal, oblique_tangent, or constant)")
 
@@ -289,7 +293,10 @@ def build_reference(block, t0: float, t_end: float, path: str, d: int) -> Refere
         if not isinstance(rows, list):
             raise ConfigError(f"{path}.points: expected a list of points")
         points = [_coords(row, f"{path}.points[{i}]", d) for i, row in enumerate(rows)]
-        return ReferencePath(np.asarray(_get(block, "times", path), dtype=float), points)
+        times = _num_list(block, "times", path)
+        if len(times) != len(points) or np.any(np.diff(times) <= 0):
+            raise ConfigError(f"{path}.times: need one strictly increasing time per point")
+        return ReferencePath(np.array(times), points)
     raise ConfigError(f"{path}.kind: unknown reference kind '{kind}' "
                       f"(expected constant, linear, or polyline)")
 
@@ -353,9 +360,7 @@ class RunContext:
         raise ConfigError(f"{path}: no event with id '{event_id}'")
 
     def write_json(self, name: str, payload: dict) -> str:
-        with open(self.out_dir / name, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(self.out_dir / name, payload)
         return name
 
 
@@ -375,7 +380,7 @@ def cmd_simulate(ctx: RunContext):
     path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs,
                                   NoiseScale(eps), ctx.t0, ctx.x0, ctx.grid,
                                   ctx.seed, trajectory_id=0)
-    path.write_csv(ctx.out_dir / "path.csv")
+    path.write_csv(ctx.out_dir / "path.csv", ctx.domain)
     outputs = {"path": "path.csv"}
     events = ctx.events()
     if events:
@@ -457,10 +462,8 @@ def cmd_stopping(ctx: RunContext):
     try:
         for size in range(1, len(indices) + 1):
             for subset in itertools.combinations(indices, size):
-                sub = DiscreteProblem(grid=problem.grid, control_set=problem.control_set,
-                                      state_rule=problem.state_rule,
-                                      obstacles=[obstacles[i] for i in subset],
-                                      obstacle_bound=problem.obstacle_bound)
+                # shares the problem's transition memo: each transition runs once
+                sub = dataclasses.replace(problem, obstacles=[obstacles[i] for i in subset])
                 values[",".join(map(str, subset))] = float(multi_stop_value(
                     sub, ctx.t0, ctx.x0, budget=budget))
         reduced = float(reduced_value(problem, ctx.t0, ctx.x0))
@@ -625,9 +628,7 @@ def write_manifest(ctx: RunContext, subcommand: str, config_path,
                             "sha256": _sha256(ctx.out_dir / name)}
                     for label, name in sorted(outputs.items())},
     }
-    with open(ctx.out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(ctx.out_dir / "manifest.json", manifest)
 
 
 def build_parser() -> argparse.ArgumentParser:

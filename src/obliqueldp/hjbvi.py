@@ -400,20 +400,6 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                            "dt_bound": float(dt_bound), "t0": t0, "t_end": t_end})
 
 
-def log_transform(u_grid: ValueGrid, eps: NoiseScale) -> ValueGrid:
-    """Pointwise -eps^2 log of a positive value grid."""
-    bad = u_grid.layers <= 0.0
-    if np.any(bad):
-        k, i = np.argwhere(bad)[0]
-        raise ValueError(
-            f"nonpositive value at t={u_grid.times[k]:.6g}, node {int(i)}: "
-            f"{u_grid.layers[k, i]!r}")
-    return ValueGrid(axes=u_grid.axes, mask=u_grid.mask, times=u_grid.times.copy(),
-                     layers=-(eps.eps ** 2) * np.log(u_grid.layers), h=u_grid.h,
-                     dt=u_grid.dt, vi_type=u_grid.vi_type, eps=eps.eps,
-                     meta=dict(u_grid.meta, log_transform=True))
-
-
 # ---------------------------------------------------------------------------
 # Complementarity diagnostics
 

@@ -23,6 +23,14 @@ from .rate import rate_of_event, weak_stability_check
 from .control_stop import DiscreteProblem, reduced_value, tube_indicator_obstacle
 from .hjbvi import MIN_TYPE, solve_eps_vi, solve_limit_vi, tube_obstacle
 
+
+def dump_json(path, payload) -> None:
+    """The one JSON layout of every report: sorted keys, indent 2, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 INCONCLUSIVE = "inconclusive"
@@ -114,9 +122,7 @@ class LdpReport:
                 "verdict": self.verdict, "details": self.details}
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(path, self.to_dict())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -92,19 +92,19 @@ class _PathBatch:
                                    self.control_from(a), self.grid.t0, self.x0, self.grid)
 
 
-def _fd_minimize(objective, a0: np.ndarray, fd_step: float = 1e-6, maxiter: int = 200):
+def _fd_minimize(objective, a0: np.ndarray):
     """L-BFGS-B on a batched objective with forward-difference gradients."""
     from scipy.optimize import minimize
     n = a0.size
 
     def fun_grad(a):
         batch = np.repeat(a[None, :], n + 1, axis=0)
-        batch[1:] += fd_step * np.eye(n)
+        batch[1:] += 1e-6 * np.eye(n)
         vals = objective(batch)
-        return vals[0], (vals[1:] - vals[0]) / fd_step
+        return vals[0], (vals[1:] - vals[0]) / 1e-6
 
     res = minimize(fun_grad, a0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})
+                   options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
     return res.x, int(res.nit)
 
 

@@ -146,7 +146,6 @@ class ReflectedPath:
     grid: TimeGrid
     points: np.ndarray                 # (n_steps + 1, d)
     reflection_increments: np.ndarray  # (n_steps, d); row k landed at node k+1
-    boundary_flags: np.ndarray         # (n_steps + 1,) bool
 
     @property
     def dimension(self) -> int:
@@ -159,16 +158,13 @@ class ReflectedPath:
     def as_reference(self) -> ReferencePath:
         return ReferencePath(self.grid.nodes.copy(), self.points.copy())
 
-    def max_deviation(self, ref: ReferencePath) -> float:
-        g = ref.at(self.grid.nodes)
-        return float(np.max(np.linalg.norm(self.points - g, axis=1)))
-
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, domain: Domain) -> None:
         n1, d = self.points.shape
         dz = np.vstack([np.zeros((1, d)), self.reflection_increments])
         cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(self.reflection_increments, axis=1))])
+        on_boundary = np.abs(domain.signed_distance_many(self.points)) <= 1e-6
         cols = [self.grid.nodes] + [self.points[:, j] for j in range(d)] \
-            + [dz[:, j] for j in range(d)] + [cum, self.boundary_flags.astype(float)]
+            + [dz[:, j] for j in range(d)] + [cum, on_boundary.astype(float)]
         header = ",".join(["t"] + [f"x{j+1}" for j in range(d)]
                           + [f"dz{j+1}" for j in range(d)] + ["z_tv", "on_boundary"])
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
@@ -178,8 +174,7 @@ class ReflectedPath:
 # Oblique pushback
 
 
-def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
-                 max_rounds: int = 200):
+def reflect_step(domain: Domain, field: ObliqueField, p):
     """Push an exterior predictor ``p`` back into the closure along the field.
 
     Returns the corrected point and the reflection increment ``dz`` (so that
@@ -187,9 +182,9 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
     ``normal`` or ``oblique-tangent`` field a planar domain's direct contact
     (``Domain.closed_contact``: the disk's closed form, otherwise Newton's
     method in the curve parameter) answers first; custom and constant fields
-    take fixed-point rounds that re-project the contact and solve for the
-    ray length along the field there, then ``Domain.oblique_pushback`` where
-    they fail.
+    take up to 200 fixed-point rounds that re-project the contact and solve
+    for the ray length along the field there, until it moves by less than
+    1e-12, then ``Domain.oblique_pushback`` where they fail.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if domain.signed_distance(p) >= 0.0:
@@ -200,11 +195,11 @@ def reflect_step(domain: Domain, field: ObliqueField, p, tol: float = 1e-12,
     c = domain.project_to_boundary(p)
     lam_prev = None
     try:
-        for _ in range(max_rounds):
+        for _ in range(200):
             g = field(c)
             lam = domain.pushback_lambda(p, g, field.c0)
             q = p - lam * g
-            if lam_prev is not None and abs(lam - lam_prev) < tol:
+            if lam_prev is not None and abs(lam - lam_prev) < 1e-12:
                 return q, lam * g
             lam_prev = lam
             c = domain.project_to_boundary(q)
@@ -362,8 +357,7 @@ def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
 
 
 def _euler_reflect(domain: Domain, field: ObliqueField, x0: np.ndarray, grid: TimeGrid,
-                   drift_at: Callable, shock_at: Optional[Callable] = None,
-                   tol_bdry: float = 1e-6):
+                   drift_at: Callable, shock_at: Optional[Callable] = None) -> ReflectedPath:
     """Reflected Euler path of one point: ``advance`` on a batch of one."""
     n, d = grid.n_steps, len(x0)
     pts = np.empty((n + 1, d))
@@ -375,7 +369,7 @@ def _euler_reflect(domain: Domain, field: ObliqueField, x0: np.ndarray, grid: Ti
                         None if shock_at is None else shock_at(k, x))
         pts[k + 1] = x = Q[0]
         incs[k] = dZ[0]
-    return pts, incs, np.abs(domain.signed_distance_many(pts)) <= tol_bdry
+    return ReflectedPath(grid=grid, points=pts, reflection_increments=incs)
 
 
 def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
@@ -391,9 +385,7 @@ def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: Coefficient
     def drift_at(k, xk):
         return _drift(coeffs, control, grid.nodes[k], xk)
 
-    pts, incs, flags = _euler_reflect(domain, field, x0, grid, drift_at)
-    return ReflectedPath(grid=grid, points=pts, reflection_increments=incs,
-                         boundary_flags=flags)
+    return _euler_reflect(domain, field, x0, grid, drift_at)
 
 
 @dataclass
@@ -435,7 +427,6 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
     chunks = np.array_split(np.arange(grid.n_steps), n_win)
     all_pts = [x0[None, :]]
     all_incs = []
-    all_flags = [np.array([abs(domain.signed_distance(x0)) <= 1e-6])]
     xw = x0
     iters, ratios = [], []
     for chunk in chunks:
@@ -448,9 +439,10 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
         bad_streak = 0
         for it in range(1, max_iter + 1):
             # one sweep: coefficients frozen along the previous iterate
-            pts, incs, flags = _euler_reflect(
+            sweep = _euler_reflect(
                 domain, field, xw, sub,
                 lambda k, _x: _drift(coeffs, control, sub.nodes[k], frozen[k]))
+            pts = sweep.points
             dist = float(np.max(np.linalg.norm(pts - frozen, axis=1)))
             frozen = pts
             if prev_dist is not None and prev_dist > 10.0 * tol:
@@ -469,15 +461,10 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
         else:
             raise ContractionError(f"Picard did not reach tol={tol} in {max_iter} iterations")
         all_pts.append(pts[1:])
-        all_incs.append(incs)
-        all_flags.append(flags[1:])
+        all_incs.append(sweep.reflection_increments)
         xw = pts[-1]
-    path = ReflectedPath(
-        grid=grid,
-        points=np.vstack(all_pts),
-        reflection_increments=np.vstack(all_incs) if all_incs else np.zeros((0, len(x0))),
-        boundary_flags=np.concatenate(all_flags),
-    )
+    path = ReflectedPath(grid, np.vstack(all_pts),
+                         np.vstack(all_incs) if all_incs else np.zeros((0, len(x0))))
     diag = PicardDiagnostics(window_count=n_win, iterations=iters, ratios=ratios,
                              max_ratio=float(max(ratios)) if ratios else 0.0)
     return path, diag

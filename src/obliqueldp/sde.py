@@ -146,9 +146,7 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
     def shock_at(k, xk):
         return scale[k] * (s_fun(nodes[k], xk) @ xi[k])
 
-    pts, incs, flags = _euler_reflect(domain, field, x0, grid, drift_at, shock_at)
-    return ReflectedPath(grid=grid, points=pts, reflection_increments=incs,
-                         boundary_flags=flags)
+    return _euler_reflect(domain, field, x0, grid, drift_at, shock_at)
 
 
 # ---------------------------------------------------------------------------

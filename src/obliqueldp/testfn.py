@@ -33,18 +33,18 @@ class ConstructionError(RuntimeError):
     """Raised when the doubling search cannot satisfy the sampled properties."""
 
 
-def _shifts(P, step: float = _FD_STEP):
-    """The central-difference pairs (P + step e_j, P - step e_j), one per axis j."""
+def _shifts(P):
+    """The central-difference pairs (P + h e_j, P - h e_j), h = _FD_STEP, one per axis j."""
     d = np.shape(P)[-1]
     for j in range(d):
         e = np.zeros(d)
-        e[j] = step
+        e[j] = _FD_STEP
         yield P + e, P - e
 
 
-def _fd_grad(f, stencils, step: float = _FD_STEP) -> list:
-    """Central differences (f(plus) - f(minus)) / (2 step), one per stencil pair."""
-    return [(f(plus) - f(minus)) / (2.0 * step) for plus, minus in stencils]
+def _fd_grad(f, stencils) -> list:
+    """Central differences (f(plus) - f(minus)) / (2 h), one per stencil pair."""
+    return [(f(plus) - f(minus)) / (2.0 * _FD_STEP) for plus, minus in stencils]
 
 
 def _bump_grid(dimension: int):
@@ -109,11 +109,11 @@ class SmoothedDirectionField:
     def __call__(self, x) -> np.ndarray:
         return self.many(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def jacobian(self, x, step: float = _FD_STEP) -> np.ndarray:
+    def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.stack(_fd_grad(self, _shifts(x, step), step), axis=1)
+        return np.stack(_fd_grad(self, _shifts(x)), axis=1)
 
-    def bound_near_boundary(self, n: int = 128, step: float = _FD_STEP) -> float:
+    def bound_near_boundary(self, n: int = 128) -> float:
         """Max of value norm plus Jacobian norm over a band inside the boundary."""
         xb = self.domain.boundary_points(n)
         nrm = self.domain.normal_many(xb)
@@ -122,7 +122,7 @@ class SmoothedDirectionField:
             P = xb - pull * nrm
             vals = self.many(P)
             jnorm = sum(np.einsum("ij,ij->i", col, col)
-                        for col in _fd_grad(self.many, _shifts(P, step), step))
+                        for col in _fd_grad(self.many, _shifts(P)))
             total = np.linalg.norm(vals, axis=1) + np.sqrt(jnorm)
             worst = max(worst, float(total.max()))
         return worst
@@ -181,7 +181,6 @@ class TestFunction:
         self.K = float(K)
         self.sup_distance = float(domain.interior_radius() if sup_distance is None
                                   else sup_distance)
-        self.smooth_field_bound = float("nan")
 
     def _raw(self, X, Y):
         return _pair_raw(self.domain, self.mu_rho, self.eps, X, Y)
@@ -200,13 +199,13 @@ class TestFunction:
     def psi(self, x, y) -> float:
         return float(self.psi_many(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
 
-    def grad_x_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        shifted = _shifts(np.asarray(X, dtype=float), step)
-        return np.stack(_fd_grad(lambda S: self.psi_many(S, Y), shifted, step), axis=1)
+    def grad_x_psi_many(self, X, Y) -> np.ndarray:
+        shifted = _shifts(np.asarray(X, dtype=float))
+        return np.stack(_fd_grad(lambda S: self.psi_many(S, Y), shifted), axis=1)
 
-    def grad_y_psi_many(self, X, Y, step: float = _FD_STEP) -> np.ndarray:
-        shifted = _shifts(np.asarray(Y, dtype=float), step)
-        return np.stack(_fd_grad(lambda S: self.psi_many(X, S), shifted, step), axis=1)
+    def grad_y_psi_many(self, X, Y) -> np.ndarray:
+        shifted = _shifts(np.asarray(Y, dtype=float))
+        return np.stack(_fd_grad(lambda S: self.psi_many(X, S), shifted), axis=1)
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,6 @@ def build_testfn(domain: Domain, field: ObliqueField, eps: float, rho: float,
             "boundary gradient product is nonpositive on the probe sample "
             f"({probe.min_psi_iii:.3e}) despite the construction sample passing")
     tf.K = max(probe.K_psi_i, probe.K_psi_ii)
-    tf.smooth_field_bound = smoother.bound_near_boundary(max(32, 2 * n_boundary // 3))
     return tf
 
 

@@ -54,7 +54,8 @@ def test_criterion_01_reflection_feasibility_and_support():
                                       0.0, [0.0, 0.0], grid, seed=424242,
                                       trajectory_id=i)
         sizes = np.linalg.norm(path.reflection_increments, axis=1)
-        assert np.all(path.boundary_flags[1:][sizes > 0.0])
+        on_boundary = np.abs(disk.signed_distance_many(path.points)) <= 1e-6
+        assert np.all(on_boundary[1:][sizes > 0.0])
         report = validate_reflected_path(disk, field, path)
         worst_sd = min(worst_sd, report.min_signed_distance)
         worst_angle = max(worst_angle, report.max_angle)

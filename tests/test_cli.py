@@ -1,13 +1,17 @@
 """End-to-end tests of the command line front end on the bundled configs."""
 
+import copy
 import csv
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from obliqueldp import cli, control_stop
 from obliqueldp.cli import main
+from obliqueldp.geometry import Interval
 from obliqueldp.hjbvi import load_npz
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -15,6 +19,7 @@ EXAMPLE = str(CONFIG_DIR / "example_1d.json")
 LDP_SMALL = str(CONFIG_DIR / "ldp_1d_small.json")
 # state-dependent drift and dispersion on the interval
 OU = str(CONFIG_DIR.parent / "perfbench" / "configs" / "ou_1d.json")
+DISK = str(CONFIG_DIR.parent / "perfbench" / "configs" / "disk_oblique.json")
 
 
 def run_cli(subcommand, config, out, *extra):
@@ -47,6 +52,23 @@ def test_simulate_writes_path_estimates_and_manifest(tmp_path):
         assert 0.0 <= row["p_hat"] <= 1.0
     # the two events partition the sample space up to the strict boundary
     assert est[0]["p_hat"] + est[1]["p_hat"] == 1.0
+
+
+def test_simulate_flags_the_nodes_on_the_boundary(tmp_path):
+    # a drift toward the right end reflects the path there
+    cfg = json.loads(Path(EXAMPLE).read_text())
+    cfg.update(x0=[0.9], events=[])
+    cfg["coefficients"]["drift"]["value"] = [2.0]
+    path = tmp_path / "drifting.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", path, tmp_path / "out") == 0
+    table = np.loadtxt(tmp_path / "out" / "path.csv", delimiter=",", skiprows=1)
+    x, z_tv, on_boundary = table[:, 1:2], table[:, 3], table[:, 4]
+    np.testing.assert_array_equal(
+        on_boundary, np.abs(Interval(-1.0, 1.0).signed_distance_many(x)) <= 1e-6)
+    grows = np.diff(z_tv) > 0.0
+    assert grows.any()
+    assert np.all(on_boundary[1:][grows] == 1.0)
 
 
 def test_manifest_references_every_output(tmp_path):
@@ -97,6 +119,34 @@ def test_stopping_values_keyed_by_subset(tmp_path):
     assert payload["values_by_subset"] == {"0": 0.0625}
     assert payload["reduced_value"] == 0.0625
     assert payload["reduction_identity_holds"] is True
+
+
+def test_stopping_computes_each_transition_once(tmp_path, monkeypatch):
+    # the subsets and the reduced value share one transition memo
+    solves, problems = [], []
+    ode, build = control_stop.solve_reflected_ode, cli.DiscreteProblem.build
+
+    def counted_ode(*args):
+        solves.append(args)
+        return ode(*args)
+
+    def recorded_build(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(control_stop, "solve_reflected_ode", counted_ode)
+    monkeypatch.setattr(cli.DiscreteProblem, "build", recorded_build)
+    cfg = json.loads(Path(EXAMPLE).read_text())
+    two = copy.deepcopy(cfg)
+    two["stopping"]["obstacles"].append(
+        {"reference": {"kind": "constant", "point": [0.0]}, "radius": 0.4,
+         "complement": True})
+    for i, body in enumerate((cfg, two)):
+        path = tmp_path / f"stop_{i}.json"
+        path.write_text(json.dumps(body))
+        solves.clear()
+        assert run_cli("stopping", path, tmp_path / f"out_{i}") == 0
+        assert len(solves) == len(problems[-1]._transition_memo) > 0
 
 
 def test_hjb_outputs(tmp_path):
@@ -260,7 +310,10 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("hjb", OU, "coefficients.dispersion.base", [[1.0], [0.0]]),
             ("hjb", OU, "coefficients.dispersion.base", [["a"]]),
             ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3, 0.1]]]),
-            ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3]], [[0.1]]]))):
+            ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3]], [[0.1]]]),
+            ("simulate", DISK, "domain.center", [0.0, 0.0, 0.0]),
+            ("simulate", DISK, "domain.center", "ab"),
+            ("simulate", DISK, "domain.center", [float("nan"), 0.0]))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -281,6 +334,23 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert run_cli("hjb", path, tmp_path / "out") == 1
         assert "coefficients.perturbation.drift_shift" in capsys.readouterr().err
+
+    for vector in ("ab", [1.0, 0.0], [float("inf")]):
+        cfg = json.loads(Path(EXAMPLE).read_text())
+        cfg["field"] = {"kind": "constant", "vector": vector}
+        path = tmp_path / "bad_vector.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", path, tmp_path / "out") == 1
+        assert "field.vector" in capsys.readouterr().err
+
+    for times in (["a", "b"], [0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0]):
+        cfg = json.loads(Path(EXAMPLE).read_text())
+        cfg["rate"]["target"] = {"kind": "polyline", "times": times,
+                                 "points": [[0.0], [0.5]]}
+        path = tmp_path / "bad_times.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("rate", path, tmp_path / "out") == 1
+        assert "rate.target.times" in capsys.readouterr().err
 
 
 def test_testfn_check_builds_from_one_boundary_point(tmp_path):

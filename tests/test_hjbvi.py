@@ -21,7 +21,6 @@ from obliqueldp.hjbvi import (
     constant_obstacle,
     ValueGrid,
     load_npz,
-    log_transform,
     residual_scan,
     solve_eps_vi,
     solve_limit_vi,
@@ -143,17 +142,6 @@ def test_max_type_projection_acts_from_above():
     # clipped from above by the obstacle
     assert float(vg.layers[-1].max()) == 2.0
     assert float(vg.layers[:-1].max()) <= 0.4 + 1e-12
-
-
-def test_log_transform_of_constant_layer():
-    iv, field, coeffs = _setup_1d()
-    u = solve_limit_vi(iv, field, coeffs, constant_obstacle(np.exp(-0.3 / 0.25)),
-                       n_x=21)
-    w = log_transform(u, NoiseScale(0.5))
-    assert w.value_at(0.0, [0.0]) == pytest.approx(0.3, abs=1e-12)
-    u.layers[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        log_transform(u, NoiseScale(0.5))
 
 
 def test_cfl_violation_rejected():

@@ -1,5 +1,6 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
-for F401), and the pipelines that never call scipy's solvers do not load them.
+for F401), the pipelines that never call scipy's solvers do not load them, and
+every default of a private function is overridden by some call in the package.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -118,3 +119,75 @@ def test_pipelines_without_a_solve_load_no_scipy_solvers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "RunContext": [], "hjb": [], "stopping": [], "simulate": []}
+
+
+def _private_defs(tree):
+    """(name, def node, is_method) for private module-level functions and
+    private methods of module-level classes; dunders are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and private(node.name):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield item.name, item, True
+
+
+def _defaulted(func, is_method):
+    """(name, positional index or None) of every parameter with a default;
+    a method's index does not count ``self``."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    shift = 1 if is_method else 0
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, index):
+    """Whether ``call`` passes the parameter by keyword or by position;
+    a ``*args`` or ``**kwargs`` argument may pass anything."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults(sources):
+    """``name(param)`` for each defaulted parameter of a private function or
+    method that no call of that name in ``sources`` passes."""
+    trees = [ast.parse(src) for src in sources]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(f"{fname}({param})"
+                  for tree in trees
+                  for fname, func, is_method in _private_defs(tree)
+                  for param, index in _defaulted(func, is_method)
+                  if not any(_passes(c, param, index) for c in calls.get(fname, [])))
+
+
+def test_every_private_default_is_passed_somewhere():
+    # a default that no call overrides is a setting no caller sets: a literal
+    assert unpassed_defaults(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_default_checker_counts_keywords_positions_and_methods():
+    src = ("def _f(a, b=1, *, c=2):\n    pass\n"
+           "def _g(a, b=1):\n    pass\n"
+           "class K:\n"
+           "    def _m(self, x=0, y=1):\n        pass\n"
+           "    def __init__(self, z=0):\n        pass\n"
+           "_f(0, c=3)\n_g(0, 1)\nK()._m(5)\n")
+    assert unpassed_defaults([src]) == ["_f(b)", "_m(y)"]

@@ -34,15 +34,14 @@ def test_constants_found_for_normal_reflection(tf_disk_normal):
     _, tf = tf_disk_normal
     assert (tf.A, tf.B, tf.C) == (2.0, 1.0, 1.0)
     assert tf.K == pytest.approx(58.300231, rel=1e-6)
-    assert np.isfinite(tf.smooth_field_bound)
-    assert tf.smooth_field_bound == pytest.approx(2.247841, rel=1e-5)
+    assert tf.mu_rho.bound_near_boundary() == pytest.approx(2.247841, rel=1e-5)
 
 
 def test_constants_found_for_oblique_reflection(tf_disk_oblique):
     _, tf = tf_disk_oblique
     assert (tf.A, tf.B, tf.C) == (4.0, 1.0, 1.0)
     assert tf.K == pytest.approx(71.643414, rel=1e-6)
-    assert tf.smooth_field_bound == pytest.approx(2.513162, rel=1e-5)
+    assert tf.mu_rho.bound_near_boundary() == pytest.approx(2.513162, rel=1e-5)
 
 
 def test_property_report_frozen_values_normal(tf_disk_normal):
