@@ -16,7 +16,6 @@ from .geometry import (  # noqa: F401
     Interval,
     ObliqueField,
     constant_coefficients,
-    constant_field,
     normal_field,
     oblique_from_tangent,
     validate_coefficients,

@@ -28,7 +28,7 @@ from . import __version__
 from .control_stop import DiscreteProblem, ObstacleBoundError, multi_stop_value, \
     reduced_value, tube_indicator_obstacle
 from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
-    Interval, ObliqueField, constant_field, normal_field, oblique_from_tangent
+    Interval, ObliqueField, normal_field, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
 from .ldp import LdpConfig, dump_json, run_lower_bound_experiment, run_upper_bound_experiment
@@ -76,6 +76,20 @@ def _num(mapping, key, path, default=_MISSING, least=None):
     if least is not None and val < least:
         raise ConfigError(f"{path}.{key}: must be at least {least}")
     return float(val)
+
+
+def _list(mapping, key, path, default=_MISSING) -> list:
+    vals = _get(mapping, key, path, default)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{path}.{key}: expected a list")
+    return vals
+
+
+def _bool(mapping, key, path, default) -> bool:
+    val = _get(mapping, key, path, default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false")
+    return val
 
 
 def _num_list(mapping, key, path, positive=False) -> list:
@@ -152,11 +166,8 @@ def build_field(block, domain: Domain) -> ObliqueField:
         return normal_field(domain)
     if kind == "oblique_tangent":
         return oblique_from_tangent(domain, _num(block, "kappa", "field"))
-    if kind == "constant":
-        return constant_field(_coords(_get(block, "vector", "field"), "field.vector",
-                                      domain.dimension), domain)
     raise ConfigError(f"field.kind: unknown built-in '{kind}' "
-                      f"(expected normal, oblique_tangent, or constant)")
+                      f"(expected normal or oblique_tangent)")
 
 
 def _matrix(val, field: str, d: int, m=None) -> np.ndarray:
@@ -304,7 +315,7 @@ def build_reference(block, t0: float, t_end: float, path: str, d: int) -> Refere
 def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
     kind = _get(block, "kind", path)
     refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]", d)
-            for i, r in enumerate(_get(block, "references", path))]
+            for i, r in enumerate(_list(block, "references", path))]
     radii = _num_list(block, "radii", path, positive=True)
     try:
         return EventSpec(kind=kind, references=refs, radii=radii)
@@ -347,7 +358,7 @@ class RunContext:
 
     def events(self) -> list:
         out = []
-        for i, block in enumerate(_get(self.cfg, "events", "config", [])):
+        for i, block in enumerate(_list(self.cfg, "events", "config", [])):
             event = build_event(block, self.t0, self.t_end, f"events[{i}]",
                                 self.domain.dimension)
             out.append((str(_get(block, "id", f"events[{i}]", f"event-{i}")), event))
@@ -377,14 +388,15 @@ def _finite_or_none(x):
 
 def cmd_simulate(ctx: RunContext):
     eps = _num(ctx.cfg, "eps", "config", least=0)
+    events = ctx.events()
+    if events:
+        n_samples = _int(ctx.cfg, "n_samples", "config", least=100)
     path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs,
                                   NoiseScale(eps), ctx.t0, ctx.x0, ctx.grid,
                                   ctx.seed, trajectory_id=0)
     path.write_csv(ctx.out_dir / "path.csv", ctx.domain)
     outputs = {"path": "path.csv"}
-    events = ctx.events()
     if events:
-        n_samples = _int(ctx.cfg, "n_samples", "config", least=100)
         rows = []
         for event_id, event in events:
             est = estimate_event_probability(
@@ -443,13 +455,13 @@ def cmd_stopping(ctx: RunContext):
                 for i, a in enumerate(controls)]
     grid = TimeGrid.uniform(ctx.t0, ctx.t_end, n_steps)
     obstacles = []
-    for i, ob in enumerate(_get(block, "obstacles", "stopping")):
+    for i, ob in enumerate(_list(block, "obstacles", "stopping")):
         at = f"stopping.obstacles[{i}]"
         ref = build_reference(_get(ob, "reference", at), ctx.t0, ctx.t_end,
                               f"{at}.reference", ctx.domain.dimension)
         obstacles.append(tube_indicator_obstacle(
             ref, _num(ob, "radius", at, least=0), _num(ob, "height", at, 1.0),
-            complement=bool(_get(ob, "complement", at, False))))
+            complement=_bool(ob, "complement", at, False)))
     if not 1 <= len(obstacles) <= 3:
         raise ConfigError("stopping.obstacles: need between 1 and 3 obstacles")
     problem = DiscreteProblem.build(
@@ -484,6 +496,8 @@ def cmd_hjb(ctx: RunContext):
     vi_type = MIN_TYPE if vi_name == "min" else MAX_TYPE
     n_x = _int(block, "n_x", "hjb", least=2)
     ob_block = _get(block, "obstacle", "hjb")
+    if not isinstance(ob_block, dict):
+        raise ConfigError("hjb.obstacle: expected an object")
     if "height" in ob_block and "reference" not in ob_block:
         obstacle = constant_obstacle(_num(ob_block, "height", "hjb.obstacle"))
     else:
@@ -497,7 +511,7 @@ def cmd_hjb(ctx: RunContext):
         obstacle = tube_obstacle(
             ref, _num(ob_block, "radius", "hjb.obstacle", least=0),
             _num(ob_block, "height", "hjb.obstacle", 1.0),
-            complement=bool(_get(ob_block, "complement", "hjb.obstacle", False)),
+            complement=_bool(ob_block, "complement", "hjb.obstacle", False),
             smoothing=smoothing)
     kwargs = dict(n_x=n_x, t0=ctx.t0, t_end=ctx.t_end,
                   store_every=_int(block, "store_every", "hjb", None, least=1))
@@ -547,7 +561,7 @@ def cmd_testfn_check(ctx: RunContext):
 def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
     refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]", ctx.domain.dimension)
-            for i, r in enumerate(_get(block, "references", "ldp"))]
+            for i, r in enumerate(_list(block, "references", "ldp"))]
     radii = _num_list(block, "radii", "ldp", positive=True)
     ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
     kwargs = dict(

@@ -410,9 +410,9 @@ class ComplementarityReport:
     max_complementarity_defect: float
     n_transitions_checked: int
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return (self.max_obstacle_violation <= tol
-                and self.max_complementarity_defect <= tol)
+    def ok(self) -> bool:
+        return (self.max_obstacle_violation <= 1e-10
+                and self.max_complementarity_defect <= 1e-10)
 
 
 def residual_scan(domain: Domain, field: ObliqueField, coeffs: CoefficientField,

@@ -78,7 +78,6 @@ class LdpConfig:
     dp_n_steps: int = 4
     dp_controls: Sequence[float] = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0)
     dp_substeps: int = 16
-    chunk_size: int = 4096
     n_threads: int = 1
 
     def __post_init__(self):
@@ -143,7 +142,7 @@ def _mc_ladder(config: LdpConfig, event: EventSpec):
             config.domain, config.field, config.coeffs, NoiseScale(e),
             config.t0, config.x0, config.mc_grid, event,
             config.n_samples, config.seed,
-            chunk_size=config.chunk_size, n_threads=config.n_threads)
+            n_threads=config.n_threads)
         estimates.append(est)
         log_rates.append(None if est.zero_hit else log_rate_estimate(est, NoiseScale(e)))
     return estimates, log_rates

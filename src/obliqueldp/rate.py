@@ -318,22 +318,23 @@ class WeakStabilityReport:
 
 
 def weak_stability_check(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                         t0: float, x, n_max: int = 64, c: float = 1.0,
-                         t_end: float = 1.0, n_steps: int = 4096) -> WeakStabilityReport:
-    """Path response to weakly-null oscillating controls c sin(n s).
+                         t0: float, x, n_max: int = 64,
+                         t_end: float = 1.0) -> WeakStabilityReport:
+    """Path response to weakly-null oscillating controls sin(n s), on 4096
+    steps.
 
     The controlled paths must approach the uncontrolled one as n grows.
     """
     if n_max < 4:
         raise ValueError("need n_max >= 4")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    grid = TimeGrid.uniform(t0, t_end, n_steps)
+    grid = TimeGrid.uniform(t0, t_end, 4096)
     base = solve_reflected_ode(domain, field, coeffs, None, t0, x0, grid)
     ns, dists = [], []
     n = 1
     while n <= n_max:
         ctrl = Control.from_function(
-            grid, lambda t, n=n: np.full(coeffs.m, c * np.sin(n * t)))
+            grid, lambda t, n=n: np.full(coeffs.m, np.sin(n * t)))
         path = solve_reflected_ode(domain, field, coeffs, ctrl, t0, x0, grid)
         ns.append(n)
         dists.append(float(np.max(np.linalg.norm(path.points - base.points, axis=1))))

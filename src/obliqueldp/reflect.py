@@ -61,8 +61,9 @@ class TimeGrid:
     def dts(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        pieces = [np.linspace(self.nodes[k], self.nodes[k + 1], factor + 1)[:-1]
+    def refine(self) -> "TimeGrid":
+        """The grid with every step halved."""
+        pieces = [np.linspace(self.nodes[k], self.nodes[k + 1], 3)[:-1]
                   for k in range(self.n_steps)]
         return TimeGrid(np.concatenate(pieces + [self.nodes[-1:]]))
 
@@ -178,38 +179,16 @@ def reflect_step(domain: Domain, field: ObliqueField, p):
     """Push an exterior predictor ``p`` back into the closure along the field.
 
     Returns the corrected point and the reflection increment ``dz`` (so that
-    corrected = p - dz).  Interior points are returned unchanged.  Under a
-    ``normal`` or ``oblique-tangent`` field a planar domain's direct contact
-    (``Domain.closed_contact``: the disk's closed form, otherwise Newton's
-    method in the curve parameter) answers first; custom and constant fields
-    take up to 200 fixed-point rounds that re-project the contact and solve
-    for the ray length along the field there, until it moves by less than
-    1e-12, then ``Domain.oblique_pushback`` where they fail.
+    corrected = p - dz).  Interior points are returned unchanged; every
+    other point takes the domain's one contact, ``Domain.closed_contact``
+    (the violated endpoint on the interval, the closed form on the disk
+    under a normal or tangent-tilted field, otherwise a Newton or secant
+    root in the curve parameter).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if domain.signed_distance(p) >= 0.0:
         return p, np.zeros_like(p)
-    closed = domain.closed_contact(p, field)
-    if closed is not None:
-        return closed
-    c = domain.project_to_boundary(p)
-    lam_prev = None
-    try:
-        for _ in range(200):
-            g = field(c)
-            lam = domain.pushback_lambda(p, g, field.c0)
-            q = p - lam * g
-            if lam_prev is not None and abs(lam - lam_prev) < 1e-12:
-                return q, lam * g
-            lam_prev = lam
-            c = domain.project_to_boundary(q)
-        raise ReflectionError(f"oblique pushback did not converge from {p}")
-    except ReflectionError:
-        if domain.dimension != 2:
-            raise
-        # A large overshoot under a strongly oblique field: the ray misses the
-        # boundary or the rounds do not settle.  Solve for the contact directly.
-        return domain.oblique_pushback(p, field)
+    return domain.closed_contact(p, field)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +377,14 @@ class PicardDiagnostics:
 
 def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                            control: Optional[Control], t0: float, x, grid: TimeGrid,
-                           tol: float = 1e-10, eta: Optional[float] = None,
-                           max_iter: int = 200):
+                           tol: float = 1e-10, eta: Optional[float] = None):
     """Windowed Picard fixed-point solve of the reflected dynamics.
 
     The horizon is split into windows; on each window the map freezes the
     state dependence of the coefficients along the previous iterate and
     re-solves the reflection.  The window length is halved until the measured
-    contraction factor is at most one half.  Returns the path and diagnostics.
+    contraction factor is at most one half; a window gets 200 iterations.
+    Returns the path and diagnostics.
     """
     grid = _checked_grid(grid, t0)
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
@@ -416,14 +395,14 @@ def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: Coeffici
         n_win = 1
     while True:
         try:
-            return _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter)
+            return _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol)
         except ContractionError:
             if n_win >= grid.n_steps:
                 raise
             n_win = min(2 * n_win, grid.n_steps)
 
 
-def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
+def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol):
     chunks = np.array_split(np.arange(grid.n_steps), n_win)
     all_pts = [x0[None, :]]
     all_incs = []
@@ -437,7 +416,7 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
         frozen = np.repeat(xw[None, :], sub.n_steps + 1, axis=0)
         prev_dist = None
         bad_streak = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, 201):
             # one sweep: coefficients frozen along the previous iterate
             sweep = _euler_reflect(
                 domain, field, xw, sub,
@@ -459,7 +438,7 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol, max_iter):
                 break
             prev_dist = dist
         else:
-            raise ContractionError(f"Picard did not reach tol={tol} in {max_iter} iterations")
+            raise ContractionError(f"Picard did not reach tol={tol} in 200 iterations")
         all_pts.append(pts[1:])
         all_incs.append(sweep.reflection_increments)
         xw = pts[-1]
@@ -511,11 +490,10 @@ class PathReport:
     max_offboundary_increment: float
     max_angle: float
 
-    def ok(self, tol_feas: float = 1e-8, tol_bdry: float = 1e-6,
-           tol_angle: float = 1e-6) -> bool:
-        return (self.min_signed_distance >= -tol_feas
-                and self.max_offboundary_increment <= tol_bdry
-                and self.max_angle <= tol_angle)
+    def ok(self) -> bool:
+        return (self.min_signed_distance >= -1e-8
+                and self.max_offboundary_increment <= 1e-6
+                and self.max_angle <= 1e-6)
 
 
 def validate_reflected_path(domain: Domain, field: ObliqueField,
@@ -542,16 +520,17 @@ def validate_reflected_path(domain: Domain, field: ObliqueField,
     )
 
 
-def holder_half_quotient(path: ReflectedPath, max_lags: int = 4096) -> float:
-    """Largest ratio |Y_s - Y_r| / sqrt(s - r) over node pairs."""
+def holder_half_quotient(path: ReflectedPath) -> float:
+    """Largest ratio |Y_s - Y_r| / sqrt(s - r) over node pairs: every lag up
+    to 4096 steps, beyond that the first 64 and up to 4032 geometric ones."""
     pts = path.points
     nodes = path.grid.nodes
     n = len(nodes) - 1
-    if n <= max_lags:
+    if n <= 4096:
         lags = range(1, n + 1)
     else:
         small = np.arange(1, 65)
-        geo = np.unique(np.geomspace(65, n, max_lags - 64).astype(int))
+        geo = np.unique(np.geomspace(65, n, 4096 - 64).astype(int))
         lags = np.concatenate([small, geo])
     best = 0.0
     for lag in lags:

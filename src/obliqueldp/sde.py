@@ -78,10 +78,10 @@ class EventSpec:
             return devs[:, 0] < self.radii[0]
         return np.all(devs >= self.radii[None, :], axis=1)
 
-    def validate_in(self, domain: Domain, tol: float = 1e-8) -> None:
+    def validate_in(self, domain: Domain) -> None:
         for ref in self.references:
             sd = domain.signed_distance_many(ref.values)
-            if sd.min() < -tol:
+            if sd.min() < -1e-8:
                 raise ValueError("event reference path leaves the domain closure")
 
 
@@ -185,12 +185,12 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
 
 def sample_terminal_values(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                            eps: NoiseScale, t0: float, x, grid: TimeGrid,
-                           n_samples: int, seed: int, chunk_size: int = 4096) -> np.ndarray:
-    """Terminal states of ``n_samples`` independent trajectories."""
+                           n_samples: int, seed: int) -> np.ndarray:
+    """Terminal states of ``n_samples`` independent trajectories, 4096 a block."""
     x0 = _checked_start(domain, grid, t0, x)
     return np.vstack([_block(domain, field, coeffs, eps, t0, grid, x0, seed, ids)[0]
                       for ids in np.array_split(np.arange(n_samples),
-                                                max(1, -(-n_samples // chunk_size)))])
+                                                max(1, -(-n_samples // 4096)))])
 
 
 def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: CoefficientField,

@@ -113,9 +113,10 @@ class SmoothedDirectionField:
         x = np.asarray(x, dtype=float)
         return np.stack(_fd_grad(self, _shifts(x)), axis=1)
 
-    def bound_near_boundary(self, n: int = 128) -> float:
-        """Max of value norm plus Jacobian norm over a band inside the boundary."""
-        xb = self.domain.boundary_points(n)
+    def bound_near_boundary(self) -> float:
+        """Max of value norm plus Jacobian norm over a band inside the
+        boundary, at 128 boundary points."""
+        xb = self.domain.boundary_points(128)
         nrm = self.domain.normal_many(xb)
         worst = 0.0
         for pull in (0.0, 0.5 * self.rho, self.rho, 2.0 * self.rho):

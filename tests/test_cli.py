@@ -313,7 +313,16 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("hjb", OU, "coefficients.dispersion.slopes", [[[0.3]], [[0.1]]]),
             ("simulate", DISK, "domain.center", [0.0, 0.0, 0.0]),
             ("simulate", DISK, "domain.center", "ab"),
-            ("simulate", DISK, "domain.center", [float("nan"), 0.0]))):
+            ("simulate", DISK, "domain.center", [float("nan"), 0.0]),
+            # no constant field is oblique on a closed boundary
+            ("simulate", EXAMPLE, "field.kind", "constant"),
+            ("stopping", EXAMPLE, "stopping.obstacles", 3),
+            ("simulate", EXAMPLE, "events", 3),
+            ("simulate", EXAMPLE, "events[0].references", 3),
+            ("verify-ldp", LDP_SMALL, "ldp.references", 3),
+            ("hjb", EXAMPLE, "hjb.obstacle", 3),
+            ("stopping", EXAMPLE, "stopping.obstacles[0].complement", "no"),
+            ("hjb", EXAMPLE, "hjb.obstacle.complement", "no"))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -322,10 +331,12 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         for key in head:
             block = block[key]
         block[last] = value
-        path = tmp_path / f"bad_{i}.json"
+        path, out = tmp_path / f"bad_{i}.json", tmp_path / f"out_{i}"
         path.write_text(json.dumps(cfg))
-        assert run_cli(subcommand, path, tmp_path / "out") == 1, dotted
+        assert run_cli(subcommand, path, out) == 1, dotted
         assert dotted in capsys.readouterr().err, dotted
+        # the config is checked before any output is written
+        assert not any(out.iterdir()), dotted
 
     for shift in ([0.1, 0.2], [float("inf")]):
         cfg = json.loads(Path(OU).read_text())
@@ -334,14 +345,6 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert run_cli("hjb", path, tmp_path / "out") == 1
         assert "coefficients.perturbation.drift_shift" in capsys.readouterr().err
-
-    for vector in ("ab", [1.0, 0.0], [float("inf")]):
-        cfg = json.loads(Path(EXAMPLE).read_text())
-        cfg["field"] = {"kind": "constant", "vector": vector}
-        path = tmp_path / "bad_vector.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("simulate", path, tmp_path / "out") == 1
-        assert "field.vector" in capsys.readouterr().err
 
     for times in (["a", "b"], [0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0]):
         cfg = json.loads(Path(EXAMPLE).read_text())

@@ -9,7 +9,6 @@ from obliqueldp.geometry import (
     Interval,
     ObliqueConditionError,
     constant_coefficients,
-    constant_field,
     normal_field,
     oblique_from_tangent,
     validate_coefficients,
@@ -302,13 +301,6 @@ def test_validate_oblique_rejects_tangential_field():
     disk = Disk(1.0)
     with pytest.raises(ObliqueConditionError):
         validate_oblique(disk, lambda x: np.array([-x[1], x[0]]), n_samples=256)
-
-
-def test_constant_field_rejected_on_closed_boundaries():
-    with pytest.raises(ObliqueConditionError):
-        constant_field([1.0, 0.0], Disk(1.0))
-    with pytest.raises(ObliqueConditionError):
-        constant_field([1.0], Interval(-1.0, 1.0))
 
 
 def test_oblique_gamma_many_matches_scalar_calls():

@@ -1,6 +1,8 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
 for F401), the pipelines that never call scipy's solvers do not load them, and
-every default of a private function is overridden by some call in the package.
+every default of a package function is overridden by some call: in the package
+for a private function, in the package, the tests or the benchmark for a
+public one.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -121,18 +123,19 @@ def test_pipelines_without_a_solve_load_no_scipy_solvers(tmp_path):
         "RunContext": [], "hjb": [], "stopping": [], "simulate": []}
 
 
-def _private_defs(tree):
-    """(name, def node, is_method) for private module-level functions and
-    private methods of module-level classes; dunders are not private."""
-    def private(name):
-        return name.startswith("_") and not name.endswith("__")
+def _defs(tree, private):
+    """(name, def node, is_method) for the private (or the public)
+    module-level functions and methods of module-level classes; dunders are
+    neither."""
+    def wanted(name):
+        return not name.endswith("__") and name.startswith("_") == private
 
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and private(node.name):
+        if isinstance(node, ast.FunctionDef) and wanted(node.name):
             yield node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and private(item.name):
+                if isinstance(item, ast.FunctionDef) and wanted(item.name):
                     yield item.name, item, True
 
 
@@ -160,12 +163,13 @@ def _passes(call, name, index):
     return index is not None and len(call.args) > index
 
 
-def unpassed_defaults(sources):
-    """``name(param)`` for each defaulted parameter of a private function or
-    method that no call of that name in ``sources`` passes."""
+def unpassed_defaults(sources, callers, private):
+    """``name(param)`` for each defaulted parameter of a private (or public)
+    function or method in ``sources`` that no call of that name in
+    ``callers`` passes."""
     trees = [ast.parse(src) for src in sources]
     calls = {}
-    for tree in trees:
+    for tree in map(ast.parse, callers):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -173,14 +177,27 @@ def unpassed_defaults(sources):
                 calls.setdefault(name, []).append(node)
     return sorted(f"{fname}({param})"
                   for tree in trees
-                  for fname, func, is_method in _private_defs(tree)
+                  for fname, func, is_method in _defs(tree, private)
                   for param, index in _defaulted(func, is_method)
                   if not any(_passes(c, param, index) for c in calls.get(fname, [])))
 
 
+def _sources(paths):
+    return [p.read_text() for p in sorted(paths)]
+
+
 def test_every_private_default_is_passed_somewhere():
     # a default that no call overrides is a setting no caller sets: a literal
-    assert unpassed_defaults(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+    package = _sources(PACKAGE.glob("*.py"))
+    assert unpassed_defaults(package, package, private=True) == []
+
+
+def test_every_public_default_is_passed_somewhere():
+    # the public API is also called from the tests and the benchmark
+    package = _sources(PACKAGE.glob("*.py"))
+    callers = (package + _sources((ROOT / "tests").glob("*.py"))
+               + _sources((ROOT / "perfbench").rglob("*.py")))
+    assert unpassed_defaults(package, callers, private=False) == []
 
 
 def test_default_checker_counts_keywords_positions_and_methods():
@@ -189,5 +206,8 @@ def test_default_checker_counts_keywords_positions_and_methods():
            "class K:\n"
            "    def _m(self, x=0, y=1):\n        pass\n"
            "    def __init__(self, z=0):\n        pass\n"
+           "    def m(self, w=0):\n        pass\n"
            "_f(0, c=3)\n_g(0, 1)\nK()._m(5)\n")
-    assert unpassed_defaults([src]) == ["_f(b)", "_m(y)"]
+    assert unpassed_defaults([src], [src], private=True) == ["_f(b)", "_m(y)"]
+    assert unpassed_defaults([src], [src], private=False) == ["m(w)"]
+    assert unpassed_defaults([src], [src, "K().m(w=1)\n"], private=False) == []

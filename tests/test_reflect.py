@@ -92,8 +92,7 @@ def test_oblique_pushback_recovers_where_the_ray_misses():
     q, _ = _disk_contact(np.array([1.05, 0.30]), 0.5)
     np.testing.assert_allclose(q, [0.972142668073, 0.234389916403], atol=1e-11)
     # under kappa = 1 the first ray along gamma(projection) misses the circle;
-    # the custom copy of the field has no closed form and takes the rounds,
-    # then the bracketed fallback
+    # the custom copy of the field takes the secant contact
     disk, field = _disk_setup(1.0)
     custom = _as_custom(field)
     for p in ([1.45, 0.0], [1.5, 0.0], [0.0, 1.42]):
@@ -144,16 +143,21 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
     for q1, dz1 in oracles:
         np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-13 * scale)
         np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-13 * scale)
-    # reflect_step answers with the closed form; other fields have none
+    # reflect_step answers with the closed form; the secant root of a custom
+    # copy of the field agrees with it, and the normal field (kappa = 0) with
+    # the radial projection
     assert all(a.tobytes() == b.tobytes() for a, b in zip(reflect_step(disk, field, p), (q, dz)))
-    assert disk.closed_contact(p, _as_custom(field)) is None
-    assert disk.closed_contact(p, normal_field(disk, n_certify=16)) is None
+    c = disk.project_to_boundary(p)
+    for contact, oracle in ((disk.closed_contact(p, _as_custom(field)), (q, dz)),
+                            (disk.closed_contact(p, normal_field(disk, n_certify=16)),
+                             (c, p - c))):
+        for u, v in zip(contact, oracle):
+            np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_oscillating_rounds_case_takes_the_newton_contact(monkeypatch):
-    # the fixed-point rounds oscillate from this predictor and used to run all
-    # of them before the bracketed fallback; the Newton contact needs one
-    # closest-point scan besides the interior test's
+    # fixed-point rounds of ray lengths oscillate from this predictor; the
+    # Newton contact needs one closest-point scan besides the interior test's
     ell = Ellipse(1.2, 0.7)
     field = oblique_from_tangent(ell, 0.25)
     p = np.array([1.575, 0.0])
@@ -168,6 +172,26 @@ def test_oscillating_rounds_case_takes_the_newton_contact(monkeypatch):
     q1, dz1 = oblique_pushback(p, field)
     np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["ellipse", "disk"])
+def test_secant_contact_settles_on_the_hard_cases(case):
+    # where ray-length rounds oscillate (the ellipse) or the first ray misses
+    # the circle (the disk), the secant root of a custom copy of the field
+    # settles without the bracketed fallback, at the direct contact
+    if case == "ellipse":
+        domain = Ellipse(1.2, 0.7)
+        field, points = oblique_from_tangent(domain, 0.25), [[1.575, 0.0]]
+    else:
+        domain, field = _disk_setup(1.0)
+        points = [[1.45, 0.0], [1.5, 0.0], [0.0, 1.42]]
+    fallbacks, oblique_pushback = [], domain.oblique_pushback
+    domain.oblique_pushback = lambda *a: fallbacks.append(a) or oblique_pushback(*a)
+    for p in map(np.array, points):
+        for u, v in zip(reflect_step(domain, _as_custom(field), p),
+                        reflect_step(domain, field, p)):
+            np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+    assert not fallbacks
 
 
 def test_exterior_ellipse_rows_go_through_reflect_step(monkeypatch):
@@ -354,7 +378,7 @@ def _scaled_boundary_point(domain, r, theta):
                      min_size=1, max_size=6))
 def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, custom,
                                                                        rows):
-    # a custom copy of the field keeps the fixed-point rounds under test
+    # a custom copy of the field keeps the secant contact under test
     domain = _DOMAINS[kind]
     if kappa is None or domain.dimension == 1:
         field = _normal(kind)
