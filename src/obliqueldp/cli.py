@@ -26,9 +26,9 @@ import scipy
 
 from . import __version__
 from .control_stop import DiscreteProblem, ObstacleBoundError, multi_stop_value, \
-    reduced_value, tube_indicator_obstacle
+    reduced_value
 from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
-    Interval, ObliqueField, normal_field, oblique_from_tangent
+    GeometryError, Interval, ObliqueField, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
 from .ldp import LdpConfig, dump_json, run_lower_bound_experiment, run_upper_bound_experiment
@@ -163,11 +163,16 @@ def build_domain(block) -> Domain:
 def build_field(block, domain: Domain) -> ObliqueField:
     kind = _get(block, "kind", "field")
     if kind == "normal":
-        return normal_field(domain)
-    if kind == "oblique_tangent":
-        return oblique_from_tangent(domain, _num(block, "kappa", "field"))
-    raise ConfigError(f"field.kind: unknown built-in '{kind}' "
-                      f"(expected normal or oblique_tangent)")
+        kappa = 0.0
+    elif kind == "oblique_tangent":
+        kappa = _num(block, "kappa", "field")
+    else:
+        raise ConfigError(f"field.kind: unknown built-in '{kind}' "
+                          f"(expected normal or oblique_tangent)")
+    try:
+        return oblique_from_tangent(domain, kappa)
+    except (ValueError, GeometryError) as exc:
+        raise ConfigError(f"field: {exc}")
 
 
 def _matrix(val, field: str, d: int, m=None) -> np.ndarray:
@@ -312,6 +317,14 @@ def build_reference(block, t0: float, t_end: float, path: str, d: int) -> Refere
                       f"(expected constant, linear, or polyline)")
 
 
+def _in_closure(refs, domain: Domain, path: str) -> None:
+    """Check that each reference path keeps its nodes in the closure of
+    ``domain`` (within 1e-8, as ``EventSpec.validate_in``)."""
+    for i, ref in enumerate(refs):
+        if min(map(domain.signed_distance, ref.values)) < -1e-8:
+            raise ConfigError(f"{path}[{i}]: reference path leaves the domain closure")
+
+
 def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
     kind = _get(block, "kind", path)
     refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]", d)
@@ -361,6 +374,7 @@ class RunContext:
         for i, block in enumerate(_list(self.cfg, "events", "config", [])):
             event = build_event(block, self.t0, self.t_end, f"events[{i}]",
                                 self.domain.dimension)
+            _in_closure(event.references, self.domain, f"events[{i}].references")
             out.append((str(_get(block, "id", f"events[{i}]", f"event-{i}")), event))
         return out
 
@@ -459,7 +473,7 @@ def cmd_stopping(ctx: RunContext):
         at = f"stopping.obstacles[{i}]"
         ref = build_reference(_get(ob, "reference", at), ctx.t0, ctx.t_end,
                               f"{at}.reference", ctx.domain.dimension)
-        obstacles.append(tube_indicator_obstacle(
+        obstacles.append(tube_obstacle(
             ref, _num(ob, "radius", at, least=0), _num(ob, "height", at, 1.0),
             complement=_bool(ob, "complement", at, False)))
     if not 1 <= len(obstacles) <= 3:
@@ -562,6 +576,7 @@ def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
     refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]", ctx.domain.dimension)
             for i, r in enumerate(_list(block, "references", "ldp"))]
+    _in_closure(refs, ctx.domain, "ldp.references")
     radii = _num_list(block, "radii", "ldp", positive=True)
     ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
     kwargs = dict(
@@ -573,7 +588,8 @@ def _ldp_config(ctx: RunContext) -> tuple:
         n_threads=ctx.threads)
     for key in ("n_x", "rate_segments", "rate_max_segments", "dp_n_steps", "dp_substeps"):
         if key in block:
-            least = {"n_x": 2, "rate_max_segments": kwargs.get("rate_segments", 1)}.get(key, 1)
+            least = {"n_x": 2, "rate_max_segments": kwargs.get(
+                "rate_segments", LdpConfig.rate_segments)}.get(key, 1)
             kwargs[key] = _int(block, key, "ldp", least=least)
     if "obstacle_height" in block:
         kwargs["obstacle_height"] = _num(block, "obstacle_height", "ldp")

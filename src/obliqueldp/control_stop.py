@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
+from .hjbvi import Obstacle
 from .reflect import Control, TimeGrid, solve_reflected_ode
 
 
@@ -26,9 +27,6 @@ class EnumerationLimitError(RuntimeError):
 
 class ObstacleBoundError(ValueError):
     """Raised when an obstacle value exceeds the problem's declared bound."""
-
-
-Obstacle = Callable[[float, np.ndarray], float]
 
 
 def _cell_cost(a: np.ndarray, dt: float) -> float:
@@ -68,7 +66,8 @@ class DiscreteProblem:
                    obstacles=obstacles, obstacle_bound=obstacle_bound)
 
     def psi(self, i: int, k: int, x: np.ndarray) -> float:
-        val = float(self.obstacles[i](float(self.grid.nodes[k]), x))
+        """Obstacle ``i`` at node ``k`` and state ``x``: its one value there."""
+        val = float(np.ravel(self.obstacles[i](float(self.grid.nodes[k]), x))[0])
         if abs(val) > self.obstacle_bound:
             raise ObstacleBoundError(
                 f"obstacle {i} exceeds declared bound {self.obstacle_bound} at node {k}")
@@ -214,22 +213,3 @@ def _stopping_value(p: DiscreteProblem, t0: float, x,
         return out
 
     return value(frozenset(range(len(p.obstacles))), k0, x0)
-
-
-# ---------------------------------------------------------------------------
-# Obstacle builders shared with the PDE module
-
-
-def tube_indicator_obstacle(reference, radius: float, height: float,
-                            complement: bool = False) -> Obstacle:
-    """Height times the indicator of a sup-norm tube (or its complement).
-
-    Membership means strict inclusion within ``radius`` of the reference at
-    the queried time, matching the node-sampled event semantics.
-    """
-
-    def psi(t: float, y: np.ndarray) -> float:
-        inside = float(np.linalg.norm(np.atleast_1d(y) - reference.at(t))) < radius
-        return height * float(inside != complement)
-
-    return psi

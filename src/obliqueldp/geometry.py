@@ -90,7 +90,6 @@ class Domain:
     points, refined by Newton's method on ``(g(t) - p) . g'(t) = 0``.
     """
 
-    kind = "custom-level-set"
     # Rows per block of the (rows, 720) parameter scan: small blocks keep its
     # temporaries in cache and out of the peak memory.
     _scan_block = 64
@@ -279,24 +278,27 @@ class Domain:
         return None
 
     def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
-        """``(q, dz)`` pushback of one exterior point ``p`` along ``field``:
-        ``q = p - dz`` on the boundary and ``dz`` = lam * gamma(q), lam >= 0.
+        """``(q, dz)`` pushback of one point ``p`` along ``field``: ``q = p -
+        dz`` in the closure, ``dz`` = lam * gamma(q), lam >= 0, and zero for
+        a point of the closure (the two tests of ``signed_distance``).
 
         The contact is the root of f(t) = (p - centre - g(t)) x gamma(g(t))
-        nearest the closest point g(t0).  Under a ``normal`` or
-        ``oblique-tangent`` field gamma(g) is parallel to w = (g'_y + kappa
-        g'_x, -g'_x + kappa g'_y), the normal plus kappa times the tangent
-        scaled by |g'|, and Newton's method finds the root of (p - centre -
-        g) x w from t0 (the root at kappa = 0).  Any other field takes secant
-        steps from t0 and t0 + 1e-6, with gamma from ``field.gamma_many``.
-        ``oblique_pushback`` answers for a row that does not settle or lands
-        behind p (lam < 0) by more than a rounding error; a row behind by
-        less comes back unchanged."""
+        nearest g(t0).  Under a built-in field gamma(g) is parallel to w =
+        (g'_y + kappa g'_x, -g'_x + kappa g'_y), the normal plus kappa times
+        the tangent scaled by |g'|, and Newton's method finds the root of (p
+        - centre - g) x w from t0 (the root at kappa = 0).  A custom field
+        takes secant steps from t0 and t0 + 1e-6, with gamma from
+        ``field.gamma_many``.  ``oblique_pushback`` answers for a row that
+        does not settle or lands behind p (lam < 0) by more than a rounding
+        error; a row behind by less comes back unchanged."""
+        if self._inside(p[None, :])[0]:
+            return p, np.zeros(2)
         x, y = float(p[0] - self.center[0]), float(p[1] - self.center[1])
         t = self._closest_angles(np.array([[x, y]]))[0]
-        k = 0.0 if field.kind == "normal" else field.param("kappa")
-        if field.kind in ("normal", "oblique-tangent") and k is not None:
-            t = self._newton_contact(t, x, y, k)
+        if not _row_norms((p - (self.center + self._curve_points(t)))[None, :])[0]:
+            return p, np.zeros(2)
+        if field.kappa is not None:
+            t = self._newton_contact(t, x, y, field.kappa)
         else:
             t = self._secant_contact(t, p, field)
         if t is not None:
@@ -386,8 +388,6 @@ class Domain:
 class Interval(Domain):
     """Open interval (a, b) on the line."""
 
-    kind = "interval"
-
     def __init__(self, a: float, b: float):
         if not b > a:
             raise ValueError("interval requires a < b")
@@ -455,8 +455,6 @@ class Interval(Domain):
 class Disk(Domain):
     """Open disk of given radius and center in the plane."""
 
-    kind = "disk"
-
     def __init__(self, radius: float = 1.0, center=(0.0, 0.0)):
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -513,7 +511,7 @@ class Disk(Domain):
         return rel / nr
 
     def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
-        if field.kind != "normal":
+        if field.kappa != 0.0:
             return None
         rel = P - self.center
         rad = np.linalg.norm(rel, axis=1)
@@ -530,14 +528,16 @@ class Disk(Domain):
         """The exact contact under gamma = n + kappa*J n (J: the turn by +90
         degrees): p - centre = (R + lam) u + lam kappa J u with q = centre + R u,
         so lam is the root of (R + lam)^2 + (lam kappa)^2 = |p - centre|^2 and
-        u is p - centre turned back and normalised.  The normal field is
-        kappa = 0; any other field takes ``Domain.closed_contact``."""
-        kappa = 0.0 if field.kind == "normal" else field.param("kappa")
-        if field.kind not in ("normal", "oblique-tangent") or kappa is None:
-            return super().closed_contact(p, field)
-        k, R = float(kappa), self.radius
+        u is p - centre turned back and normalised.  A point of the closure
+        (the sign of ``signed_distance``) comes back unchanged; a custom
+        field takes ``Domain.closed_contact``."""
+        k, R = field.kappa, self.radius
         cx, cy = float(self.center[0]), float(self.center[1])
         rx, ry = float(p[0]) - cx, float(p[1]) - cy
+        if math.sqrt(rx * rx + ry * ry) <= R:
+            return p, np.zeros(2)
+        if k is None:
+            return super().closed_contact(p, field)
         # an overshoot of an ulp or two may round to delta <= 0: lam = 0 then
         delta = max(rx * rx + ry * ry - R * R, 0.0)
         # the positive root, written without the cancellation of -R + sqrt(...)
@@ -568,8 +568,6 @@ class Disk(Domain):
 
 class Ellipse(Domain):
     """Open axis-aligned ellipse with semi-axes (a, b)."""
-
-    kind = "ellipse"
 
     def __init__(self, a: float, b: float, center=(0.0, 0.0)):
         if a <= 0 or b <= 0:
@@ -660,35 +658,38 @@ class ObliqueField:
 
     ``c0`` is a certified lower bound on gamma . n over sampled boundary
     points; ``lipschitz_bound`` is the declared (or estimated) Lipschitz
-    constant of the field.
+    constant of the field.  A built-in field is gamma = n + kappa J n (J: the
+    turn by +90 degrees), ``kappa`` 0.0 for the normal field; a custom field
+    has ``kappa`` None.
     """
 
     gamma: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
     c0: float
-    kind: str = "custom"
-    params: tuple = ()
+    kappa: Optional[float] = None
+
+    @property
+    def kind(self) -> str:
+        if self.kappa is None:
+            return "custom"
+        return "normal" if self.kappa == 0.0 else "oblique-tangent"
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
 
-    def param(self, name: str):
-        return dict(self.params).get(name)
-
     def gamma_many(self, domain: "Domain", Q) -> np.ndarray:
         """Evaluate the field on an array of boundary points.
 
-        Known field kinds take a vectorized path; anything else falls back
-        to a row loop over the scalar callable.
+        A built-in field takes a vectorized path; a custom one falls back to
+        a row loop over the scalar callable.
         """
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        if self.kind == "normal":
-            return domain.normal_many(Q)
-        if self.kind == "oblique-tangent" and self.param("kappa") is not None:
-            n = domain.normal_many(Q)
-            t = np.stack([-n[:, 1], n[:, 0]], axis=1)
-            return n + float(self.param("kappa")) * t
-        return np.array([self(q) for q in Q])
+        if self.kappa is None:
+            return np.array([self(q) for q in Q])
+        n = domain.normal_many(Q)
+        if self.kappa == 0.0:
+            return n
+        return n + self.kappa * np.stack([-n[:, 1], n[:, 0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -731,29 +732,22 @@ def validate_oblique(domain: Domain, gamma: Callable, n_samples: int = 4096) -> 
 
 def normal_field(domain: Domain, n_certify: int = 512) -> ObliqueField:
     """Reflection along the outward normal (extended off the boundary by projection)."""
-
-    def gamma(x):
-        q = domain.project_to_boundary(x)
-        return domain.normal(q)
-
-    rep = validate_oblique(domain, gamma, n_certify)
-    return ObliqueField(gamma=gamma, lipschitz_bound=rep.lipschitz_est, c0=rep.min_dot, kind="normal")
+    return oblique_from_tangent(domain, 0.0, n_certify)
 
 
 def oblique_from_tangent(domain: Domain, kappa: float, n_certify: int = 512) -> ObliqueField:
-    """Normal plus ``kappa`` times the (counterclockwise) tangent; 2-d only."""
-    if domain.dimension != 2:
+    """Normal plus ``kappa`` times the (counterclockwise) tangent; a tilt
+    (``kappa`` nonzero) needs a planar domain."""
+    kappa = float(kappa)
+    if kappa != 0.0 and domain.dimension != 2:
         raise ValueError("tangential tilt requires a planar domain")
 
     def gamma(x):
-        q = domain.project_to_boundary(x)
-        n = domain.normal(q)
-        t = np.array([-n[1], n[0]])
-        return n + kappa * t
+        n = domain.normal(domain.project_to_boundary(x))
+        return n if kappa == 0.0 else n + kappa * np.array([-n[1], n[0]])
 
     rep = validate_oblique(domain, gamma, n_certify)
-    return ObliqueField(gamma=gamma, lipschitz_bound=rep.lipschitz_est, c0=rep.min_dot,
-                        kind="oblique-tangent", params=(("kappa", float(kappa)),))
+    return ObliqueField(gamma, rep.lipschitz_est, rep.min_dot, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,13 @@ Obstacle = Callable[[float, np.ndarray], np.ndarray]
 
 def tube_obstacle(reference, radius: float, height: float, complement: bool = False,
                   smoothing: float = 0.0) -> Obstacle:
-    """Height times the (mollified) indicator of an instantaneous tube.
+    """Height times the (mollified) indicator of an instantaneous tube (or
+    its complement) at each row of the states, for the PDE and the DP alike.
 
     ``reference`` maps time to a point (a ReferencePath).  Membership is
-    strict inclusion within ``radius``; with ``smoothing`` w > 0 the jump is
-    replaced by a linear ramp over the band [radius - w, radius].
+    strict inclusion within ``radius`` of the reference at the queried time,
+    matching the node-sampled event semantics; with ``smoothing`` w > 0 the
+    jump is replaced by a linear ramp over the band [radius - w, radius].
     """
 
     def psi(t: float, X: np.ndarray) -> np.ndarray:
@@ -334,7 +336,7 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                  obstacle: Obstacle, eps: NoiseScale, vi_type: str = MIN_TYPE,
                  terminal: Optional[Callable] = None, *, n_x: Optional[int] = None,
                  t0: float = 0.0, t_end: float = 1.0, dt: Optional[float] = None,
-                 dv_est: Optional[float] = None, cfl_factor: float = 0.9,
+                 dv_est: Optional[float] = None,
                  store_every: Optional[int] = None) -> ValueGrid:
     """Second-order obstacle problem at noise level eps (log-transformed form)."""
     eps = eps.eps
@@ -356,15 +358,12 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
             slopes.append(ws.max_slope(np.asarray(terminal(pts), dtype=float).reshape(-1)))
         dv_est = 1.5 * max(slopes) + 2.0
     adv = max_b + max_s2 * dv_est
-    bounds = [h / (adv + h)]
-    if eps > 0.0:
-        bounds.append(h * h / (eps * eps * max(max_s2, 1e-300) * ws.d))
     # monotonicity needs the advective and diffusive outflow rates bounded
     # jointly, not separately
-    bounds.append(1.0 / (ws.d * adv / h + ws.d * eps * eps * max_s2 / (h * h) + 1e-300))
-    dt_bound = min(bounds)
+    dt_bound = min(h / (adv + h),
+                   1.0 / (ws.d * adv / h + ws.d * eps * eps * max_s2 / (h * h) + 1e-300))
     if dt is None:
-        dt = cfl_factor * dt_bound
+        dt = 0.9 * dt_bound
     elif dt > dt_bound:
         raise CflError(f"requested dt={dt:.3e} exceeds the stability bound {dt_bound:.3e}")
     n_t = max(1, int(np.ceil((t_end - t0) / dt)))

@@ -20,7 +20,7 @@ from .reflect import Control, ReferencePath, TimeGrid, holder_half_quotient, sol
 from .sde import (EventSpec, LogRateInterval, NoiseScale,
                   estimate_event_probability, log_rate_estimate)
 from .rate import rate_of_event, weak_stability_check
-from .control_stop import DiscreteProblem, reduced_value, tube_indicator_obstacle
+from .control_stop import DiscreteProblem, reduced_value
 from .hjbvi import MIN_TYPE, solve_eps_vi, solve_limit_vi, tube_obstacle
 
 
@@ -239,7 +239,7 @@ def run_lower_bound_experiment(config: LdpConfig) -> LdpReport:
 
     def dp_value():
         dp_grid = TimeGrid.uniform(config.t0, config.t_end, config.dp_n_steps)
-        obstacles = [tube_indicator_obstacle(ref, r, config.obstacle_height)
+        obstacles = [tube_obstacle(ref, r, config.obstacle_height)
                      for ref, r in zip(config.references, config.radii)]
         controls = [np.full(config.coeffs.m, a) for a in config.dp_controls]
         problem = DiscreteProblem.build(config.domain, config.field, config.coeffs,

@@ -176,19 +176,10 @@ class ReflectedPath:
 
 
 def reflect_step(domain: Domain, field: ObliqueField, p):
-    """Push an exterior predictor ``p`` back into the closure along the field.
-
-    Returns the corrected point and the reflection increment ``dz`` (so that
-    corrected = p - dz).  Interior points are returned unchanged; every
-    other point takes the domain's one contact, ``Domain.closed_contact``
-    (the violated endpoint on the interval, the closed form on the disk
-    under a normal or tangent-tilted field, otherwise a Newton or secant
-    root in the curve parameter).
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if domain.signed_distance(p) >= 0.0:
-        return p, np.zeros_like(p)
-    return domain.closed_contact(p, field)
+    """The corrected point ``q`` and reflection increment ``dz`` (``q = p -
+    dz``) of a predictor ``p``: the domain's one contact along the field,
+    ``Domain.closed_contact``, which returns a point of the closure unchanged."""
+    return domain.closed_contact(np.atleast_1d(np.asarray(p, dtype=float)), field)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ def test_simulate_flags_the_nodes_on_the_boundary(tmp_path):
     grows = np.diff(z_tv) > 0.0
     assert grows.any()
     assert np.all(on_boundary[1:][grows] == 1.0)
+    # an untilted oblique_tangent field on the line is the normal field
+    cfg["field"] = {"kind": "oblique_tangent", "kappa": 0.0}
+    path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", path, tmp_path / "tilt0") == 0
+    assert ((tmp_path / "tilt0" / "path.csv").read_bytes()
+            == (tmp_path / "out" / "path.csv").read_bytes())
 
 
 def test_manifest_references_every_output(tmp_path):
@@ -258,7 +264,7 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         assert f"ldp.{key}" in capsys.readouterr().err
 
     # each case replaces the value at a dotted path; the message names it
-    for i, (subcommand, base, dotted, value) in enumerate((
+    for i, (subcommand, base, dotted, value, *named) in enumerate((
             ("simulate", EXAMPLE, "time.t_end", float("nan")),
             ("simulate", EXAMPLE, "time.t_end", 10 ** 400),
             ("simulate", EXAMPLE, "x0", [float("nan")]),
@@ -322,7 +328,18 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("verify-ldp", LDP_SMALL, "ldp.references", 3),
             ("hjb", EXAMPLE, "hjb.obstacle", 3),
             ("stopping", EXAMPLE, "stopping.obstacles[0].complement", "no"),
-            ("hjb", EXAMPLE, "hjb.obstacle.complement", "no"))):
+            ("hjb", EXAMPLE, "hjb.obstacle.complement", "no"),
+            # rate_segments defaults to 64
+            ("verify-ldp", LDP_SMALL, "ldp.rate_max_segments", 4),
+            # a value the domain rejects: the message names the enclosing block
+            ("simulate", EXAMPLE, "events[1].references[0].point", [2.0],
+             "events[1].references[0]: reference path leaves"),
+            ("verify-ldp", LDP_SMALL, "ldp.references[0].point", [-1.5],
+             "ldp.references[0]: reference path leaves"),
+            ("simulate", EXAMPLE, "field", {"kind": "oblique_tangent", "kappa": 0.5},
+             "config error: field: tangential tilt"),
+            ("simulate", DISK, "field", {"kind": "oblique_tangent", "kappa": 1e300},
+             "config error: field: oblique condition fails"))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -334,7 +351,7 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         path, out = tmp_path / f"bad_{i}.json", tmp_path / f"out_{i}"
         path.write_text(json.dumps(cfg))
         assert run_cli(subcommand, path, out) == 1, dotted
-        assert dotted in capsys.readouterr().err, dotted
+        assert (named or [dotted])[0] in capsys.readouterr().err, dotted
         # the config is checked before any output is written
         assert not any(out.iterdir()), dotted
 

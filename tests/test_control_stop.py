@@ -6,11 +6,11 @@ from obliqueldp.control_stop import (
     EnumerationLimitError,
     multi_stop_value,
     reduced_value,
-    tube_indicator_obstacle,
     value_inf_inf,
     value_inf_sup,
 )
 from obliqueldp.geometry import Interval, constant_coefficients, normal_field
+from obliqueldp.hjbvi import tube_obstacle
 from obliqueldp.reflect import ReferencePath, TimeGrid
 
 
@@ -116,13 +116,17 @@ def test_single_stop_values_are_pinned_on_random_instances():
 
 
 def test_tube_indicator_strict_membership():
+    # at smoothing 0 the tube obstacle is the strict-inclusion indicator, and
+    # the dynamic program reads its one value at a point
     ref = ReferencePath.constant([0.0], 0.0, 1.0)
-    psi = tube_indicator_obstacle(ref, 0.5, 2.0)
-    assert psi(0.3, np.array([0.49])) == 2.0
-    assert psi(0.3, np.array([0.5])) == 0.0
-    comp = tube_indicator_obstacle(ref, 0.5, 2.0, complement=True)
-    assert comp(0.3, np.array([0.5])) == 2.0
-    assert comp(0.3, np.array([0.49])) == 0.0
+    psi = tube_obstacle(ref, 0.5, 2.0)
+    assert psi(0.3, np.array([0.49])).tolist() == [2.0]
+    assert psi(0.3, np.array([0.5])).tolist() == [0.0]
+    comp = tube_obstacle(ref, 0.5, 2.0, complement=True)
+    assert comp(0.3, np.array([0.5])).tolist() == [2.0]
+    assert comp(0.3, np.array([0.49])).tolist() == [0.0]
+    p = _problem([psi, comp], n_steps=1)
+    assert [p.psi(i, 0, np.array([0.49])) for i in (0, 1)] == [2.0, 0.0]
 
 
 def test_state_rule_respects_reflection():

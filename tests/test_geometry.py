@@ -8,6 +8,7 @@ from obliqueldp.geometry import (
     Ellipse,
     Interval,
     ObliqueConditionError,
+    ObliqueField,
     constant_coefficients,
     normal_field,
     oblique_from_tangent,
@@ -294,7 +295,15 @@ def test_validate_oblique_accepts_normal_and_tilted_fields():
     fob = oblique_from_tangent(disk, 0.5)
     assert fob.c0 == pytest.approx(1.0, abs=1e-9)
     assert fob.kind == "oblique-tangent"
-    assert fob.param("kappa") == 0.5
+    assert fob.kappa == 0.5
+    # a built-in field is its tilt: kappa 0 is the normal field, None custom
+    nf, flat = normal_field(disk, n_certify=64), oblique_from_tangent(disk, 0.0, n_certify=64)
+    assert (nf.kind, nf.kappa) == (flat.kind, flat.kappa) == ("normal", 0.0)
+    assert (nf.c0, nf.lipschitz_bound) == (flat.c0, flat.lipschitz_bound)
+    pts = disk.boundary_points(7) * 1.1
+    assert np.array_equal([nf(p) for p in pts], [flat(p) for p in pts])
+    assert np.array_equal(nf.gamma_many(disk, pts), flat.gamma_many(disk, pts))
+    assert ObliqueField(fob.gamma, fob.lipschitz_bound, fob.c0).kind == "custom"
 
 
 def test_validate_oblique_rejects_tangential_field():

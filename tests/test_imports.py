@@ -153,10 +153,38 @@ def _defaulted(func, is_method):
             yield arg.arg, None
 
 
-def _passes(call, name, index):
-    """Whether ``call`` passes the parameter by keyword or by position;
-    a ``*args`` or ``**kwargs`` argument may pass anything."""
-    if any(kw.arg in (name, None) for kw in call.keywords):
+def _spelled(scope):
+    """The names a ``**`` argument may pass from ``scope``: the keywords of
+    its ``dict(...)`` calls and its string keys (dict displays, subscripts)."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            names |= {kw.arg for kw in node.keywords}
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.slice] if isinstance(node, ast.Subscript) else [])
+        names |= {k.value for k in keys
+                  if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    return names
+
+
+def _calls(scope, names=None):
+    """(call, names) for every call in ``scope``, with the names that
+    ``_spelled`` finds in its innermost enclosing function (or the module)."""
+    names = _spelled(scope) if names is None else names
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _calls(node)
+            continue
+        if isinstance(node, ast.Call):
+            yield node, names
+        yield from _calls(node, names)
+
+
+def _passes(call, spelled, name, index):
+    """Whether ``call`` passes the parameter by keyword or by position; a
+    ``*args`` argument may pass anything, a ``**kwargs`` argument the names
+    ``spelled`` out where the call is made."""
+    if any(kw.arg == name or (kw.arg is None and name in spelled) for kw in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
@@ -170,16 +198,16 @@ def unpassed_defaults(sources, callers, private):
     trees = [ast.parse(src) for src in sources]
     calls = {}
     for tree in map(ast.parse, callers):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+        for node, spelled in _calls(tree):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append((node, spelled))
     return sorted(f"{fname}({param})"
                   for tree in trees
                   for fname, func, is_method in _defs(tree, private)
                   for param, index in _defaulted(func, is_method)
-                  if not any(_passes(c, param, index) for c in calls.get(fname, [])))
+                  if not any(_passes(c, spelled, param, index)
+                             for c, spelled in calls.get(fname, [])))
 
 
 def _sources(paths):
@@ -211,3 +239,17 @@ def test_default_checker_counts_keywords_positions_and_methods():
     assert unpassed_defaults([src], [src], private=True) == ["_f(b)", "_m(y)"]
     assert unpassed_defaults([src], [src], private=False) == ["m(w)"]
     assert unpassed_defaults([src], [src, "K().m(w=1)\n"], private=False) == []
+
+
+def test_default_checker_reads_double_star_arguments_where_they_are_built():
+    # a **name argument passes only the names its function spells out as
+    # dict(...) keywords or string keys; one forwarded from a **parameter
+    # passes none of them
+    src = ("def _h(a, b=1, c=2, d=3, e=4):\n    pass\n"
+           "def _forward(**options):\n    _h(0, **options)\n"
+           "def _build():\n"
+           "    kw = dict(b=2)\n    kw['c'] = 3\n    _h(0, **kw)\n"
+           "    _h(0, **{'d': 4})\n")
+    assert unpassed_defaults([src], [src], private=True) == ["_h(e)"]
+    assert unpassed_defaults([src], [src.replace("_h(0, **kw)", "_h(0, **kw, e=5)")],
+                             private=True) == []

@@ -113,8 +113,8 @@ def test_oblique_pushback_recovers_where_the_ray_misses():
 
 
 def _as_custom(field):
-    """The same gamma as a field of unknown kind: no closed-form contact."""
-    return ObliqueField(field.gamma, field.lipschitz_bound, field.c0, kind="custom")
+    """The same gamma as a custom field (no tilt): no closed-form contact."""
+    return ObliqueField(field.gamma, field.lipschitz_bound, field.c0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +157,8 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
 
 def test_oscillating_rounds_case_takes_the_newton_contact(monkeypatch):
     # fixed-point rounds of ray lengths oscillate from this predictor; the
-    # Newton contact needs one closest-point scan besides the interior test's
+    # Newton contact makes the one closest-point scan, which also serves as
+    # the exterior test
     ell = Ellipse(1.2, 0.7)
     field = oblique_from_tangent(ell, 0.25)
     p = np.array([1.575, 0.0])
@@ -168,7 +169,7 @@ def test_oscillating_rounds_case_takes_the_newton_contact(monkeypatch):
     monkeypatch.setattr(ell, "oblique_pushback",
                         lambda *a: fallbacks.append(a) or oblique_pushback(*a))
     q, dz = reflect_step(ell, field, p)
-    assert len(scans) <= 3 and not fallbacks
+    assert scans == [1] and not fallbacks
     q1, dz1 = oblique_pushback(p, field)
     np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-12)
@@ -401,6 +402,32 @@ def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kap
         g = field(domain.project_to_boundary(q))
         cosang = float(dz @ g) / (np.linalg.norm(dz) * np.linalg.norm(g))
         assert np.arccos(np.clip(cosang, -1.0, 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", sorted(_DOMAINS))
+@pytest.mark.parametrize("tilt", ["normal", "tilted", "custom"])
+def test_closed_contact_leaves_the_closure_unchanged(kind, tilt):
+    # points inside, on the boundary and an ulp either side of it; every one
+    # that signed_distance puts in the closure (some only because it rounds
+    # onto its own closest point) comes back unchanged with zero dz
+    domain = _DOMAINS[kind]
+    if tilt == "normal" or domain.dimension == 1:
+        field = _normal(kind)
+    else:
+        field = oblique_from_tangent(domain, 0.4 if kind == "disk" else 1.0, n_certify=64)
+    if tilt == "custom":
+        field = _as_custom(field)
+    B = domain.boundary_points(24)
+    centre = domain.bounding_box.mean(axis=1)
+    P = np.concatenate([domain.sample_closure(8), B, np.nextafter(B, centre),
+                        np.nextafter(B, 2.0 * B - centre)])
+    closure = [p for p in P if domain.signed_distance(p) >= 0.0]
+    assert len(closure) > 8 + len(B)
+    for p in closure:
+        q, dz = domain.closed_contact(p, field)
+        assert q.tobytes() == p.tobytes() and dz.tobytes() == np.zeros_like(p).tobytes()
+        q1, dz1 = reflect_step(domain, field, p)
+        assert q1.tobytes() == q.tobytes() and dz1.tobytes() == dz.tobytes()
 
 
 _WINDOWED = {
