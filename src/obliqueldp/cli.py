@@ -25,8 +25,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .control_stop import DiscreteProblem, ObstacleBoundError, multi_stop_value, \
-    reduced_value
+from .control_stop import DiscreteProblem, EnumerationLimitError, ObstacleBoundError, \
+    multi_stop_value, reduced_value
 from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
     GeometryError, Interval, ObliqueField, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
@@ -317,12 +317,12 @@ def build_reference(block, t0: float, t_end: float, path: str, d: int) -> Refere
                       f"(expected constant, linear, or polyline)")
 
 
-def _in_closure(refs, domain: Domain, path: str) -> None:
-    """Check that each reference path keeps its nodes in the closure of
-    ``domain`` (within 1e-8, as ``EventSpec.validate_in``)."""
-    for i, ref in enumerate(refs):
-        if min(map(domain.signed_distance, ref.values)) < -1e-8:
-            raise ConfigError(f"{path}[{i}]: reference path leaves the domain closure")
+def _in_closure(event: EventSpec, domain: Domain, path: str) -> None:
+    """``event.validate_in(domain)``, its message prefixed by the block ``path``."""
+    try:
+        event.validate_in(domain)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
@@ -374,8 +374,11 @@ class RunContext:
         for i, block in enumerate(_list(self.cfg, "events", "config", [])):
             event = build_event(block, self.t0, self.t_end, f"events[{i}]",
                                 self.domain.dimension)
-            _in_closure(event.references, self.domain, f"events[{i}].references")
-            out.append((str(_get(block, "id", f"events[{i}]", f"event-{i}")), event))
+            _in_closure(event, self.domain, f"events[{i}]")
+            name = str(_get(block, "id", f"events[{i}]", f"event-{i}"))
+            if name in (seen for seen, _ in out):
+                raise ConfigError(f"events[{i}].id: duplicate id '{name}'")
+            out.append((name, event))
         return out
 
     def event_by_id(self, event_id: str, path: str) -> EventSpec:
@@ -495,6 +498,8 @@ def cmd_stopping(ctx: RunContext):
         reduced = float(reduced_value(problem, ctx.t0, ctx.x0))
     except ObstacleBoundError as exc:
         raise ConfigError(f"stopping.obstacle_bound: {exc}") from exc
+    except EnumerationLimitError as exc:
+        raise ConfigError(f"stopping.budget: {exc}") from exc
     full_key = ",".join(map(str, indices))
     payload = {"values_by_subset": values, "reduced_value": reduced,
                "reduction_identity_holds": bool(values[full_key] == reduced),
@@ -576,7 +581,6 @@ def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
     refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]", ctx.domain.dimension)
             for i, r in enumerate(_list(block, "references", "ldp"))]
-    _in_closure(refs, ctx.domain, "ldp.references")
     radii = _num_list(block, "radii", "ldp", positive=True)
     ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
     kwargs = dict(
@@ -600,9 +604,12 @@ def _ldp_config(ctx: RunContext) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"config.{exc}" if str(exc).startswith("eps_ladder:")
                           else f"ldp: {exc}")
+    _in_closure(EventSpec.complements(refs, radii), ctx.domain, "ldp")
     bound = _get(block, "bound", "ldp", "lower")
     if bound not in ("lower", "upper", "both"):
         raise ConfigError("ldp.bound: expected 'lower', 'upper', or 'both'")
+    if bound != "lower" and len(refs) != 1:
+        raise ConfigError("ldp.references: the upper bound takes exactly one tube")
     return config, bound
 
 
@@ -690,6 +697,8 @@ def run(config_path, subcommand: str, out=None, seed=None, threads=None) -> int:
     out_dir = Path(out if out is not None else _get(cfg, "out_dir", "config", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     eff_seed = int(seed if seed is not None else _int(cfg, "seed", "config", 20240801))
+    if not 0 <= eff_seed < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers
+        raise ConfigError(f"{'config.seed' if seed is None else '--seed'}: must lie in [0, 2**63)")
     eff_threads = int(threads if threads is not None
                       else _int(cfg, "threads", "config", 1))
     if eff_threads < 1:

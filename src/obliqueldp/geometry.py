@@ -53,10 +53,11 @@ def _as_point(x, dimension: int) -> np.ndarray:
     return p
 
 
-def _row_dots(D: np.ndarray) -> np.ndarray:
-    """``d @ d`` for every row of ``D``, rounded as the 1-d product (the BLAS
-    dot behind ``np.linalg.norm``), which a sum of squares is not always."""
-    return (D[:, None, :] @ D[:, :, None])[:, 0, 0]
+def _row_dots(D: np.ndarray, E: Optional[np.ndarray] = None) -> np.ndarray:
+    """``d @ e`` for every row of ``D`` and of ``E`` (default ``D``), rounded
+    as the 1-d product (the BLAS dot behind ``np.linalg.norm``), which a sum
+    of products is not always."""
+    return (D[:, None, :] @ (D if E is None else E)[:, :, None])[:, 0, 0]
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -87,7 +88,8 @@ class Domain:
         Origin of the boundary curve.
 
     Closest boundary points come from one routine: the best of 720 curve
-    points, refined by Newton's method on ``(g(t) - p) . g'(t) = 0``.
+    points, refined by Newton's method on ``(g(t) - p) . g'(t) = 0``.  Every
+    boundary query is a batch over rows; its point form is the one-row batch.
     """
 
     # Rows per block of the (rows, 720) parameter scan: small blocks keep its
@@ -118,9 +120,6 @@ class Domain:
 
     def level(self, x) -> float:
         return float(self.level_function(_as_point(x, self.dimension)))
-
-    def grad_level(self, x) -> np.ndarray:
-        return np.asarray(self._grad(_as_point(x, self.dimension)), dtype=float)
 
     # -- closest points ----------------------------------------------------
 
@@ -208,29 +207,36 @@ class Domain:
 
     def project_to_boundary(self, x) -> np.ndarray:
         """Closest boundary point to ``x``."""
-        return self._closest_points(_as_point(x, 2)[None, :])[0]
+        return self._closest_points(_as_point(x, self.dimension)[None, :])[0]
 
     def project_to_boundary_many(self, X) -> np.ndarray:
         return self._closest_points(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def signed_distance(self, x) -> float:
         """Distance to the boundary, positive inside the domain."""
-        return float(self._signed_distances(_as_point(x, 2)[None, :])[0])
+        return float(self._signed_distances(_as_point(x, self.dimension)[None, :])[0])
 
     def signed_distance_many(self, X) -> np.ndarray:
         return self._signed_distances(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def normal(self, x) -> np.ndarray:
-        """Outward unit normal (unit length to 1e-12), from the level gradient."""
-        g = self.grad_level(_as_point(x, self.dimension))
-        n = np.linalg.norm(g)
-        if n < 1e-9:
-            raise DegenerateGeometryError(f"vanishing level gradient at {x}")
-        return g / n
+        """Outward unit normal at ``x``."""
+        return self.normal_many(_as_point(x, self.dimension)[None, :])[0]
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        """Level gradients at the rows of ``X``."""
+        return np.array([self._grad(x) for x in X], dtype=float)
 
     def normal_many(self, X) -> np.ndarray:
+        """Outward unit normals (unit length to 1e-12) at the rows of ``X``,
+        from the level gradient."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.normal(row) for row in X])
+        G = self._gradients(X)
+        n = _row_norms(G)
+        if np.any(n < 1e-9):
+            raise DegenerateGeometryError(
+                f"vanishing level gradient at {X[int(np.argmax(n < 1e-9))]}")
+        return G / n[:, None]
 
     def oblique_pushback(self, p: np.ndarray, field: "ObliqueField"):
         """``(q, dz)`` with ``q = p - dz`` on the boundary and ``dz`` = lam *
@@ -399,27 +405,18 @@ class Interval(Domain):
         x0 = float(np.atleast_1d(x)[0])
         return -min(x0 - self.a, self.b - x0)
 
-    def grad_level(self, x):
-        x0 = float(_as_point(x, 1)[0])
-        return np.array([-1.0]) if (x0 - self.a) < (self.b - x0) else np.array([1.0])
-
-    def signed_distance(self, x) -> float:
-        x0 = float(_as_point(x, 1)[0])
-        return min(x0 - self.a, self.b - x0)
-
-    def signed_distance_many(self, X) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
+    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
+        x = X[:, 0]
         return np.minimum(x - self.a, self.b - x)
+
+    # An own binding, which the benchmark's tracer patches class by class.
+    signed_distance_many = Domain.signed_distance_many
 
     def outside_many(self, X) -> np.ndarray:
         return self.signed_distance_many(X) < 0.0
 
-    def project_to_boundary(self, x) -> np.ndarray:
-        x0 = float(_as_point(x, 1)[0])
-        return np.array([self.a]) if (x0 - self.a) < (self.b - x0) else np.array([self.b])
-
-    def project_to_boundary_many(self, X) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
+    def _closest_points(self, X: np.ndarray) -> np.ndarray:
+        x = X[:, 0]
         return np.where(x - self.a < self.b - x, self.a, self.b).reshape(-1, 1)
 
     def normal_many(self, X) -> np.ndarray:
@@ -461,44 +458,28 @@ class Disk(Domain):
         self.radius = float(radius)
         c = np.asarray(center, dtype=float)
         bb = np.stack([c - radius, c + radius], axis=1)
+        # the gradient of |x - c| - R is the unit normal
         super().__init__(self._level, bb, boundary=_axis_curve((self.radius, self.radius)),
-                         grad_level=self.grad_level, center=c)
+                         grad_level=self.normal, center=c)
 
     def _level(self, x):
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center) - self.radius)
 
-    def grad_level(self, x):
-        r = _as_point(x, 2) - self.center
-        nr = np.linalg.norm(r)
-        if nr < 1e-12:
-            raise DegenerateGeometryError("level gradient undefined at the disk center")
-        return r / nr
-
-    def signed_distance(self, x) -> float:
-        # the sum of squares of signed_distance_many, bit for bit
-        dx, dy = (_as_point(x, 2) - self.center).tolist()
-        return self.radius - math.sqrt(dx * dx + dy * dy)
-
-    def signed_distance_many(self, X) -> np.ndarray:
+    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
         # np.linalg.norm(axis=1) without its per-call overhead, same rounding
-        D = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
+        D = X - self.center
         return self.radius - np.sqrt(np.add.reduce(D * D, axis=1))
+
+    # An own binding, which the benchmark's tracer patches class by class.
+    signed_distance_many = Domain.signed_distance_many
 
     def outside_many(self, X) -> np.ndarray:
         return self.signed_distance_many(X) < 0.0
 
-    def project_to_boundary(self, x) -> np.ndarray:
-        r = _as_point(x, 2) - self.center
-        nr = np.linalg.norm(r)
-        if nr < 1e-12:
-            # Any boundary point is closest; pick a fixed one for determinism.
-            return self.center + np.array([self.radius, 0.0])
-        return self.center + (self.radius / nr) * r
-
-    def project_to_boundary_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _closest_points(self, X: np.ndarray) -> np.ndarray:
         rel = X - self.center
         nr = np.linalg.norm(rel, axis=1, keepdims=True)
+        # Any boundary point is closest to the centre; a fixed one for determinism.
         unit = np.where(nr < 1e-12, np.array([1.0, 0.0]), rel / np.maximum(nr, 1e-12))
         return self.center + self.radius * unit
 
@@ -576,7 +557,7 @@ class Ellipse(Domain):
         c = np.asarray(center, dtype=float)
         bb = np.stack([c - self.semi_axes, c + self.semi_axes], axis=1)
         super().__init__(self._level, bb, boundary=_axis_curve(self.semi_axes),
-                         grad_level=self._grad_level_fn, center=c)
+                         grad_level=self._gradients, center=c)
         # A row at the centre gets the end of the shorter semi-axis.
         j = int(np.argmin(self.semi_axes))
         self._centre_projection = self.center + np.eye(2)[j] * self.semi_axes[j]
@@ -585,9 +566,9 @@ class Ellipse(Domain):
         z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
         return float(z @ z - 1.0)
 
-    def _grad_level_fn(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
-        return 2.0 * z / self.semi_axes
+    def _gradients(self, X):
+        """The level gradient at a point or at every row of ``X``."""
+        return 2.0 * ((np.asarray(X, dtype=float) - self.center) / self.semi_axes) / self.semi_axes
 
     def _newton_terms(self, t, x, y):
         """f and f' in closed form: f = (b^2-a^2) sin t cos t + a x sin t
@@ -603,15 +584,6 @@ class Ellipse(Domain):
 
     # An own binding, which the benchmark's tracer patches class by class.
     signed_distance_many = Domain.signed_distance_many
-
-    def normal_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        G = 2.0 * ((X - self.center) / self.semi_axes) / self.semi_axes
-        n = _row_norms(G)
-        if np.any(n < 1e-9):
-            raise DegenerateGeometryError(
-                f"vanishing level gradient at {X[int(np.argmax(n < 1e-9))]}")
-        return G / n[:, None]
 
     def _curve_points(self, t):
         return _unit_circle(t) * self.semi_axes
@@ -654,18 +626,16 @@ def _axis_curve(semi_axes) -> Callable:
 
 @dataclass(frozen=True)
 class ObliqueField:
-    """Lipschitz direction field along which reflection pushes at the boundary.
+    """Lipschitz direction field along which reflection pushes, evaluated at
+    boundary points.
 
-    ``c0`` is a certified lower bound on gamma . n over sampled boundary
-    points; ``lipschitz_bound`` is the declared (or estimated) Lipschitz
-    constant of the field.  A built-in field is gamma = n + kappa J n (J: the
-    turn by +90 degrees), ``kappa`` 0.0 for the normal field; a custom field
-    has ``kappa`` None.
+    A built-in field is gamma = n + kappa J n (J: the turn by +90 degrees),
+    ``kappa`` 0.0 for the normal field, and its ``gamma`` is the one-row
+    ``gamma_many``; a custom field has ``kappa`` None and is its callable
+    ``gamma``.
     """
 
     gamma: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
-    c0: float
     kappa: Optional[float] = None
 
     @property
@@ -695,43 +665,27 @@ class ObliqueField:
 @dataclass(frozen=True)
 class ObliqueReport:
     min_dot: float
-    lipschitz_est: float
     n_samples: int
 
 
-def validate_oblique(domain: Domain, gamma: Callable, n_samples: int = 4096) -> ObliqueReport:
-    """Check gamma . n > 0 over a quasi-uniform boundary sample.
+def validate_oblique(domain: Domain, field: ObliqueField,
+                     n_samples: int = 4096) -> ObliqueReport:
+    """Check gamma . n > 0 over a quasi-uniform boundary sample, in one batch.
 
     Raises ObliqueConditionError when the sampled minimum is nonpositive.
     """
     pts = domain.boundary_points(n_samples)
-    dots = np.empty(len(pts))
-    gs = np.empty_like(pts)
-    for i, p in enumerate(pts):
-        g = np.asarray(gamma(p), dtype=float)
-        gs[i] = g
-        dots[i] = float(g @ domain.normal(p))
+    dots = _row_dots(field.gamma_many(domain, pts), domain.normal_many(pts))
     min_dot = float(dots.min())
     if min_dot <= 0.0:
         worst = pts[int(np.argmin(dots))]
         raise ObliqueConditionError(
             f"oblique condition fails: gamma.n = {min_dot:.3e} at boundary point {worst}")
-    # Lipschitz estimate over consecutive and strided sample pairs.
-    lip = 0.0
-    n = len(pts)
-    for stride in (1, 7, 61):
-        q = np.roll(pts, -stride, axis=0)
-        gq = np.roll(gs, -stride, axis=0)
-        dx = np.linalg.norm(pts - q, axis=1)
-        dg = np.linalg.norm(gs - gq, axis=1)
-        ok = dx > 1e-12
-        if ok.any():
-            lip = max(lip, float((dg[ok] / dx[ok]).max()))
-    return ObliqueReport(min_dot=min_dot, lipschitz_est=lip, n_samples=n_samples)
+    return ObliqueReport(min_dot=min_dot, n_samples=n_samples)
 
 
 def normal_field(domain: Domain, n_certify: int = 512) -> ObliqueField:
-    """Reflection along the outward normal (extended off the boundary by projection)."""
+    """Reflection along the outward normal."""
     return oblique_from_tangent(domain, 0.0, n_certify)
 
 
@@ -743,11 +697,11 @@ def oblique_from_tangent(domain: Domain, kappa: float, n_certify: int = 512) -> 
         raise ValueError("tangential tilt requires a planar domain")
 
     def gamma(x):
-        n = domain.normal(domain.project_to_boundary(x))
-        return n if kappa == 0.0 else n + kappa * np.array([-n[1], n[0]])
+        return field.gamma_many(domain, _as_point(x, domain.dimension)[None, :])[0]
 
-    rep = validate_oblique(domain, gamma, n_certify)
-    return ObliqueField(gamma, rep.lipschitz_est, rep.min_dot, kappa)
+    field = ObliqueField(gamma, kappa)
+    validate_oblique(domain, field, n_certify)
+    return field
 
 
 # ---------------------------------------------------------------------------

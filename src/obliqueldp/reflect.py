@@ -492,20 +492,17 @@ def validate_reflected_path(domain: Domain, field: ObliqueField,
     """Feasibility, boundary-localization, and direction checks for a path."""
     sd = domain.signed_distance_many(path.points)
     sizes = np.linalg.norm(path.reflection_increments, axis=1)
-    active = sizes > 0.0
-    worst_off = 0.0
-    worst_angle = 0.0
-    for k in np.nonzero(active)[0]:
-        endpoint = path.points[k + 1]
-        worst_off = max(worst_off, abs(float(domain.signed_distance(endpoint))))
-        contact = domain.project_to_boundary(endpoint)
-        g = field(contact)
-        dz = path.reflection_increments[k]
-        cosang = float(dz @ g) / (np.linalg.norm(dz) * np.linalg.norm(g))
-        worst_angle = max(worst_angle, float(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    active = np.nonzero(sizes > 0.0)[0]
+    worst_off = worst_angle = 0.0
+    if len(active):
+        worst_off = float(np.abs(sd[active + 1]).max())
+        G = field.gamma_many(domain, domain.project_to_boundary_many(path.points[active + 1]))
+        dZ = path.reflection_increments[active]
+        cosang = np.einsum("ij,ij->i", dZ, G) / (sizes[active] * np.linalg.norm(G, axis=1))
+        worst_angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
     return PathReport(
         min_signed_distance=float(sd.min()),
-        n_reflections=int(active.sum()),
+        n_reflections=len(active),
         max_offboundary_increment=worst_off,
         max_angle=worst_angle,
     )

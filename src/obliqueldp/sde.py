@@ -79,10 +79,11 @@ class EventSpec:
         return np.all(devs >= self.radii[None, :], axis=1)
 
     def validate_in(self, domain: Domain) -> None:
-        for ref in self.references:
-            sd = domain.signed_distance_many(ref.values)
-            if sd.min() < -1e-8:
-                raise ValueError("event reference path leaves the domain closure")
+        """Raise ValueError, naming ``references[j]``, when a reference path
+        has a node outside the closure of ``domain`` by more than 1e-8."""
+        for j, ref in enumerate(self.references):
+            if domain.signed_distance_many(ref.values).min() < -1e-8:
+                raise ValueError(f"references[{j}]: reference path leaves the domain closure")
 
 
 @dataclass(frozen=True)

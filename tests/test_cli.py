@@ -339,7 +339,19 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("simulate", EXAMPLE, "field", {"kind": "oblique_tangent", "kappa": 0.5},
              "config error: field: tangential tilt"),
             ("simulate", DISK, "field", {"kind": "oblique_tangent", "kappa": 1e300},
-             "config error: field: oblique condition fails"))):
+             "config error: field: oblique condition fails"),
+            # the upper bound runs on one tube; checked before the lower bound runs
+            ("verify-ldp", LDP_SMALL, "ldp", {"bound": "both", "radii": [0.5, 0.5],
+                                              "references": [{"kind": "constant",
+                                                              "point": [0.0]}] * 2},
+             "config error: ldp.references: the upper bound takes exactly one tube"),
+            ("stopping", EXAMPLE, "stopping.n_steps", 30, "config error: stopping.budget: "),
+            # the Philox key holds the seed as a 64-bit integer
+            ("simulate", EXAMPLE, "seed", -5, "config error: config.seed: "),
+            ("simulate", EXAMPLE, "seed", 2 ** 63, "config error: config.seed: "),
+            ("simulate", EXAMPLE, "seed", 2 ** 64, "config error: config.seed: "),
+            ("simulate", EXAMPLE, "events[1].id", "exit-tube",
+             "config error: events[1].id: duplicate id 'exit-tube'"))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -354,6 +366,21 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         assert (named or [dotted])[0] in capsys.readouterr().err, dotted
         # the config is checked before any output is written
         assert not any(out.iterdir()), dotted
+
+    out = tmp_path / "out_seed"
+    assert run_cli("simulate", EXAMPLE, out, "--seed", "-1") == 1
+    assert "config error: --seed: " in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+    # an event without an id is event-{i}, which another id may repeat
+    cfg = json.loads(Path(EXAMPLE).read_text())
+    cfg["events"][0]["id"] = "event-1"
+    del cfg["events"][1]["id"]
+    path, out = tmp_path / "default_id.json", tmp_path / "out_default_id"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", path, out) == 1
+    assert "config error: events[1].id: duplicate id 'event-1'" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
     for shift in ([0.1, 0.2], [float("inf")]):
         cfg = json.loads(Path(OU).read_text())

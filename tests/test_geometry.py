@@ -53,16 +53,23 @@ def test_disk_signed_distance_rounds_like_the_batch():
 
 
 def test_disk_batch_projection_and_normals_match_pointwise():
-    disk = Disk(1.3, center=(0.2, 0.4))
+    # a point query, and a built-in field's point call, is the one-row batch
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-2, 2, size=(64, 2))
-    proj_batch = disk.project_to_boundary_many(pts)
-    proj_rows = np.array([disk.project_to_boundary(p) for p in pts])
-    np.testing.assert_allclose(proj_batch, proj_rows, atol=1e-12)
-    nb = disk.normal_many(proj_batch)
-    nr = np.array([disk.normal(q) for q in proj_batch])
-    np.testing.assert_allclose(nb, nr, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(nb, axis=1), 1.0, atol=1e-12)
+    for dom, pts, kappas in ((Disk(1.3, center=(0.2, 0.4)), rng.uniform(-2, 2, size=(64, 2)),
+                              (0.0, 0.5)),
+                             (Interval(-1.0, 3.0), rng.uniform(-2, 4, size=(64, 1)), (0.0,))):
+        assert [dom.signed_distance(p) for p in pts] == dom.signed_distance_many(pts).tolist()
+        proj_batch = dom.project_to_boundary_many(pts)
+        proj_rows = np.array([dom.project_to_boundary(p) for p in pts])
+        assert proj_batch.tobytes() == proj_rows.tobytes()
+        nb = dom.normal_many(proj_batch)
+        nr = np.array([dom.normal(q) for q in proj_batch])
+        assert nb.tobytes() == nr.tobytes()
+        np.testing.assert_allclose(np.linalg.norm(nb, axis=1), 1.0, atol=1e-12)
+        for kappa in kappas:
+            field = oblique_from_tangent(dom, kappa, n_certify=16)
+            rows = np.array([field(q) for q in proj_batch])
+            assert rows.tobytes() == field.gamma_many(dom, proj_batch).tobytes()
 
 
 def test_ellipse_projection_against_parametric_scan():
@@ -290,26 +297,24 @@ def test_custom_level_set_domain_squircle():
 
 def test_validate_oblique_accepts_normal_and_tilted_fields():
     disk = Disk(1.0)
-    rep = validate_oblique(disk, lambda x: x / np.linalg.norm(x), n_samples=512)
+    rep = validate_oblique(disk, ObliqueField(lambda x: x / np.linalg.norm(x)), n_samples=512)
     assert rep.min_dot == pytest.approx(1.0, abs=1e-9)
     fob = oblique_from_tangent(disk, 0.5)
-    assert fob.c0 == pytest.approx(1.0, abs=1e-9)
     assert fob.kind == "oblique-tangent"
     assert fob.kappa == 0.5
     # a built-in field is its tilt: kappa 0 is the normal field, None custom
     nf, flat = normal_field(disk, n_certify=64), oblique_from_tangent(disk, 0.0, n_certify=64)
     assert (nf.kind, nf.kappa) == (flat.kind, flat.kappa) == ("normal", 0.0)
-    assert (nf.c0, nf.lipschitz_bound) == (flat.c0, flat.lipschitz_bound)
     pts = disk.boundary_points(7) * 1.1
     assert np.array_equal([nf(p) for p in pts], [flat(p) for p in pts])
     assert np.array_equal(nf.gamma_many(disk, pts), flat.gamma_many(disk, pts))
-    assert ObliqueField(fob.gamma, fob.lipschitz_bound, fob.c0).kind == "custom"
+    assert ObliqueField(fob.gamma).kind == "custom"
 
 
 def test_validate_oblique_rejects_tangential_field():
     disk = Disk(1.0)
     with pytest.raises(ObliqueConditionError):
-        validate_oblique(disk, lambda x: np.array([-x[1], x[0]]), n_samples=256)
+        validate_oblique(disk, ObliqueField(lambda x: np.array([-x[1], x[0]])), n_samples=256)
 
 
 def test_oblique_gamma_many_matches_scalar_calls():

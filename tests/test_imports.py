@@ -86,6 +86,44 @@ def test_each_domain_class_binds_signed_distance_many():
         assert "signed_distance_many" in cls.__dict__, cls.__name__
 
 
+POINT_QUERIES = ("signed_distance", "project_to_boundary", "normal")
+
+
+def point_query_overrides(sources):
+    """``Class.name`` for each point query that a subclass of ``Domain`` in
+    ``sources`` defines or binds."""
+    classes = [node for tree in map(ast.parse, sources) for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    family, grown = {"Domain"}, True
+    while grown:
+        sub = {c.name for c in classes
+               if any(getattr(b, "id", None) in family for b in c.bases)}
+        grown, family = not sub <= family, family | sub
+    found = []
+    for cls in classes:
+        if cls.name == "Domain" or cls.name not in family:
+            continue
+        for item in cls.body:
+            names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                     [t.id for t in item.targets if isinstance(t, ast.Name)]
+                     if isinstance(item, ast.Assign) else [])
+            found += [f"{cls.name}.{n}" for n in names if n in POINT_QUERIES]
+    return sorted(found)
+
+
+def test_no_domain_subclass_defines_a_point_query():
+    # a point query is written once, in Domain, as the one-row batch
+    assert point_query_overrides(_sources(PACKAGE.glob("*.py"))) == []
+
+
+def test_point_query_checker_follows_subclasses():
+    src = ("class Domain:\n    def normal(self, x):\n        pass\n"
+           "class A(Domain):\n    def signed_distance(self, x):\n        pass\n"
+           "class B(A):\n    normal = None\n    def normal_many(self, X):\n        pass\n"
+           "class C:\n    def project_to_boundary(self, x):\n        pass\n")
+    assert point_query_overrides([src]) == ["A.signed_distance", "B.normal"]
+
+
 _COLD_START = """
 import json
 import sys

@@ -114,7 +114,7 @@ def test_oblique_pushback_recovers_where_the_ray_misses():
 
 def _as_custom(field):
     """The same gamma as a custom field (no tilt): no closed-form contact."""
-    return ObliqueField(field.gamma, field.lipschitz_bound, field.c0)
+    return ObliqueField(field.gamma)
 
 
 @settings(max_examples=150, deadline=None)

@@ -84,7 +84,7 @@ def test_two_dimensional_block_is_pinned(kind, ends_digest, devs_digest):
     assert hashlib.sha256(ends.tobytes()).hexdigest()[:16] == ends_digest
     assert hashlib.sha256(devs.tobytes()).hexdigest()[:16] == devs_digest
     # the same gamma as a custom field takes the secant contact
-    custom = ObliqueField(field.gamma, field.lipschitz_bound, field.c0)
+    custom = ObliqueField(field.gamma)
     ends1, devs1 = block(custom)
     np.testing.assert_allclose(ends1, ends, rtol=0.0, atol=1e-11)
     np.testing.assert_allclose(devs1, devs, rtol=0.0, atol=1e-11)

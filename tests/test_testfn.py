@@ -177,7 +177,7 @@ def test_construction_fails_for_inward_tilted_field():
         t = np.array([-n[1], n[0]])
         return np.cos(ang) * n + np.sin(ang) * t
 
-    bad = ObliqueField(gamma=gamma, lipschitz_bound=2.0, c0=np.cos(ang))
+    bad = ObliqueField(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConstructionError):
             build_testfn(disk, bad, eps=0.1, rho=0.1, n_boundary=48,
