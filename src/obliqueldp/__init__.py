@@ -50,7 +50,6 @@ from .control_stop import (  # noqa: F401
     ObstacleBoundError,
     multi_stop_value,
     reduced_value,
-    value_inf_inf,
     value_inf_sup,
 )
 from .hjbvi import (  # noqa: F401

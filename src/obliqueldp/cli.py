@@ -325,11 +325,18 @@ def _in_closure(event: EventSpec, domain: Domain, path: str) -> None:
         raise ConfigError(f"{path}.{exc}") from exc
 
 
-def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
-    kind = _get(block, "kind", path)
+def _tubes(block, t0: float, t_end: float, path: str, d: int) -> tuple:
+    """The references and radii of the tubes in ``block``: at least one."""
     refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]", d)
             for i, r in enumerate(_list(block, "references", path))]
-    radii = _num_list(block, "radii", path, positive=True)
+    if not refs:
+        raise ConfigError(f"{path}.references: need at least one reference")
+    return refs, _num_list(block, "radii", path, positive=True)
+
+
+def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
+    kind = _get(block, "kind", path)
+    refs, radii = _tubes(block, t0, t_end, path, d)
     try:
         return EventSpec(kind=kind, references=refs, radii=radii)
     except ValueError as exc:
@@ -567,8 +574,9 @@ def cmd_testfn_check(ctx: RunContext):
         val = _int(block, key, "testfn", None, least=1)
         if val is not None:
             build_kwargs[key] = val
+    n_samples = _int(block, "n_samples", "testfn", 4096, least=1)
     tf = build_testfn(ctx.domain, ctx.field, eps, rho, **build_kwargs)
-    report = check_testfn_properties(tf, _int(block, "n_samples", "testfn", 4096, least=1))
+    report = check_testfn_properties(tf, n_samples)
     payload = report.to_dict()
     payload.update({"A": tf.A, "B": tf.B, "C": tf.C, "eps": eps, "rho": rho,
                     "passed": bool(report.min_psi_iii > 0.0
@@ -579,9 +587,7 @@ def cmd_testfn_check(ctx: RunContext):
 
 def _ldp_config(ctx: RunContext) -> tuple:
     block = _get(ctx.cfg, "ldp", "config")
-    refs = [build_reference(r, ctx.t0, ctx.t_end, f"ldp.references[{i}]", ctx.domain.dimension)
-            for i, r in enumerate(_list(block, "references", "ldp"))]
-    radii = _num_list(block, "radii", "ldp", positive=True)
+    refs, radii = _tubes(block, ctx.t0, ctx.t_end, "ldp", ctx.domain.dimension)
     ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
     kwargs = dict(
         domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
@@ -602,8 +608,8 @@ def _ldp_config(ctx: RunContext) -> tuple:
     try:
         config = LdpConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"config.{exc}" if str(exc).startswith("eps_ladder:")
-                          else f"ldp: {exc}")
+        top = str(exc).startswith("eps_ladder:")  # each message starts with its field
+        raise ConfigError(f"{'config' if top else 'ldp'}.{exc}")
     _in_closure(EventSpec.complements(refs, radii), ctx.domain, "ldp")
     bound = _get(block, "bound", "ldp", "lower")
     if bound not in ("lower", "upper", "both"):
@@ -700,9 +706,9 @@ def run(config_path, subcommand: str, out=None, seed=None, threads=None) -> int:
     if not 0 <= eff_seed < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers
         raise ConfigError(f"{'config.seed' if seed is None else '--seed'}: must lie in [0, 2**63)")
     eff_threads = int(threads if threads is not None
-                      else _int(cfg, "threads", "config", 1))
+                      else _int(cfg, "threads", "config", 1, least=1))
     if eff_threads < 1:
-        raise ConfigError("threads: must be at least 1")
+        raise ConfigError("--threads: must be at least 1")
     ctx = RunContext(cfg, out_dir, eff_seed, eff_threads)
     code, outputs = HANDLERS[subcommand](ctx)
     write_manifest(ctx, subcommand, config_path, outputs)

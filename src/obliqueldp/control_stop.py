@@ -95,13 +95,6 @@ def value_inf_sup(p: DiscreteProblem, t0: float, x) -> float:
     return _stopping_value(p, t0, x, max)
 
 
-def value_inf_inf(p: DiscreteProblem, t0: float, x) -> float:
-    """Both the control and the stopping time minimize: the one-obstacle reduction."""
-    if len(p.obstacles) != 1:
-        raise ValueError("inf-inf value takes exactly one obstacle")
-    return reduced_value(p, t0, x)
-
-
 # ---------------------------------------------------------------------------
 # Multiple stopping
 

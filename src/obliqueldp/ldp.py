@@ -91,6 +91,10 @@ class LdpConfig:
             raise ValueError("eps_ladder: must not be empty")
         if sorted(set(self.eps_ladder), reverse=True) != self.eps_ladder:
             raise ValueError("eps_ladder: must be strictly decreasing")
+        if not self.obstacle_height > 0.0:
+            raise ValueError("obstacle_height: must be positive")
+        if len(self.dp_controls) == 0:
+            raise ValueError("dp_controls: must not be empty")
 
     @property
     def mc_grid(self) -> TimeGrid:

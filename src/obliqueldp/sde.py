@@ -56,6 +56,8 @@ class EventSpec:
         object.__setattr__(self, "radii", np.atleast_1d(np.asarray(self.radii, dtype=float)))
         if self.kind not in ("ball", "intersection_of_complements"):
             raise ValueError(f"unknown event kind {self.kind!r}")
+        if not self.references:
+            raise ValueError("an event needs at least one reference path")
         if self.kind == "ball" and len(self.references) != 1:
             raise ValueError("ball events take exactly one reference path")
         if len(self.references) != len(self.radii):
@@ -154,7 +156,7 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
 # Monte Carlo over trajectory blocks
 
 
-def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
+def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references):
     """Terminal states (B, d) and sup-norm deviations from each reference
     (B, n_refs) of one trajectory block.  Constant coefficients advance the
     whole block at once; otherwise each trajectory is simulated on its own."""
@@ -182,16 +184,6 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references=()):
     X = np.repeat(x0[None, :], len(ids), axis=0)
     return sup_deviations(domain, field, X, grid, lambda k, _X: b, g_nodes,
                           shock_at=lambda k, _X: scale[k] * shocks[k])
-
-
-def sample_terminal_values(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                           eps: NoiseScale, t0: float, x, grid: TimeGrid,
-                           n_samples: int, seed: int) -> np.ndarray:
-    """Terminal states of ``n_samples`` independent trajectories, 4096 a block."""
-    x0 = _checked_start(domain, grid, t0, x)
-    return np.vstack([_block(domain, field, coeffs, eps, t0, grid, x0, seed, ids)[0]
-                      for ids in np.array_split(np.arange(n_samples),
-                                                max(1, -(-n_samples // 4096)))])
 
 
 def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: CoefficientField,

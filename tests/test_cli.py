@@ -239,7 +239,7 @@ def test_verify_ldp_inconclusive_exit_code(tmp_path):
     assert report["verdict"] == "inconclusive"
 
 
-def test_config_errors_name_the_field(tmp_path, capsys):
+def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
     cfg = json.loads(Path(LDP_SMALL).read_text())
     cfg["eps_ladder"] = [0.25, 0.35, 0.5]
     path = tmp_path / "bad_ladder.json"
@@ -351,7 +351,23 @@ def test_config_errors_name_the_field(tmp_path, capsys):
             ("simulate", EXAMPLE, "seed", 2 ** 63, "config error: config.seed: "),
             ("simulate", EXAMPLE, "seed", 2 ** 64, "config error: config.seed: "),
             ("simulate", EXAMPLE, "events[1].id", "exit-tube",
-             "config error: events[1].id: duplicate id 'exit-tube'"))):
+             "config error: events[1].id: duplicate id 'exit-tube'"),
+            # an event or a tube experiment needs at least one reference
+            ("simulate", EXAMPLE, "events[0]", {"kind": "intersection_of_complements",
+                                                "references": [], "radii": []},
+             "config error: events[0].references: "),
+            ("verify-ldp", LDP_SMALL, "ldp", {"references": [], "radii": []},
+             "config error: ldp.references: "),
+            # checked before the Monte Carlo ladder and the rate solve run
+            ("verify-ldp", LDP_SMALL, "ldp.dp_controls", [],
+             "config error: ldp.dp_controls: "),
+            # a cap at or below zero would be the lower experiment's third answer
+            ("verify-ldp", LDP_SMALL, "ldp.obstacle_height", -1.0,
+             "config error: ldp.obstacle_height: must be positive"),
+            ("verify-ldp", LDP_SMALL, "ldp.obstacle_height", 0.0,
+             "config error: ldp.obstacle_height: must be positive"),
+            ("simulate", EXAMPLE, "threads", 0,
+             "config error: config.threads: must be at least 1"))):
         cfg = json.loads(Path(base).read_text())
         # "a.b[0].c" walks keys a, b, list index 0, then sets c
         *head, last = [int(k[1:-1]) if k.startswith("[") else k
@@ -367,9 +383,24 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         # the config is checked before any output is written
         assert not any(out.iterdir()), dotted
 
-    out = tmp_path / "out_seed"
-    assert run_cli("simulate", EXAMPLE, out, "--seed", "-1") == 1
-    assert "config error: --seed: " in capsys.readouterr().err
+    for flag, value in (("--seed", "-1"), ("--threads", "0")):
+        out = tmp_path / f"out{flag}"
+        assert run_cli("simulate", EXAMPLE, out, flag, value) == 1
+        assert f"config error: {flag}: " in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    # testfn.n_samples is read with the other testfn fields, before the build
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_testfn ran before the config was checked")
+
+    monkeypatch.setattr(cli, "build_testfn", no_build)
+    cfg = json.loads(Path(EXAMPLE).read_text())
+    cfg["testfn"]["n_samples"] = 0
+    path, out = tmp_path / "bad_testfn_samples.json", tmp_path / "out_testfn_samples"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("testfn-check", path, out) == 1
+    assert ("config error: testfn.n_samples: must be at least 1"
+            in capsys.readouterr().err)
     assert not any(out.iterdir())
 
     # an event without an id is event-{i}, which another id may repeat

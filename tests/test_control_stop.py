@@ -4,9 +4,9 @@ import pytest
 from obliqueldp.control_stop import (
     DiscreteProblem,
     EnumerationLimitError,
+    ObstacleBoundError,
     multi_stop_value,
     reduced_value,
-    value_inf_inf,
     value_inf_sup,
 )
 from obliqueldp.geometry import Interval, constant_coefficients, normal_field
@@ -28,35 +28,32 @@ def test_two_step_values_match_hand_computation():
     # dynamics x -> x - 0.5 a, cell cost 0.25 a^2, obstacle y + 1; all
     # quantities dyadic, so the hand values are exact floats
     p = _problem([lambda t, y: float(y[0]) + 1.0])
-    assert value_inf_inf(p, 0.0, [0.5]) == 1.0
+    # the inf-inf value is the one-obstacle reduction
+    assert reduced_value(p, 0.0, [0.5]) == 1.0
     assert value_inf_sup(p, 0.0, [0.5]) == 1.5
 
 
 def test_single_obstacle_multi_stop_equals_inf_inf():
     p = _problem([lambda t, y: float(y[0]) + 1.0])
-    v = value_inf_inf(p, 0.0, [0.5])
-    assert multi_stop_value(p, 0.0, [0.5]) == v
-    assert reduced_value(p, 0.0, [0.5]) == v
+    assert multi_stop_value(p, 0.0, [0.5]) == reduced_value(p, 0.0, [0.5]) == 1.0
 
 
 def test_single_stop_values_require_one_obstacle():
     p = _problem([lambda t, y: 1.0, lambda t, y: 2.0])
-    with pytest.raises(ValueError):
-        value_inf_inf(p, 0.0, [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one obstacle"):
         value_inf_sup(p, 0.0, [0.0])
 
 
 def test_node_index_requires_exact_node():
     p = _problem([lambda t, y: 1.0])
-    with pytest.raises(ValueError):
-        value_inf_inf(p, 0.3, [0.0])
+    with pytest.raises(ValueError, match="not a grid node"):
+        reduced_value(p, 0.3, [0.0])
 
 
 def test_obstacle_bound_enforced():
     p = _problem([lambda t, y: 2.0], obstacle_bound=1.0)
-    with pytest.raises(ValueError):
-        value_inf_inf(p, 0.0, [0.0])
+    with pytest.raises(ObstacleBoundError):
+        reduced_value(p, 0.0, [0.0])
 
 
 def test_enumeration_budget_guard():
@@ -89,7 +86,8 @@ def test_reduction_identity_is_bit_exact_on_random_instances():
 
 
 # (inf-sup, inf-inf) values recorded before the two single-stop values
-# shared one backward recursion with the reduction
+# shared one backward recursion with the reduction; the inf-inf value is the
+# one-obstacle reduction
 RECORDED_SINGLE_STOP_VALUES = [
     (2.1010095104445576, 1.8186479249488194),
     (1.6562621889670457, 1.4254513815991117),
@@ -112,7 +110,7 @@ def test_single_stop_values_are_pinned_on_random_instances():
         p = _problem([_random_obstacle(rng)], controls=controls, n_steps=2 + trial % 2)
         x0 = [float(rng.uniform(-0.5, 0.5))]
         assert value_inf_sup(p, 0.0, x0) == sup_val, trial
-        assert value_inf_inf(p, 0.0, x0) == inf_val, trial
+        assert reduced_value(p, 0.0, x0) == inf_val, trial
 
 
 def test_tube_indicator_strict_membership():

@@ -1,8 +1,9 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
-for F401), the pipelines that never call scipy's solvers do not load them, and
+for F401), the pipelines that never call scipy's solvers do not load them,
 every default of a package function is overridden by some call: in the package
 for a private function, in the package, the tests or the benchmark for a
-public one.
+public one, and every public definition of the package runs in a pipeline or
+is library API.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -291,3 +292,68 @@ def test_default_checker_reads_double_star_arguments_where_they_are_built():
     assert unpassed_defaults([src], [src], private=True) == ["_h(e)"]
     assert unpassed_defaults([src], [src.replace("_h(0, **kw)", "_h(0, **kw, e=5)")],
                              private=True) == []
+
+
+def _reads(node):
+    """The names and attribute names read anywhere in ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached_definitions(sources, roots):
+    """The public module-level functions and classes of ``sources`` that no
+    chain of reads reaches from the names ``roots``.
+
+    A module-level function, class or assignment reads the names and
+    attribute names in it; a name read reaches every module-level
+    definition of that name, in any of the sources.
+    """
+    defs, public = {}, set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, []).append(node.value)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defs.get(name, ()):
+                todo += _reads(node) - reached
+    return sorted(public - reached)
+
+
+def library_api():
+    """The names ``obliqueldp/__init__.py`` re-exports: the library API."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_public_definition_is_reached_or_exported():
+    # cli.main reaches the pipelines through HANDLERS; a public definition
+    # that no pipeline runs is library API, re-exported by __init__, or goes
+    package = _sources(PACKAGE.glob("*.py"))
+    assert unreached_definitions(package, {"main"} | library_api()) == []
+
+
+def test_reach_checker_follows_reads_through_classes_and_assignments():
+    cli = ("def main():\n    return TABLE['x']()\n"
+           "TABLE = {'x': handler}\n"
+           "def handler():\n    return util.helper(Box())\n"
+           "def orphan():\n    return helper(1)\n"
+           "def _private():\n    pass\n"
+           "def api():\n    return _private()\n")
+    util = ("class Box:\n    def size(self):\n        return measure(self)\n"
+            "def helper(b):\n    return b.size()\n"
+            "def measure(b):\n    return 0\n"
+            "class Lone:\n    pass\n")
+    assert unreached_definitions([cli, util], {"main"}) == ["Lone", "api", "orphan"]
+    assert unreached_definitions([cli, util], {"main", "api"}) == ["Lone", "orphan"]
+    assert unreached_definitions([cli, util], {"handler"}) == ["Lone", "api", "main", "orphan"]

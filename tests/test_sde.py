@@ -14,7 +14,6 @@ from obliqueldp.sde import (
     NoiseScale,
     estimate_event_probability,
     log_rate_estimate,
-    sample_terminal_values,
     simulate_reflected_sde,
     trajectory_noise,
 )
@@ -195,8 +194,9 @@ def test_terminal_moments_on_wide_interval():
     # terminal law is N(0, eps^2 T)
     wide, wfield, coeffs = _interval_setup(-4.0, 4.0)
     grid = TimeGrid.uniform(0.0, 1.0, 256)
-    vals = sample_terminal_values(wide, wfield, coeffs, NoiseScale(0.5), 0.0, [0.0],
-                                  grid, n_samples=20000, seed=99)
+    # one block of 20000 trajectories; each draws the stream keyed (99, id)
+    vals = _block(wide, wfield, coeffs, NoiseScale(0.5), 0.0, grid, np.array([0.0]), 99,
+                  np.arange(20000), ())[0]
     assert vals.shape == (20000, 1)
     n = 20000
     assert abs(vals.mean()) <= 3.0 * 0.5 / np.sqrt(n)
