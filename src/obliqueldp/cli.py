@@ -11,6 +11,7 @@ verify-ldp verdict is inconclusive, 1 on configuration or runtime errors.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -27,18 +28,23 @@ import scipy
 from . import __version__
 from .control_stop import DiscreteProblem, EnumerationLimitError, ObstacleBoundError, \
     multi_stop_value, reduced_value
-from .geometry import CoefficientField, Disk, Domain, Ellipse, EpsFamily, \
-    GeometryError, Interval, ObliqueField, oblique_from_tangent
-from .hjbvi import MAX_TYPE, MIN_TYPE, constant_obstacle, solve_eps_vi, \
+from .geometry import CoefficientField, Disk, Ellipse, EpsFamily, GeometryError, \
+    Interval, oblique_from_tangent
+from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
-from .ldp import LdpConfig, dump_json, run_lower_bound_experiment, run_upper_bound_experiment
+from .ldp import LdpConfig, checked_eps_ladder, dump_json, run_lower_bound_experiment, \
+    run_upper_bound_experiment
 from .rate import rate_of_event, rate_of_path
 from .reflect import ReferencePath, TimeGrid
 from .sde import EventSpec, NoiseScale, estimate_event_probability, \
     simulate_reflected_sde
 from .testfn import build_testfn, check_testfn_properties
 
-_MISSING = object()
+# every top-level key that some pipeline reads
+_TOP_LEVEL = ("out_dir", "seed", "threads", "domain", "field", "coefficients", "time",
+              "x0", "tolerances", "events", "eps", "n_samples", "eps_ladder", "rate",
+              "stopping", "hjb", "testfn", "ldp")
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -46,17 +52,42 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Field access with path-aware diagnostics
+# The one object reader.  A spec maps each accepted key to its check, or to
+# (check, default) when the key may be left out; a check takes the value and
+# its dotted path and returns what the run uses, or raises a ConfigError.
 
 
-def _get(mapping, key, path, default=_MISSING):
-    if not isinstance(mapping, dict):
+def _known(block: dict, path: str, keys) -> None:
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def _fields(block, path: str, spec: dict) -> dict:
+    """The fields of the config object ``block`` at ``path``, read by ``spec``."""
+    if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
-    if key not in mapping:
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
+    out = {}
+    for key, entry in spec.items():
+        check, default = entry if isinstance(entry, tuple) else (entry, _REQUIRED)
+        if key in block:
+            out[key] = check(block[key], f"{path}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: missing required field")
+        else:
+            out[key] = default
+    _known(block, path, spec)
+    return out
+
+
+def _as_given(val, path):
+    return val
+
+
+def _top(cfg: dict, key: str, check=_as_given, default=_REQUIRED):
+    """The top-level field ``key``, named ``config.key``; a block is read
+    under its bare key."""
+    return _fields({key: cfg[key]} if key in cfg else {}, "config", {key: (check, default)})[key]
 
 
 def _finite(val) -> bool:
@@ -67,58 +98,95 @@ def _finite(val) -> bool:
         return False
 
 
-def _num(mapping, key, path, default=_MISSING, least=None):
-    val = _get(mapping, key, path, default)
-    if val is default and default is not _MISSING:
-        return val
-    if not _finite(val):
-        raise ConfigError(f"{path}.{key}: expected a finite number")
+def _at_least(val, path, least):
     if least is not None and val < least:
-        raise ConfigError(f"{path}.{key}: must be at least {least}")
-    return float(val)
+        raise ConfigError(f"{path}: must be at least {least}")
 
 
-def _list(mapping, key, path, default=_MISSING) -> list:
-    vals = _get(mapping, key, path, default)
-    if not isinstance(vals, list):
-        raise ConfigError(f"{path}.{key}: expected a list")
-    return vals
+def _number(least=None, positive=False):
+    def check(val, path) -> float:
+        if not _finite(val):
+            raise ConfigError(f"{path}: expected a finite number")
+        _at_least(val, path, least)
+        if positive and val <= 0:
+            raise ConfigError(f"{path}: must be positive")
+        return float(val)
+    return check
 
 
-def _bool(mapping, key, path, default) -> bool:
-    val = _get(mapping, key, path, default)
+def _integer(least=None):
+    def check(val, path) -> int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{path}: expected an integer")
+        _at_least(val, path, least)
+        return val
+    return check
+
+
+def _flag(val, path) -> bool:
     if not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected true or false")
+        raise ConfigError(f"{path}: expected true or false")
     return val
 
 
-def _num_list(mapping, key, path, positive=False) -> list:
-    vals = _get(mapping, key, path)
-    if not isinstance(vals, list):
-        raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    for i, val in enumerate(vals):
-        if not _finite(val) or (positive and val <= 0):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a "
-                              f"{'positive ' if positive else ''}finite number")
-    return [float(val) for val in vals]
+def _text(val, path) -> str:
+    return str(val)
 
 
-def _coords(val, field: str, d: int) -> np.ndarray:
-    """The list of ``d`` finite numbers at the dotted ``field``."""
-    if not isinstance(val, list) or len(val) != d or not all(map(_finite, val)):
-        raise ConfigError(f"{field}: expected a list of {d} finite numbers")
-    return np.array(val, dtype=float)
-
-
-def _int(mapping, key, path, default=_MISSING, least=None):
-    val = _get(mapping, key, path, default)
-    if val is default and default is not _MISSING:
+def _choice(*options):
+    def check(val, path):
+        if val not in options:
+            raise ConfigError(f"{path}: unknown {val!r} (expected one of "
+                              f"{', '.join(map(repr, options))})")
         return val
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    if least is not None and val < least:
-        raise ConfigError(f"{path}.{key}: must be at least {least}")
-    return int(val)
+    return check
+
+
+def _object(spec):
+    return lambda val, path: _fields(val, path, spec)
+
+
+def _objects(read):
+    """Check for a list of objects, each read by ``read(item, path)``."""
+    def check(val, path) -> list:
+        if not isinstance(val, list):
+            raise ConfigError(f"{path}: expected a list of objects")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(val)]
+    return check
+
+
+def _array(*shape, positive=False):
+    """Check for a nested list of finite numbers (positive ones if
+    ``positive``) with the lengths ``shape``; None is any length but zero,
+    the same for every entry of a level.  The first entry at fault is named."""
+    def check(val, path, shape=shape):
+        if not shape:
+            if not _finite(val) or (positive and val <= 0):
+                raise ConfigError(f"{path}: expected a "
+                                  f"{'positive ' if positive else ''}finite number")
+            return float(val)
+        n, *inner = shape
+        if not isinstance(val, list) or not val or n is not None and len(val) != n:
+            raise ConfigError(f"{path}: expected a list of {n or 'one or more'} entries")
+        rows = []
+        for i, entry in enumerate(val):
+            rows.append(check(entry, f"{path}[{i}]", inner))
+            inner = np.shape(rows[0])
+        return np.array(rows)
+    return check
+
+
+@contextlib.contextmanager
+def _named(errors: dict):
+    """Report a library error of a type in ``errors`` as a ConfigError that
+    starts with the field path it maps the type to."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except tuple(errors) as exc:
+        prefix = next(at for kind, at in errors.items() if isinstance(exc, kind))
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -132,61 +200,37 @@ def load_config(path) -> dict:
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    _known(cfg, "config", _TOP_LEVEL)
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# Builders for the named ingredients
+# The built-in families: a table maps each kind to its constructor and the
+# spec of the fields the constructor takes.
 
 
-def build_domain(block) -> Domain:
-    kind = _get(block, "kind", "domain")
-
-    def center():
-        return _coords(_get(block, "center", "domain", [0.0, 0.0]), "domain.center", 2)
-
-    if kind == "interval":
-        make, args = Interval, (_num(block, "lo", "domain"), _num(block, "hi", "domain"))
-    elif kind == "disk":
-        make, args = Disk, (_num(block, "radius", "domain", 1.0), center())
-    elif kind == "ellipse":
-        make, args = Ellipse, (_num(block, "a", "domain"), _num(block, "b", "domain"), center())
-    else:
-        raise ConfigError(f"domain.kind: unknown built-in '{kind}' "
-                          f"(expected interval, disk, or ellipse)")
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}")
+def _built_in(block, path: str, table: dict, *args, key="kind"):
+    """What the ``table`` entry that ``block[key]`` names builds from ``args``
+    and the block's other fields."""
+    kind = block.get(key) if isinstance(block, dict) else None
+    # a tuple's `in` compares, so an unhashable kind (a JSON list) is unknown too
+    make, spec = table[kind] if kind in tuple(table) else (None, {})
+    fields = _fields(block, path, {key: _choice(*table), **spec})
+    del fields[key]
+    return make(*args, **fields)
 
 
-def build_field(block, domain: Domain) -> ObliqueField:
-    kind = _get(block, "kind", "field")
-    if kind == "normal":
-        kappa = 0.0
-    elif kind == "oblique_tangent":
-        kappa = _num(block, "kappa", "field")
-    else:
-        raise ConfigError(f"field.kind: unknown built-in '{kind}' "
-                          f"(expected normal or oblique_tangent)")
-    try:
-        return oblique_from_tangent(domain, kappa)
-    except (ValueError, GeometryError) as exc:
-        raise ConfigError(f"field: {exc}")
+_DOMAINS = {
+    "interval": (lambda lo, hi: Interval(lo, hi), {"lo": _number(), "hi": _number()}),
+    "disk": (Disk, {"radius": (_number(), 1.0), "center": (_array(2), (0.0, 0.0))}),
+    "ellipse": (Ellipse, {"a": _number(), "b": _number(),
+                          "center": (_array(2), (0.0, 0.0))}),
+}
 
-
-def _matrix(val, field: str, d: int, m=None) -> np.ndarray:
-    """The ``d`` x ``m`` nested list of finite numbers at the dotted
-    ``field``; ``m`` None takes the width of the first row."""
-    ok = (isinstance(val, list) and len(val) == d
-          and all(isinstance(row, list) for row in val))
-    if ok:
-        width = len(val[0]) if m is None else m
-        ok = width >= 1 and all(len(row) == width and all(map(_finite, row))
-                                for row in val)
-    if not ok:
-        raise ConfigError(f"{field}: expected a {d} x {m or 'm'} matrix of finite numbers")
-    return np.array(val, dtype=float)
+_FIELDS = {
+    "normal": (lambda domain: oblique_from_tangent(domain, 0.0), {}),
+    "oblique_tangent": (oblique_from_tangent, {"kappa": _number()}),
+}
 
 
 def _per_point(value, x):
@@ -196,88 +240,76 @@ def _per_point(value, x):
 
 # The built-in coefficients take a point (d,) or rows (B, d).  A row comes out
 # with the bits of the point call: per-row matrix products, the same float
-# order in every sum.
+# order in every sum.  Each constructor returns the function, its Lipschitz
+# constant and its constant value (None when it varies).
 
 
-def _drift_builtin(block, d: int):
-    path = "coefficients.drift"
-    name = _get(block, "name", path)
-    if name == "constant":
-        vec = _coords(_get(block, "value", path), f"{path}.value", d)
-        return (lambda t, x: _per_point(vec, x)), 0.0, vec
-    if name == "linear":
-        mat = _matrix(_get(block, "matrix", path), f"{path}.matrix", d, d)
-        off = _coords(_get(block, "offset", path, [0.0] * d), f"{path}.offset", d)
-        lip = float(np.linalg.norm(mat, 2))
-
-        def drift(t, x):
-            x = np.atleast_1d(x)
-            if x.ndim < 2:
-                return off + mat @ x
-            # (d, d) @ (d, 1) per row: X @ mat.T can round differently
-            return off + np.matmul(mat, x[:, :, None])[:, :, 0]
-
-        return drift, lip, None
-    if name == "rotational":
-        if d != 2:
-            raise ConfigError("coefficients.drift: built-in 'rotational' "
-                              "needs a two-dimensional domain")
-        omega = _num(block, "omega", path)
-
-        def drift(t, x):
-            if np.ndim(x) < 2:
-                return omega * np.array([-x[1], x[0]])
-            return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
-
-        return drift, abs(omega), None
-    raise ConfigError(f"coefficients.drift.name: unknown built-in '{name}' "
-                      f"(expected constant, linear, or rotational)")
+def _constant(value):
+    return (lambda t, x: _per_point(value, x)), 0.0, value
 
 
-def _dispersion_builtin(block, d: int):
-    path = "coefficients.dispersion"
-    name = _get(block, "name", path)
-    if name == "constant":
-        mat = _matrix(_get(block, "value", path), f"{path}.value", d)
-        return (lambda t, x: _per_point(mat, x)), 0.0, mat
-    if name == "linear":
-        base = _matrix(_get(block, "base", path), f"{path}.base", d)
-        slopes = _get(block, "slopes", path)
-        if not isinstance(slopes, list) or len(slopes) != d:
-            raise ConfigError(f"{path}.slopes: need one matrix per state coordinate")
-        slopes = [_matrix(s, f"{path}.slopes[{j}]", d, base.shape[1])
-                  for j, s in enumerate(slopes)]
-        lip = math.sqrt(sum(float(np.sum(s * s)) for s in slopes))
+def _linear_drift(matrix, offset):
+    def drift(t, x):
+        x = np.atleast_1d(x)
+        if x.ndim < 2:
+            return offset + matrix @ x
+        # (d, d) @ (d, 1) per row: X @ matrix.T can round differently
+        return offset + np.matmul(matrix, x[:, :, None])[:, :, 0]
 
-        def sigma(t, x):
-            x = np.atleast_1d(x)
-            if x.ndim == 2:
-                x = x.T[:, :, None, None]  # coordinate j of every row, (B, 1, 1)
-            # base + (0 + x_0 S_0 + x_1 S_1 + ...), summed left to right
-            total = 0
-            for j, s in enumerate(slopes):
-                total = total + x[j] * s
-            return base + total
+    return drift, float(np.linalg.norm(matrix, 2)), None
 
-        return sigma, lip, None
-    raise ConfigError(f"coefficients.dispersion.name: unknown built-in '{name}' "
-                      f"(expected constant or linear)")
+
+def _rotational_drift(d, omega):
+    if d != 2:
+        raise ConfigError("coefficients.drift: built-in 'rotational' "
+                          "needs a two-dimensional domain")
+
+    def drift(t, x):
+        if np.ndim(x) < 2:
+            return omega * np.array([-x[1], x[0]])
+        return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
+
+    return drift, abs(omega), None
+
+
+def _linear_dispersion(base, slopes):
+    if slopes.shape[1:] != base.shape:
+        raise ConfigError(f"coefficients.dispersion.slopes: need one "
+                          f"{base.shape[0]} x {base.shape[1]} matrix per state coordinate")
+    slopes = list(slopes)  # a list iterates faster than the rows of an array
+
+    def sigma(t, x):
+        x = np.atleast_1d(x)
+        if x.ndim == 2:
+            x = x.T[:, :, None, None]  # coordinate j of every row, (B, 1, 1)
+        # base + (0 + x_0 S_0 + x_1 S_1 + ...), summed left to right
+        total = 0
+        for j, s in enumerate(slopes):
+            total = total + x[j] * s
+        return base + total
+
+    return sigma, math.sqrt(sum(float(np.sum(s * s)) for s in slopes)), None
 
 
 def build_coefficients(block, d: int) -> CoefficientField:
-    b_fun, b_lip, b_const = _drift_builtin(_get(block, "drift", "coefficients"), d)
-    s_fun, s_lip, s_const = _dispersion_builtin(
-        _get(block, "dispersion", "coefficients"), d)
+    drifts = {"constant": (_constant, {"value": _array(d)}),
+              "linear": (_linear_drift, {"matrix": _array(d, d),
+                                         "offset": (_array(d), np.zeros(d))}),
+              "rotational": (lambda omega: _rotational_drift(d, omega), {"omega": _number()})}
+    dispersions = {"constant": (_constant, {"value": _array(d, None)}),
+                   "linear": (_linear_dispersion, {"base": _array(d, None),
+                                                   "slopes": _array(d, None, None)})}
+    f = _fields(block, "coefficients", {
+        "drift": lambda val, path: _built_in(val, path, drifts, key="name"),
+        "dispersion": lambda val, path: _built_in(val, path, dispersions, key="name"),
+        "perturbation": (_object({"drift_shift": (_array(d), np.zeros(d)),
+                                  "dispersion_scale": (_number(), 0.0),
+                                  "order": (_number(positive=True), 1.0)}), None)})
+    (b_fun, b_lip, b_const), (s_fun, s_lip, s_const) = f["drift"], f["dispersion"]
     m = s_fun(0.0, np.zeros(d)).shape[1]
-    family = None
-    pert = _get(block, "perturbation", "coefficients", None)
+    family, pert = None, f["perturbation"]
     if pert is not None:
-        path = "coefficients.perturbation"
-        shift = _coords(_get(pert, "drift_shift", path, [0.0] * d), f"{path}.drift_shift", d)
-        scale = _num(pert, "dispersion_scale", path, 0.0)
-        order = _num(pert, "order", path, 1.0)
-        if order <= 0:
-            raise ConfigError("coefficients.perturbation.order: must be positive")
+        shift, scale, order = pert["drift_shift"], pert["dispersion_scale"], pert["order"]
 
         # like the built-ins, these take a point or rows
         def b_of(eps):
@@ -294,105 +326,82 @@ def build_coefficients(block, d: int) -> CoefficientField:
                             takes_rows=True)
 
 
-def build_reference(block, t0: float, t_end: float, path: str, d: int) -> ReferencePath:
-    kind = _get(block, "kind", path)
-
-    def point(key):
-        return _coords(_get(block, key, path), f"{path}.{key}", d)
-
-    if kind == "constant":
-        return ReferencePath.constant(point("point"), t0, t_end)
-    if kind == "linear":
-        return ReferencePath(np.array([t0, t_end]), np.stack([point("start"), point("end")]))
-    if kind == "polyline":
-        rows = _get(block, "points", path)
-        if not isinstance(rows, list):
-            raise ConfigError(f"{path}.points: expected a list of points")
-        points = [_coords(row, f"{path}.points[{i}]", d) for i, row in enumerate(rows)]
-        times = _num_list(block, "times", path)
-        if len(times) != len(points) or np.any(np.diff(times) <= 0):
-            raise ConfigError(f"{path}.times: need one strictly increasing time per point")
-        return ReferencePath(np.array(times), points)
-    raise ConfigError(f"{path}.kind: unknown reference kind '{kind}' "
-                      f"(expected constant, linear, or polyline)")
-
-
-def _in_closure(event: EventSpec, domain: Domain, path: str) -> None:
-    """``event.validate_in(domain)``, its message prefixed by the block ``path``."""
-    try:
-        event.validate_in(domain)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
-
-
-def _tubes(block, t0: float, t_end: float, path: str, d: int) -> tuple:
-    """The references and radii of the tubes in ``block``: at least one."""
-    refs = [build_reference(r, t0, t_end, f"{path}.references[{i}]", d)
-            for i, r in enumerate(_list(block, "references", path))]
-    if not refs:
-        raise ConfigError(f"{path}.references: need at least one reference")
-    return refs, _num_list(block, "radii", path, positive=True)
-
-
-def build_event(block, t0: float, t_end: float, path: str, d: int) -> EventSpec:
-    kind = _get(block, "kind", path)
-    refs, radii = _tubes(block, t0, t_end, path, d)
-    try:
-        return EventSpec(kind=kind, references=refs, radii=radii)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+def _tube(reference) -> dict:
+    """The spec of a tube obstacle's fields."""
+    return {"reference": reference, "radius": _number(least=0),
+            "height": (_number(), 1.0), "complement": (_flag, False)}
 
 
 class RunContext:
-    """Config plus the built domain, field, coefficients, and time grid."""
+    """Config plus the built domain, field, coefficients, time grid and events."""
 
     def __init__(self, cfg: dict, out_dir: Path, seed: int, threads: int):
         self.cfg = cfg
         self.out_dir = out_dir
         self.seed = seed
         self.threads = threads
-        self.domain = build_domain(_get(cfg, "domain", "config"))
-        self.field = build_field(_get(cfg, "field", "config"), self.domain)
-        self.coeffs = build_coefficients(_get(cfg, "coefficients", "config"),
-                                         self.domain.dimension)
-        time_spec = _get(cfg, "time", "config")
-        self.t0 = _num(time_spec, "t0", "time", 0.0)
-        self.t_end = _num(time_spec, "t_end", "time")
-        self.n_steps = _int(time_spec, "n_steps", "time", least=1)
+        with _named({ValueError: "domain: "}):
+            self.domain = _built_in(_top(cfg, "domain"), "domain", _DOMAINS)
+        with _named({ValueError: "field: ", GeometryError: "field: "}):
+            self.field = _built_in(_top(cfg, "field"), "field", _FIELDS, self.domain)
+        d = self.domain.dimension
+        self.coeffs = build_coefficients(_top(cfg, "coefficients"), d)
+        time_spec = _fields(_top(cfg, "time"), "time", {
+            "t0": (_number(), 0.0), "t_end": _number(), "n_steps": _integer(least=1)})
+        self.t0, self.t_end, self.n_steps = time_spec.values()
         if self.t_end <= self.t0:
             raise ConfigError("time.t_end: must exceed time.t0")
-        self.x0 = _coords(_get(cfg, "x0", "config"), "config.x0", self.domain.dimension)
+        self.x0 = _top(cfg, "x0", _array(d))
         if self.domain.signed_distance(self.x0) < -1e-12:
             raise ConfigError("config.x0: outside the closure of the domain")
-        tol = _get(cfg, "tolerances", "config", {})
-        self.rate_tol = _num(tol, "rate_tol", "tolerances", 1e-3)
-        self.scheme_tol = _num(tol, "scheme_tol", "tolerances", 0.02)
-        self.lambda_fraction = _num(tol, "lambda_fraction", "tolerances", 0.15)
-        for name in ("rate_tol", "scheme_tol", "lambda_fraction"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerances.{name}: must be positive")
+        tol = _fields(_top(cfg, "tolerances", default={}), "tolerances", {
+            "rate_tol": (_number(positive=True), 1e-3),
+            "scheme_tol": (_number(positive=True), 0.02),
+            "lambda_fraction": (_number(positive=True), 0.15)})
+        self.rate_tol, self.scheme_tol, self.lambda_fraction = tol.values()
+        self.events = {}
+        read = _objects(_object({"id": (_text, None), "kind": _as_given,
+                                 "references": self.references,
+                                 "radii": _array(None, positive=True)}))
+        for i, ev in enumerate(read(_top(cfg, "events", default=[]), "events")):
+            path = f"events[{i}]"
+            with _named({ValueError: f"{path}: "}):
+                event = EventSpec(kind=ev["kind"], references=ev["references"],
+                                  radii=ev["radii"])
+            with _named({ValueError: f"{path}."}):
+                event.validate_in(self.domain)
+            name = f"event-{i}" if ev["id"] is None else ev["id"]
+            if name in self.events:
+                raise ConfigError(f"{path}.id: duplicate id '{name}'")
+            self.events[name] = event
 
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.t0, self.t_end, self.n_steps)
 
-    def events(self) -> list:
-        out = []
-        for i, block in enumerate(_list(self.cfg, "events", "config", [])):
-            event = build_event(block, self.t0, self.t_end, f"events[{i}]",
-                                self.domain.dimension)
-            _in_closure(event, self.domain, f"events[{i}]")
-            name = str(_get(block, "id", f"events[{i}]", f"event-{i}"))
-            if name in (seen for seen, _ in out):
-                raise ConfigError(f"events[{i}].id: duplicate id '{name}'")
-            out.append((name, event))
-        return out
+    def reference(self, block, path: str) -> ReferencePath:
+        """Check that reads a reference path over the run's horizon."""
+        t0, t_end, d = self.t0, self.t_end, self.domain.dimension
 
-    def event_by_id(self, event_id: str, path: str) -> EventSpec:
-        for name, event in self.events():
-            if name == event_id:
-                return event
-        raise ConfigError(f"{path}: no event with id '{event_id}'")
+        def polyline(points, times):
+            if len(times) != len(points) or np.any(np.diff(times) <= 0):
+                raise ConfigError(f"{path}.times: need one strictly increasing time per point")
+            return ReferencePath(times, points)
+
+        return _built_in(block, path, {
+            "constant": (lambda point: ReferencePath.constant(point, t0, t_end),
+                         {"point": _array(d)}),
+            "linear": (lambda start, end: ReferencePath(np.array([t0, t_end]),
+                                                        np.stack([start, end])),
+                       {"start": _array(d), "end": _array(d)}),
+            "polyline": (polyline, {"points": _array(None, d), "times": _array(None)})})
+
+    def references(self, val, path: str) -> list:
+        """Check that reads the one or more references of a set of tubes."""
+        refs = _objects(self.reference)(val, path)
+        if not refs:
+            raise ConfigError(f"{path}: need at least one reference")
+        return refs
 
     def write_json(self, name: str, payload: dict) -> str:
         dump_json(self.out_dir / name, payload)
@@ -411,18 +420,17 @@ def _finite_or_none(x):
 
 
 def cmd_simulate(ctx: RunContext):
-    eps = _num(ctx.cfg, "eps", "config", least=0)
-    events = ctx.events()
-    if events:
-        n_samples = _int(ctx.cfg, "n_samples", "config", least=100)
+    eps = _top(ctx.cfg, "eps", _number(least=0))
+    if ctx.events:
+        n_samples = _top(ctx.cfg, "n_samples", _integer(least=100))
     path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs,
                                   NoiseScale(eps), ctx.t0, ctx.x0, ctx.grid,
                                   ctx.seed, trajectory_id=0)
     path.write_csv(ctx.out_dir / "path.csv", ctx.domain)
     outputs = {"path": "path.csv"}
-    if events:
+    if ctx.events:
         rows = []
-        for event_id, event in events:
+        for event_id, event in ctx.events.items():
             est = estimate_event_probability(
                 ctx.domain, ctx.field, ctx.coeffs, NoiseScale(eps), ctx.t0,
                 ctx.x0, ctx.grid, event, n_samples, ctx.seed,
@@ -434,23 +442,27 @@ def cmd_simulate(ctx: RunContext):
 
 
 def cmd_rate(ctx: RunContext):
-    block = _get(ctx.cfg, "rate", "config")
-    n_segments = _int(block, "n_segments", "rate", 64, least=1)
-    max_segments = _int(block, "max_segments", "rate", 4 * n_segments, least=n_segments)
-    substeps = _int(block, "substeps", "rate", 4, least=1)
-    target = _get(block, "target", "rate", None)
-    if target is not None:
-        ref = build_reference(target, ctx.t0, ctx.t_end, "rate.target", ctx.domain.dimension)
+    f = _fields(_top(ctx.cfg, "rate"), "rate", {
+        "target": (ctx.reference, None), "event": (_text, None),
+        "n_segments": (_integer(least=1), 64), "max_segments": (_integer(least=1), None),
+        "substeps": (_integer(least=1), 4)})
+    n_segments = f["n_segments"]
+    max_segments = 4 * n_segments if f["max_segments"] is None else f["max_segments"]
+    _at_least(max_segments, "rate.max_segments", n_segments)
+    solve = dict(tol=ctx.rate_tol, n_segments=n_segments, substeps=f["substeps"],
+                 max_segments=max_segments)
+    if f["target"] is not None:
+        if f["event"] is not None:
+            raise ConfigError("rate.event: give rate.target or rate.event, not both")
         result = rate_of_path(ctx.domain, ctx.field, ctx.coeffs, ctx.t0, ctx.x0,
-                              ref, tol=ctx.rate_tol, n_segments=n_segments,
-                              substeps=substeps, max_segments=max_segments)
+                              f["target"], **solve)
     else:
-        event_id = _get(block, "event", "rate")
-        event = ctx.event_by_id(event_id, "rate.event")
+        if f["event"] is None:
+            raise ConfigError("rate.event: missing required field")
+        if f["event"] not in ctx.events:
+            raise ConfigError(f"rate.event: no event with id '{f['event']}'")
         result = rate_of_event(ctx.domain, ctx.field, ctx.coeffs, ctx.t0, ctx.x0,
-                               event, tol=ctx.rate_tol, t_end=ctx.t_end,
-                               n_segments=n_segments, substeps=substeps,
-                               max_segments=max_segments)
+                               ctx.events[f["event"]], t_end=ctx.t_end, **solve)
     control = result.optimizer
     with open(ctx.out_dir / "control.csv", "w") as fh:
         m = control.values.shape[1]
@@ -470,115 +482,87 @@ def cmd_rate(ctx: RunContext):
 
 
 def cmd_stopping(ctx: RunContext):
-    block = _get(ctx.cfg, "stopping", "config")
-    n_steps = _int(block, "n_steps", "stopping", 4, least=1)
-    controls = _get(block, "controls", "stopping")
-    if not isinstance(controls, list) or not controls:
-        raise ConfigError("stopping.controls: need a list of at least one control")
-    controls = [_coords(a, f"stopping.controls[{i}]", ctx.coeffs.m)
-                for i, a in enumerate(controls)]
-    grid = TimeGrid.uniform(ctx.t0, ctx.t_end, n_steps)
-    obstacles = []
-    for i, ob in enumerate(_list(block, "obstacles", "stopping")):
-        at = f"stopping.obstacles[{i}]"
-        ref = build_reference(_get(ob, "reference", at), ctx.t0, ctx.t_end,
-                              f"{at}.reference", ctx.domain.dimension)
-        obstacles.append(tube_obstacle(
-            ref, _num(ob, "radius", at, least=0), _num(ob, "height", at, 1.0),
-            complement=_bool(ob, "complement", at, False)))
+    f = _fields(_top(ctx.cfg, "stopping"), "stopping", {
+        "n_steps": (_integer(least=1), 4), "controls": _array(None, ctx.coeffs.m),
+        "obstacles": _objects(_object(_tube(ctx.reference))),
+        "substeps": (_integer(least=1), 16),
+        "obstacle_bound": (_number(least=0), math.inf), "budget": (_number(least=1), 1e8)})
+    obstacles = [tube_obstacle(**ob) for ob in f["obstacles"]]
     if not 1 <= len(obstacles) <= 3:
         raise ConfigError("stopping.obstacles: need between 1 and 3 obstacles")
     problem = DiscreteProblem.build(
-        ctx.domain, ctx.field, ctx.coeffs, grid, controls, obstacles,
-        substeps=_int(block, "substeps", "stopping", 16, least=1),
-        obstacle_bound=_num(block, "obstacle_bound", "stopping", math.inf, least=0))
-    budget = _num(block, "budget", "stopping", 1e8, least=1)
+        ctx.domain, ctx.field, ctx.coeffs, TimeGrid.uniform(ctx.t0, ctx.t_end, f["n_steps"]),
+        list(f["controls"]), obstacles, substeps=f["substeps"],
+        obstacle_bound=f["obstacle_bound"])
     values = {}
     indices = list(range(len(obstacles)))
-    try:
+    with _named({ObstacleBoundError: "stopping.obstacle_bound: ",
+                 EnumerationLimitError: "stopping.budget: "}):
         for size in range(1, len(indices) + 1):
             for subset in itertools.combinations(indices, size):
                 # shares the problem's transition memo: each transition runs once
                 sub = dataclasses.replace(problem, obstacles=[obstacles[i] for i in subset])
                 values[",".join(map(str, subset))] = float(multi_stop_value(
-                    sub, ctx.t0, ctx.x0, budget=budget))
+                    sub, ctx.t0, ctx.x0, budget=f["budget"]))
         reduced = float(reduced_value(problem, ctx.t0, ctx.x0))
-    except ObstacleBoundError as exc:
-        raise ConfigError(f"stopping.obstacle_bound: {exc}") from exc
-    except EnumerationLimitError as exc:
-        raise ConfigError(f"stopping.budget: {exc}") from exc
     full_key = ",".join(map(str, indices))
     payload = {"values_by_subset": values, "reduced_value": reduced,
                "reduction_identity_holds": bool(values[full_key] == reduced),
-               "n_obstacles": len(obstacles), "n_steps": n_steps}
+               "n_obstacles": len(obstacles), "n_steps": f["n_steps"]}
     return 0, {"stopping": ctx.write_json("stopping.json", payload)}
 
 
+def _smoothing(val, path):
+    return val if val == "cell" else _number(least=0)(val, path)
+
+
 def cmd_hjb(ctx: RunContext):
-    block = _get(ctx.cfg, "hjb", "config")
-    vi_name = _get(block, "vi_type", "hjb", "min")
-    if vi_name not in ("min", "max"):
-        raise ConfigError("hjb.vi_type: expected 'min' or 'max'")
-    vi_type = MIN_TYPE if vi_name == "min" else MAX_TYPE
-    n_x = _int(block, "n_x", "hjb", least=2)
-    ob_block = _get(block, "obstacle", "hjb")
-    if not isinstance(ob_block, dict):
-        raise ConfigError("hjb.obstacle: expected an object")
-    if "height" in ob_block and "reference" not in ob_block:
-        obstacle = constant_obstacle(_num(ob_block, "height", "hjb.obstacle"))
+    f = _fields(_top(ctx.cfg, "hjb"), "hjb", {
+        "vi_type": (_choice("min", "max"), "min"), "n_x": _integer(least=2),
+        "obstacle": _as_given, "store_every": (_integer(least=1), None),
+        "dv_est": (_number(positive=True), None), "eps": (_number(least=0), 0.0)})
+    ob = f["obstacle"]
+    if isinstance(ob, dict) and "height" in ob and "reference" not in ob:
+        obstacle = constant_obstacle(_fields(ob, "hjb.obstacle", {"height": _number()})["height"])
     else:
-        ref = build_reference(_get(ob_block, "reference", "hjb.obstacle"), ctx.t0,
-                              ctx.t_end, "hjb.obstacle.reference", ctx.domain.dimension)
-        box = ctx.domain.bounding_box
-        cell = float(box[0, 1] - box[0, 0]) / (n_x - 1)
-        smoothing = cell
-        if _get(ob_block, "smoothing", "hjb.obstacle", "cell") != "cell":
-            smoothing = _num(ob_block, "smoothing", "hjb.obstacle", least=0)
-        obstacle = tube_obstacle(
-            ref, _num(ob_block, "radius", "hjb.obstacle", least=0),
-            _num(ob_block, "height", "hjb.obstacle", 1.0),
-            complement=_bool(ob_block, "complement", "hjb.obstacle", False),
-            smoothing=smoothing)
-    kwargs = dict(n_x=n_x, t0=ctx.t0, t_end=ctx.t_end,
-                  store_every=_int(block, "store_every", "hjb", None, least=1))
-    dv_est = _num(block, "dv_est", "hjb", None)
-    if dv_est is not None:
-        if dv_est <= 0.0:
-            raise ConfigError("hjb.dv_est: must be positive")
-        kwargs["dv_est"] = dv_est
-    eps = _num(block, "eps", "hjb", 0.0, least=0)
-    if eps > 0.0:
+        ob = _fields(ob, "hjb.obstacle",
+                     {**_tube(ctx.reference), "smoothing": (_smoothing, "cell")})
+        if ob["smoothing"] == "cell":
+            ob["smoothing"] = cell_width(ctx.domain, f["n_x"])
+        obstacle = tube_obstacle(**ob)
+    kwargs = dict(n_x=f["n_x"], t0=ctx.t0, t_end=ctx.t_end, store_every=f["store_every"])
+    if f["dv_est"] is not None:
+        kwargs["dv_est"] = f["dv_est"]
+    vi_type = MIN_TYPE if f["vi_type"] == "min" else MAX_TYPE
+    if f["eps"] > 0.0:
         grid = solve_eps_vi(ctx.domain, ctx.field, ctx.coeffs, obstacle,
-                            NoiseScale(eps), vi_type, **kwargs)
+                            NoiseScale(f["eps"]), vi_type, **kwargs)
     else:
         grid = solve_limit_vi(ctx.domain, ctx.field, ctx.coeffs, obstacle,
                               vi_type, **kwargs)
     grid.export_csv(ctx.out_dir / "value.csv")
     grid.save_npz(ctx.out_dir / "value.npz")
     payload = {"value_at_start": grid.value_at(ctx.t0, ctx.x0),
-               "vi_type": vi_name, "eps": eps, "h": grid.h, "dt": grid.dt,
+               "vi_type": f["vi_type"], "eps": f["eps"], "h": grid.h, "dt": grid.dt,
                "n_stored_layers": int(len(grid.times))}
     return 0, {"summary": ctx.write_json("hjb.json", payload),
                "values": "value.csv", "layers": "value.npz"}
 
 
 def cmd_testfn_check(ctx: RunContext):
-    block = _get(ctx.cfg, "testfn", "config")
-    eps = _num(block, "eps", "testfn")
-    rho = _num(block, "rho", "testfn")
-    for key, val in (("eps", eps), ("rho", rho)):
-        if not 0.0 < val <= 1.0:
+    f = _fields(_top(ctx.cfg, "testfn"), "testfn", {
+        "eps": _number(), "rho": _number(),
+        "n_boundary": (_integer(least=1), None), "probe_samples": (_integer(least=1), None),
+        "n_samples": (_integer(least=1), 4096)})
+    for key in ("eps", "rho"):
+        if not 0.0 < f[key] <= 1.0:
             raise ConfigError(f"testfn.{key}: must lie in (0, 1]")
-    build_kwargs = {}
-    for key in ("n_boundary", "probe_samples"):
-        val = _int(block, key, "testfn", None, least=1)
-        if val is not None:
-            build_kwargs[key] = val
-    n_samples = _int(block, "n_samples", "testfn", 4096, least=1)
-    tf = build_testfn(ctx.domain, ctx.field, eps, rho, **build_kwargs)
-    report = check_testfn_properties(tf, n_samples)
+    build_kwargs = {key: f[key] for key in ("n_boundary", "probe_samples")
+                    if f[key] is not None}
+    tf = build_testfn(ctx.domain, ctx.field, f["eps"], f["rho"], **build_kwargs)
+    report = check_testfn_properties(tf, f["n_samples"])
     payload = report.to_dict()
-    payload.update({"A": tf.A, "B": tf.B, "C": tf.C, "eps": eps, "rho": rho,
+    payload.update({"A": tf.A, "B": tf.B, "C": tf.C, "eps": f["eps"], "rho": f["rho"],
                     "passed": bool(report.min_psi_iii > 0.0
                                    and math.isfinite(report.K_psi_i)
                                    and math.isfinite(report.K_psi_ii))})
@@ -586,35 +570,30 @@ def cmd_testfn_check(ctx: RunContext):
 
 
 def _ldp_config(ctx: RunContext) -> tuple:
-    block = _get(ctx.cfg, "ldp", "config")
-    refs, radii = _tubes(block, ctx.t0, ctx.t_end, "ldp", ctx.domain.dimension)
-    ladder = _num_list(ctx.cfg, "eps_ladder", "config", positive=True)
-    kwargs = dict(
-        domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
-        x0=ctx.x0, t_end=ctx.t_end, references=refs, radii=radii,
-        eps_ladder=ladder, n_samples=_int(ctx.cfg, "n_samples", "config", least=100),
-        n_steps=ctx.n_steps, seed=ctx.seed, scheme_tol=ctx.scheme_tol,
-        lambda_fraction=ctx.lambda_fraction, rate_tol=ctx.rate_tol,
-        n_threads=ctx.threads)
-    for key in ("n_x", "rate_segments", "rate_max_segments", "dp_n_steps", "dp_substeps"):
-        if key in block:
-            least = {"n_x": 2, "rate_max_segments": kwargs.get(
-                "rate_segments", LdpConfig.rate_segments)}.get(key, 1)
-            kwargs[key] = _int(block, key, "ldp", least=least)
-    if "obstacle_height" in block:
-        kwargs["obstacle_height"] = _num(block, "obstacle_height", "ldp")
-    if "dp_controls" in block:
-        kwargs["dp_controls"] = _num_list(block, "dp_controls", "ldp")
-    try:
-        config = LdpConfig(**kwargs)
-    except ValueError as exc:
-        top = str(exc).startswith("eps_ladder:")  # each message starts with its field
-        raise ConfigError(f"{'config' if top else 'ldp'}.{exc}")
-    _in_closure(EventSpec.complements(refs, radii), ctx.domain, "ldp")
-    bound = _get(block, "bound", "ldp", "lower")
-    if bound not in ("lower", "upper", "both"):
-        raise ConfigError("ldp.bound: expected 'lower', 'upper', or 'both'")
-    if bound != "lower" and len(refs) != 1:
+    f = _fields(_top(ctx.cfg, "ldp"), "ldp", {
+        "bound": (_choice("lower", "upper", "both"), "lower"),
+        "references": ctx.references, "radii": _array(None, positive=True),
+        "n_x": (_integer(least=2), LdpConfig.n_x),
+        "rate_segments": (_integer(least=1), LdpConfig.rate_segments),
+        "rate_max_segments": (_integer(least=1), LdpConfig.rate_max_segments),
+        "dp_n_steps": (_integer(least=1), LdpConfig.dp_n_steps),
+        "dp_substeps": (_integer(least=1), LdpConfig.dp_substeps),
+        "obstacle_height": (_number(), LdpConfig.obstacle_height),
+        "dp_controls": (_array(None), LdpConfig.dp_controls)})
+    bound = f.pop("bound")
+    _at_least(f["rate_max_segments"], "ldp.rate_max_segments", f["rate_segments"])
+    with _named({ValueError: "config."}):
+        ladder = checked_eps_ladder(_top(ctx.cfg, "eps_ladder", _array(None, positive=True)))
+    n_samples = _top(ctx.cfg, "n_samples", _integer(least=100))
+    with _named({ValueError: "ldp."}):
+        config = LdpConfig(
+            domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
+            x0=ctx.x0, t_end=ctx.t_end, eps_ladder=ladder, n_samples=n_samples,
+            n_steps=ctx.n_steps, seed=ctx.seed, scheme_tol=ctx.scheme_tol,
+            lambda_fraction=ctx.lambda_fraction, rate_tol=ctx.rate_tol,
+            n_threads=ctx.threads, **f)
+        EventSpec.complements(f["references"], f["radii"]).validate_in(ctx.domain)
+    if bound != "lower" and len(f["references"]) != 1:
         raise ConfigError("ldp.references: the upper bound takes exactly one tube")
     return config, bound
 
@@ -700,13 +679,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config_path, subcommand: str, out=None, seed=None, threads=None) -> int:
     cfg = load_config(config_path)
-    out_dir = Path(out if out is not None else _get(cfg, "out_dir", "config", "out"))
+    out_dir = Path(out if out is not None else _top(cfg, "out_dir", default="out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    eff_seed = int(seed if seed is not None else _int(cfg, "seed", "config", 20240801))
+    eff_seed = seed if seed is not None else _top(cfg, "seed", _integer(), 20240801)
     if not 0 <= eff_seed < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers
         raise ConfigError(f"{'config.seed' if seed is None else '--seed'}: must lie in [0, 2**63)")
-    eff_threads = int(threads if threads is not None
-                      else _int(cfg, "threads", "config", 1, least=1))
+    eff_threads = threads if threads is not None else _top(cfg, "threads", _integer(least=1), 1)
     if eff_threads < 1:
         raise ConfigError("--threads: must be at least 1")
     ctx = RunContext(cfg, out_dir, eff_seed, eff_threads)

@@ -60,6 +60,13 @@ def tube_obstacle(reference, radius: float, height: float, complement: bool = Fa
     return psi
 
 
+def cell_width(domain: Domain, n_x: int) -> float:
+    """Width of one cell of ``n_x`` nodes across the first axis of the
+    domain's box: the one-cell smoothing of a tube obstacle."""
+    box = domain.bounding_box
+    return float(box[0, 1] - box[0, 0]) / (n_x - 1)
+
+
 def constant_obstacle(height: float) -> Obstacle:
     def psi(t, X):
         return np.full(np.atleast_2d(X).shape[0], float(height))

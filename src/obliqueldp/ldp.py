@@ -21,7 +21,7 @@ from .sde import (EventSpec, LogRateInterval, NoiseScale,
                   estimate_event_probability, log_rate_estimate)
 from .rate import rate_of_event, weak_stability_check
 from .control_stop import DiscreteProblem, reduced_value
-from .hjbvi import MIN_TYPE, solve_eps_vi, solve_limit_vi, tube_obstacle
+from .hjbvi import MIN_TYPE, cell_width, solve_eps_vi, solve_limit_vi, tube_obstacle
 
 
 def dump_json(path, payload) -> None:
@@ -84,13 +84,9 @@ class LdpConfig:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         self.references = list(self.references)
         self.radii = [float(r) for r in self.radii]
-        self.eps_ladder = [float(e) for e in self.eps_ladder]
         if len(self.references) != len(self.radii):
             raise ValueError("references and radii must pair up")
-        if not self.eps_ladder:
-            raise ValueError("eps_ladder: must not be empty")
-        if sorted(set(self.eps_ladder), reverse=True) != self.eps_ladder:
-            raise ValueError("eps_ladder: must be strictly decreasing")
+        self.eps_ladder = checked_eps_ladder(self.eps_ladder)
         if not self.obstacle_height > 0.0:
             raise ValueError("obstacle_height: must be positive")
         if len(self.dp_controls) == 0:
@@ -100,9 +96,16 @@ class LdpConfig:
     def mc_grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.t0, self.t_end, self.n_steps)
 
-    def cell_width(self) -> float:
-        box = self.domain.bounding_box
-        return float(box[0, 1] - box[0, 0]) / (self.n_x - 1)
+
+def checked_eps_ladder(ladder) -> list:
+    """The noise levels as floats; ValueError unless they are non-empty and
+    strictly decreasing."""
+    ladder = [float(e) for e in ladder]
+    if not ladder:
+        raise ValueError("eps_ladder: must not be empty")
+    if sorted(set(ladder), reverse=True) != ladder:
+        raise ValueError("eps_ladder: must be strictly decreasing")
+    return ladder
 
 
 @dataclass
@@ -226,7 +229,7 @@ def run_upper_bound_experiment(config: LdpConfig) -> LdpReport:
 
     def pde_value():
         obstacle = tube_obstacle(ref, r, config.obstacle_height, complement=True,
-                                 smoothing=config.cell_width())
+                                 smoothing=cell_width(config.domain, config.n_x))
         vg = solve_limit_vi(config.domain, config.field, config.coeffs, obstacle,
                             MIN_TYPE, n_x=config.n_x, t0=config.t0, t_end=config.t_end)
         return float(vg.value_at(config.t0, config.x0)), {"vi_n_t": vg.meta["n_t"]}
@@ -281,7 +284,7 @@ def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
         raise ValueError("cap identity check uses exactly one tube")
     ref, r = config.references[0], config.radii[0]
     eps = min(config.eps_ladder)
-    h = config.cell_width()
+    h = cell_width(config.domain, config.n_x)
 
     # all heights share the reference run's time step; the tallest obstacle
     # has the steepest ramp, so its auto step is admissible for the others

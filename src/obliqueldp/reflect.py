@@ -372,7 +372,7 @@ def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: Coeffici
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     horizon = grid.t_end - grid.t0
     if eta is not None:
-        n_win = max(1, int(np.ceil(horizon / eta)))
+        n_win = min(max(1, int(np.ceil(horizon / eta))), grid.n_steps)
     else:
         n_win = 1
     while True:
@@ -391,8 +391,6 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol):
     xw = x0
     iters, ratios = [], []
     for chunk in chunks:
-        if len(chunk) == 0:
-            continue
         i0, i1 = chunk[0], chunk[-1] + 1
         sub = TimeGrid(grid.nodes[i0:i1 + 1])
         frozen = np.repeat(xw[None, :], sub.n_steps + 1, axis=0)

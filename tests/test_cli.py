@@ -239,6 +239,19 @@ def test_verify_ldp_inconclusive_exit_code(tmp_path):
     assert report["verdict"] == "inconclusive"
 
 
+def _with(base, dotted, value) -> dict:
+    """The config at ``base`` with ``value`` at the ``dotted`` path: "a.b[0].c"
+    walks keys a, b, list index 0, then sets c."""
+    cfg = json.loads(Path(base).read_text())
+    *head, last = [int(k[1:-1]) if k.startswith("[") else k
+                   for k in dotted.replace("[", ".[").split(".")]
+    block = cfg
+    for key in head:
+        block = block[key]
+    block[last] = value
+    return cfg
+
+
 def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
     cfg = json.loads(Path(LDP_SMALL).read_text())
     cfg["eps_ladder"] = [0.25, 0.35, 0.5]
@@ -367,15 +380,10 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
             ("verify-ldp", LDP_SMALL, "ldp.obstacle_height", 0.0,
              "config error: ldp.obstacle_height: must be positive"),
             ("simulate", EXAMPLE, "threads", 0,
-             "config error: config.threads: must be at least 1"))):
-        cfg = json.loads(Path(base).read_text())
-        # "a.b[0].c" walks keys a, b, list index 0, then sets c
-        *head, last = [int(k[1:-1]) if k.startswith("[") else k
-                       for k in dotted.replace("[", ".[").split(".")]
-        block = cfg
-        for key in head:
-            block = block[key]
-        block[last] = value
+             "config error: config.threads: must be at least 1"),
+            # the rate solve reads a target or an event, never both
+            ("rate", EXAMPLE, "rate.event", "exit-tube", "config error: rate.event: "))):
+        cfg = _with(base, dotted, value)
         path, out = tmp_path / f"bad_{i}.json", tmp_path / f"out_{i}"
         path.write_text(json.dumps(cfg))
         assert run_cli(subcommand, path, out) == 1, dotted
@@ -429,6 +437,29 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(cfg))
         assert run_cli("rate", path, tmp_path / "out") == 1
         assert "rate.target.times" in capsys.readouterr().err
+
+
+# each case adds one misspelt or misplaced key to a config that runs
+UNKNOWN_FIELDS = [
+    ("simulate", EXAMPLE, "eps_ladders", [0.5], "config.eps_ladders"),
+    ("verify-ldp", LDP_SMALL, "ldp.bonud", "upper", "ldp.bonud"),
+    ("hjb", EXAMPLE, "hjb.obstacle.complment", False, "hjb.obstacle.complment"),
+    ("hjb", DISK, "domain.centre", [0.5, 0.0], "domain.centre"),
+    ("simulate", EXAMPLE, "events[0].references[0].pont", [0.5],
+     "events[0].references[0].pont"),
+    # a constant obstacle has a height and nothing else
+    ("hjb", EXAMPLE, "hjb.obstacle", {"height": 1.0, "radius": 0.5}, "hjb.obstacle.radius"),
+]
+
+
+@pytest.mark.parametrize("subcommand, base, dotted, value, named", UNKNOWN_FIELDS,
+                         ids=[case[-1] for case in UNKNOWN_FIELDS])
+def test_unknown_fields_fail_by_name(tmp_path, capsys, subcommand, base, dotted, value, named):
+    path, out = tmp_path / "unknown.json", tmp_path / "out"
+    path.write_text(json.dumps(_with(base, dotted, value)))
+    assert run_cli(subcommand, path, out) == 1
+    assert f"config error: {named}: unknown field" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_testfn_check_builds_from_one_boundary_point(tmp_path):

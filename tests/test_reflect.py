@@ -331,6 +331,19 @@ def test_picard_window_splitting_via_eta():
     assert diag.window_count == 4
 
 
+def test_picard_windows_never_outnumber_steps():
+    # eta below the grid step gives one window per step, as eta = dt does
+    disk, field = _disk_setup(0.5)
+    coeffs = _state_dependent_disk_coeffs()
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    fine, diag = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.9, 0.0],
+                                        grid, eta=0.01)
+    step, _ = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.9, 0.0],
+                                     grid, eta=0.125)
+    assert diag.window_count == 8
+    assert np.array_equal(fine.points, step.points)
+
+
 def test_flow_restart_property():
     disk, field = _disk_setup(0.5)
     coeffs = constant_coefficients([2.0, 0.0], np.eye(2))
