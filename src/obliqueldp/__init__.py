@@ -12,7 +12,6 @@ from .geometry import (  # noqa: F401
     Disk,
     Domain,
     Ellipse,
-    EpsFamily,
     Interval,
     ObliqueField,
     constant_coefficients,

@@ -28,8 +28,8 @@ import scipy
 from . import __version__
 from .control_stop import DiscreteProblem, EnumerationLimitError, ObstacleBoundError, \
     multi_stop_value, reduced_value
-from .geometry import CoefficientField, Disk, Ellipse, EpsFamily, GeometryError, \
-    Interval, oblique_from_tangent
+from .geometry import CoefficientField, Disk, Ellipse, GeometryError, Interval, \
+    constant_function, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, constant_obstacle, solve_eps_vi, \
     solve_limit_vi, tube_obstacle
 from .ldp import LdpConfig, checked_eps_ladder, dump_json, run_lower_bound_experiment, \
@@ -133,6 +133,12 @@ def _text(val, path) -> str:
     return str(val)
 
 
+def _string(val, path) -> str:
+    if not isinstance(val, str):
+        raise ConfigError(f"{path}: expected a string")
+    return val
+
+
 def _choice(*options):
     def check(val, path):
         if val not in options:
@@ -233,11 +239,6 @@ _FIELDS = {
 }
 
 
-def _per_point(value, x):
-    """A constant ``value`` at a point, or broadcast to every row of ``x``."""
-    return value if np.ndim(x) < 2 else np.broadcast_to(value, (len(x),) + value.shape)
-
-
 # The built-in coefficients take a point (d,) or rows (B, d).  A row comes out
 # with the bits of the point call: per-row matrix products, the same float
 # order in every sum.  Each constructor returns the function, its Lipschitz
@@ -245,7 +246,7 @@ def _per_point(value, x):
 
 
 def _constant(value):
-    return (lambda t, x: _per_point(value, x)), 0.0, value
+    return constant_function(value), 0.0, value
 
 
 def _linear_drift(matrix, offset):
@@ -311,18 +312,15 @@ def build_coefficients(block, d: int) -> CoefficientField:
     if pert is not None:
         shift, scale, order = pert["drift_shift"], pert["dispersion_scale"], pert["order"]
 
-        # like the built-ins, these take a point or rows
-        def b_of(eps):
-            return lambda t, x: b_fun(t, x) + (eps ** order) * shift
-
-        def sigma_of(eps):
-            return lambda t, x: (1.0 + scale * eps ** order) * s_fun(t, x)
-
-        family = EpsFamily(b_of=b_of, sigma_of=sigma_of)
-    return CoefficientField(b=b_fun, sigma=s_fun, m=m,
-                            lipschitz_x=b_lip + s_lip, eps_family=family,
-                            constant_b=None if family is not None else b_const,
-                            constant_sigma=None if family is not None else s_const,
+        def family(eps):
+            # like the built-ins, the member's callables take a point or rows
+            w = eps ** order
+            return CoefficientField(b=lambda t, x: b_fun(t, x) + w * shift,
+                                    sigma=lambda t, x: (1.0 + scale * w) * s_fun(t, x), m=m,
+                                    lipschitz_x=b_lip + abs(1.0 + scale * w) * s_lip,
+                                    takes_rows=True)
+    return CoefficientField(b=b_fun, sigma=s_fun, m=m, lipschitz_x=b_lip + s_lip,
+                            family=family, constant_b=b_const, constant_sigma=s_const,
                             takes_rows=True)
 
 
@@ -679,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config_path, subcommand: str, out=None, seed=None, threads=None) -> int:
     cfg = load_config(config_path)
-    out_dir = Path(out if out is not None else _top(cfg, "out_dir", default="out"))
+    out_dir = Path(out if out is not None else _top(cfg, "out_dir", _string, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     eff_seed = seed if seed is not None else _top(cfg, "seed", _integer(), 20240801)
     if not 0 <= eff_seed < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers

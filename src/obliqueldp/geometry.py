@@ -449,21 +449,67 @@ class Interval(Domain):
         return 0.5 * (self.b - self.a)
 
 
-class Disk(Domain):
-    """Open disk of given radius and center in the plane."""
+class Ellipse(Domain):
+    """Open axis-aligned ellipse with semi-axes (a, b)."""
+
+    def __init__(self, a: float, b: float, center=(0.0, 0.0)):
+        if a <= 0 or b <= 0:
+            raise ValueError("semi-axes must be positive")
+        self.semi_axes = np.array([float(a), float(b)])
+        c = np.asarray(center, dtype=float)
+        bb = np.stack([c - self.semi_axes, c + self.semi_axes], axis=1)
+        super().__init__(self._level, bb, boundary=_axis_curve(self.semi_axes),
+                         grad_level=self._gradients, center=c)
+        # A row at the centre gets the end of the shorter semi-axis.
+        j = int(np.argmin(self.semi_axes))
+        self._centre_projection = self.center + np.eye(2)[j] * self.semi_axes[j]
+
+    def _level(self, x):
+        z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
+        return float(z @ z - 1.0)
+
+    def _gradients(self, X):
+        """The level gradient at a point or at every row of ``X``."""
+        return 2.0 * ((np.asarray(X, dtype=float) - self.center) / self.semi_axes) / self.semi_axes
+
+    def _newton_terms(self, t, x, y):
+        """f and f' in closed form: f = (b^2-a^2) sin t cos t + a x sin t
+        - b y cos t.  The generic terms round differently in the last bit."""
+        a, b = self.semi_axes
+        s, c = np.sin(t), np.cos(t)
+        f = (b * b - a * a) * s * c + a * x * s - b * y * c
+        fp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
+        return f, fp
+
+    def _inside(self, X: np.ndarray) -> np.ndarray:
+        return _row_dots((X - self.center) / self.semi_axes) <= 1.0
+
+    # An own binding, which the benchmark's tracer patches class by class.
+    signed_distance_many = Domain.signed_distance_many
+
+    def _curve_points(self, t):
+        return _unit_circle(t) * self.semi_axes
+
+    def sample_closure(self, n: int) -> np.ndarray:
+        u = _sobol_points(2, n)
+        r = np.sqrt(u[:, 0])
+        th = 2.0 * np.pi * u[:, 1]
+        a, b = self.semi_axes
+        return self.center + np.stack([a * r * np.cos(th), b * r * np.sin(th)], axis=1)
+
+    def interior_radius(self) -> float:
+        return float(np.min(self.semi_axes))
+
+
+class Disk(Ellipse):
+    """Open disk of given radius and center in the plane: the ellipse with
+    equal semi-axes, with its queries and contacts in closed form."""
 
     def __init__(self, radius: float = 1.0, center=(0.0, 0.0)):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        c = np.asarray(center, dtype=float)
-        bb = np.stack([c - radius, c + radius], axis=1)
-        # the gradient of |x - c| - R is the unit normal
-        super().__init__(self._level, bb, boundary=_axis_curve((self.radius, self.radius)),
-                         grad_level=self.normal, center=c)
-
-    def _level(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center) - self.radius)
+        super().__init__(radius, radius, center)
 
     def _signed_distances(self, X: np.ndarray) -> np.ndarray:
         # np.linalg.norm(axis=1) without its per-call overhead, same rounding
@@ -530,73 +576,10 @@ class Disk(Domain):
         return (np.array([cx + R * ux, cy + R * uy]),
                 np.array([lam * (ux - k * uy), lam * (uy + k * ux)]))
 
-    def _curve_points(self, t):
-        return _unit_circle(t) * self.radius
-
     def boundary_points(self, n: int) -> np.ndarray:
+        # equal angles, not the ellipse's arc-length sample
         th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-
-    def sample_closure(self, n: int) -> np.ndarray:
-        u = _sobol_points(2, n)
-        r = self.radius * np.sqrt(u[:, 0])
-        th = 2.0 * np.pi * u[:, 1]
-        return self.center + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-
-    def interior_radius(self) -> float:
-        return self.radius
-
-
-class Ellipse(Domain):
-    """Open axis-aligned ellipse with semi-axes (a, b)."""
-
-    def __init__(self, a: float, b: float, center=(0.0, 0.0)):
-        if a <= 0 or b <= 0:
-            raise ValueError("semi-axes must be positive")
-        self.semi_axes = np.array([float(a), float(b)])
-        c = np.asarray(center, dtype=float)
-        bb = np.stack([c - self.semi_axes, c + self.semi_axes], axis=1)
-        super().__init__(self._level, bb, boundary=_axis_curve(self.semi_axes),
-                         grad_level=self._gradients, center=c)
-        # A row at the centre gets the end of the shorter semi-axis.
-        j = int(np.argmin(self.semi_axes))
-        self._centre_projection = self.center + np.eye(2)[j] * self.semi_axes[j]
-
-    def _level(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.semi_axes
-        return float(z @ z - 1.0)
-
-    def _gradients(self, X):
-        """The level gradient at a point or at every row of ``X``."""
-        return 2.0 * ((np.asarray(X, dtype=float) - self.center) / self.semi_axes) / self.semi_axes
-
-    def _newton_terms(self, t, x, y):
-        """f and f' in closed form: f = (b^2-a^2) sin t cos t + a x sin t
-        - b y cos t.  The generic terms round differently in the last bit."""
-        a, b = self.semi_axes
-        s, c = np.sin(t), np.cos(t)
-        f = (b * b - a * a) * s * c + a * x * s - b * y * c
-        fp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
-        return f, fp
-
-    def _inside(self, X: np.ndarray) -> np.ndarray:
-        return _row_dots((X - self.center) / self.semi_axes) <= 1.0
-
-    # An own binding, which the benchmark's tracer patches class by class.
-    signed_distance_many = Domain.signed_distance_many
-
-    def _curve_points(self, t):
-        return _unit_circle(t) * self.semi_axes
-
-    def sample_closure(self, n: int) -> np.ndarray:
-        u = _sobol_points(2, n)
-        r = np.sqrt(u[:, 0])
-        th = 2.0 * np.pi * u[:, 1]
-        a, b = self.semi_axes
-        return self.center + np.stack([a * r * np.cos(th), b * r * np.sin(th)], axis=1)
-
-    def interior_radius(self) -> float:
-        return float(np.min(self.semi_axes))
 
 
 def _unit_circle(t) -> np.ndarray:
@@ -709,81 +692,72 @@ def oblique_from_tangent(domain: Domain, kappa: float, n_certify: int = 512) -> 
 
 
 @dataclass(frozen=True)
-class EpsFamily:
-    """Noise-indexed coefficient perturbations converging to the base pair."""
-
-    b_of: Callable[[float], Callable]
-    sigma_of: Callable[[float], Callable]
-
-
-@dataclass(frozen=True)
 class CoefficientField:
     """Drift ``b(t, x)`` (d-vector) and diffusion ``sigma(t, x)`` (d x m).
 
     When the coefficients are literal constants they are also stored as
     arrays (``constant_b``, ``constant_sigma``) so batch simulators can step
-    whole trajectory blocks at once.  ``takes_rows`` marks callables (and
-    eps-family members) that also take rows ``X`` (B, d) and return (B, d)
-    and (B, d, m), each row with the bits of the point call.
+    whole trajectory blocks at once.  ``takes_rows`` marks callables that
+    also take rows ``X`` (B, d) and return (B, d) and (B, d, m), each row
+    with the bits of the point call.  ``family(eps)``, when given, is the
+    member field at noise level ``eps``; the field itself is the base pair.
     """
 
     b: Callable[[float, np.ndarray], np.ndarray]
     sigma: Callable[[float, np.ndarray], np.ndarray]
     m: int
     lipschitz_x: float
-    eps_family: Optional[EpsFamily] = None
+    family: Optional[Callable[[float], "CoefficientField"]] = None
     constant_b: Optional[np.ndarray] = None
     constant_sigma: Optional[np.ndarray] = None
     takes_rows: bool = False
 
     @property
     def is_constant(self) -> bool:
+        # a field with a family varies with eps, and its members carry no arrays
         return (self.constant_b is not None and self.constant_sigma is not None
-                and self.eps_family is None)
+                and self.family is None)
 
-    def b_eps(self, eps: Optional[float]) -> Callable:
-        if self.eps_family is None or eps is None:
-            return self.b
-        return self.eps_family.b_of(eps)
+    def at_eps(self, eps: Optional[float]) -> "CoefficientField":
+        """The member at noise level ``eps``: the field itself when it has no
+        family or ``eps`` is None."""
+        if self.family is None or eps is None:
+            return self
+        return self.family(eps)
 
-    def sigma_eps(self, eps: Optional[float]) -> Callable:
-        if self.eps_family is None or eps is None:
-            return self.sigma
-        return self.eps_family.sigma_of(eps)
-
-    def pointwise(self, eps: Optional[float] = None):
-        """Drift and dispersion of the family member ``eps`` (None: the base
-        pair) as functions of ``(t, x)`` that return float arrays (d,) and
-        (d, m) at a point."""
-        b_fun, s_fun = self.b_eps(eps), self.sigma_eps(eps)
+    def pointwise(self):
+        """Drift and dispersion as functions of ``(t, x)`` that return float
+        arrays (d,) and (d, m) at a point."""
+        b_fun, s_fun = self.b, self.sigma
         if self.takes_rows:
             return b_fun, s_fun
         return (lambda t, x: np.atleast_1d(np.asarray(b_fun(t, x), dtype=float)),
                 lambda t, x: np.atleast_2d(np.asarray(s_fun(t, x), dtype=float)))
 
-    def rows(self, t: float, X, eps: Optional[float] = None):
-        """Drift (B, d) and dispersion (B, d, m) at every row of ``X``, for the
-        family member ``eps`` (None: the base pair).  Constant coefficients
-        come back as single rows, (1, d) and (1, d, m), that broadcast."""
+    def rows(self, t: float, X):
+        """Drift (B, d) and dispersion (B, d, m) at every row of ``X``.
+        Constant coefficients come back as single rows, (1, d) and (1, d, m),
+        that broadcast."""
         if self.is_constant:
             return self.constant_b[None, :], self.constant_sigma[None, :, :]
-        b_fun, s_fun = self.pointwise(eps)
+        b_fun, s_fun = self.pointwise()
         if self.takes_rows:
             return b_fun(t, X), s_fun(t, X)
         return np.array([b_fun(t, x) for x in X]), np.array([s_fun(t, x) for x in X])
 
 
+def constant_function(value: np.ndarray) -> Callable:
+    """``(t, x) -> value`` at a point ``x``, broadcast to every row of rows ``x``."""
+    return lambda t, x: (value if np.ndim(x) < 2
+                         else np.broadcast_to(value, (len(x),) + value.shape))
+
+
 def constant_coefficients(b_vec, sigma_mat) -> CoefficientField:
     b_arr = np.atleast_1d(np.asarray(b_vec, dtype=float))
     s_arr = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
-    return CoefficientField(
-        b=lambda t, x: b_arr,
-        sigma=lambda t, x: s_arr,
-        m=s_arr.shape[1],
-        lipschitz_x=0.0,
-        constant_b=b_arr,
-        constant_sigma=s_arr,
-    )
+    return CoefficientField(b=constant_function(b_arr), sigma=constant_function(s_arr),
+                            m=s_arr.shape[1], lipschitz_x=0.0,
+                            constant_b=b_arr, constant_sigma=s_arr, takes_rows=True)
 
 
 @dataclass(frozen=True)

@@ -284,13 +284,13 @@ class _Workspace:
                                             initial=0.0)))
         return worst / self.h
 
-    def coeff_arrays(self, eps: float, t: float):
+    def coeff_arrays(self, t: float):
         """Drift (n, d) and sigma sigma^T (n, d, d) at every active node;
-        constant coefficients (which no eps or t changes) are evaluated once."""
+        constant coefficients (which no t changes) are evaluated once."""
         if self._constant is not None:
             return self._constant
         n = len(self.pts)
-        b, s = self.coeffs.rows(t, self.pts, eps)
+        b, s = self.coeffs.rows(t, self.pts)
         sst = s @ np.swapaxes(s, 1, 2)
         arrays = (np.broadcast_to(b, (n, b.shape[1])),
                   np.broadcast_to(sst, (n,) + sst.shape[1:]))
@@ -302,7 +302,7 @@ class _Workspace:
         """One unprojected backward update from the layer at t_next."""
         h = self.h
         axes = range(self.d)
-        b, sst = self.coeff_arrays(eps, t_next)
+        b, sst = self.coeff_arrays(t_next)
         ext = np.concatenate([v_next,
                               np.add.reduce(v_next[self.g_idx] * self.g_wts, axis=1)])
         lo = [ext[col] for col in self.nbr[0::2]]
@@ -349,11 +349,11 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     eps = eps.eps
     if vi_type not in (MIN_TYPE, MAX_TYPE):
         raise ValueError(f"unknown vi_type {vi_type!r}")
-    ws = _Workspace(domain, field, coeffs, n_x)
+    ws = _Workspace(domain, field, coeffs.at_eps(eps), n_x)
     h = ws.h
     pts = ws.pts
 
-    b0, sst0 = ws.coeff_arrays(eps, t_end)
+    b0, sst0 = ws.coeff_arrays(t_end)
     max_b = float(np.max(np.linalg.norm(b0, axis=1)))
     max_s2 = float(np.max(np.linalg.norm(sst0, axis=(1, 2))))
     if dv_est is None:
@@ -431,7 +431,7 @@ def residual_scan(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     side of the obstacle.  Only transitions exactly one time step apart are
     checkable, so run the solver with store_every = 1 for a full scan.
     """
-    ws = _Workspace(domain, field, coeffs, n_x=len(vg.axes[0]))
+    ws = _Workspace(domain, field, coeffs.at_eps(vg.eps), n_x=len(vg.axes[0]))
     pts = ws.pts
     sign = 1.0 if vg.vi_type == MIN_TYPE else -1.0
     worst_violation = 0.0

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField, ReflectionError  # noqa: F401
+from .geometry import CoefficientField, Domain, ObliqueField
 
 
 class ContractionError(RuntimeError):

@@ -139,7 +139,7 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
     optional Philox-backed generator to re-key (see ``trajectory_noise``)."""
     x0 = _checked_start(domain, grid, t0, x)
     xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m, gen)
-    b_fun, s_fun = coeffs.pointwise(eps.eps)
+    b_fun, s_fun = coeffs.at_eps(eps.eps).pointwise()
     nodes = grid.nodes
     scale = eps.eps * np.sqrt(grid.dts)
 

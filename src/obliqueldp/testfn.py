@@ -16,14 +16,6 @@ import numpy as np
 
 from .geometry import Domain, ObliqueField
 
-__all__ = [
-    "ConstructionError",
-    "TestFnReport",
-    "TestFunction",
-    "build_testfn",
-    "check_testfn_properties",
-]
-
 _FD_STEP = 1e-6
 _DOUBLING_CAP = float(2 ** 40)
 _AXIS_NODES = np.array([-0.8, -0.4, 0.0, 0.4, 0.8])

@@ -421,6 +421,15 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
     assert "config error: events[1].id: duplicate id 'event-1'" in capsys.readouterr().err
     assert not any(out.iterdir())
 
+    # out_dir is checked before any directory is made
+    path, cwd = tmp_path / "bad_out_dir.json", tmp_path / "cwd"
+    path.write_text(json.dumps(_with(EXAMPLE, "out_dir", 5)))
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert "config error: config.out_dir: expected a string" in capsys.readouterr().err
+    assert not any(cwd.iterdir())
+
     for shift in ([0.1, 0.2], [float("inf")]):
         cfg = json.loads(Path(OU).read_text())
         cfg["coefficients"]["perturbation"] = {"drift_shift": shift}

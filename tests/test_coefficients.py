@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from obliqueldp.cli import build_coefficients
-from obliqueldp.geometry import Interval, normal_field
+from obliqueldp.geometry import Interval, constant_coefficients, normal_field
 from obliqueldp.hjbvi import solve_eps_vi, tube_obstacle
 from obliqueldp.rate import rate_of_event
 from obliqueldp.reflect import ReferencePath, TimeGrid
@@ -84,10 +84,10 @@ def _point_formulas(block, eps):
 @given(case=_coefficient_blocks(), eps=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_builtin_rows_equal_the_row_loop_bit_for_bit(case, eps):
     block, d, m, X = case
-    co = build_coefficients(block, d)
+    co = build_coefficients(block, d).at_eps(eps)
     assert co.takes_rows
-    rows = co.rows(0.3, X, eps)
-    for got, fun, ref, shape in zip(rows, (co.b_eps(eps), co.sigma_eps(eps)),
+    rows = co.rows(0.3, X)
+    for got, fun, ref, shape in zip(rows, (co.b, co.sigma),
                                     _point_formulas(block, eps),
                                     ((len(X), d), (len(X), d, m))):
         loop = np.array([fun(0.3, x) for x in X])
@@ -96,6 +96,32 @@ def test_builtin_rows_equal_the_row_loop_bit_for_bit(case, eps):
         # constant coefficients come back as one row that broadcasts
         assert np.broadcast_to(got, shape).tobytes() == loop.tobytes()
         assert fun(0.3, X).tobytes() == loop.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_coefficient_blocks(), data=st.data())
+def test_constant_coefficients_take_rows_bit_for_bit(case, data):
+    _, d, m, X = case
+    b = data.draw(st.lists(_entry, min_size=d, max_size=d))
+    sigma = [data.draw(st.lists(_entry, min_size=m, max_size=m)) for _ in range(d)]
+    co = constant_coefficients(b, sigma)
+    assert co.takes_rows and co.is_constant
+    for fun, shape in ((co.b, (d,)), (co.sigma, (d, m))):
+        point = fun(0.3, X[0])
+        assert point.shape == shape
+        rows = fun(0.3, X)
+        assert rows.shape == (len(X),) + shape
+        assert all(row.tobytes() == fun(0.3, x).tobytes() for row, x in zip(rows, X))
+
+
+def test_a_field_without_a_member_is_its_own_member():
+    co = constant_coefficients([0.5], [[1.0]])
+    assert co.at_eps(0.25) is co and co.at_eps(None) is co
+    perturbed = build_coefficients({**OU_1D, "perturbation": {"drift_shift": [0.1]}}, 1)
+    assert perturbed.at_eps(None) is perturbed
+    member = perturbed.at_eps(0.25)
+    assert member.family is None and not member.is_constant
+    assert member.at_eps(0.5) is member
 
 
 def _ou_setup():

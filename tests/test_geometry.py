@@ -276,6 +276,19 @@ def test_curve_points_are_the_boundary_curve():
             assert dom._curve_points(t).tobytes() == dom.boundary(t)[0].tobytes()
 
 
+def test_disk_closure_sample_is_the_closed_form():
+    # the disk samples its closure as the ellipse does; the bits are those of
+    # c + R sqrt(u0) (cos theta, sin theta) at theta = 2 pi u1
+    from scipy.stats import qmc
+
+    u = qmc.Sobol(d=2, scramble=False).random_base2(7)[:100]
+    r_unit, th = np.sqrt(u[:, 0]), 2.0 * np.pi * u[:, 1]
+    for radius, c in ((1.3, (0.2, -0.4)), (0.7, (0.0, 0.0)), (2.9, (-1.1, 3.3))):
+        r = radius * r_unit
+        expected = np.asarray(c) + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        assert Disk(radius, c).sample_closure(100).tobytes() == expected.tobytes()
+
+
 def test_custom_level_set_domain_squircle():
     # x^4 + y^4 < 1 via the generic machinery; oracle by dense boundary scan
     sq, level, grad, curve = _squircle()

@@ -357,3 +357,32 @@ def test_reach_checker_follows_reads_through_classes_and_assignments():
     assert unreached_definitions([cli, util], {"main"}) == ["Lone", "api", "orphan"]
     assert unreached_definitions([cli, util], {"main", "api"}) == ["Lone", "orphan"]
     assert unreached_definitions([cli, util], {"handler"}) == ["Lone", "api", "main", "orphan"]
+
+
+def second_api_lists(paths):
+    """The modules among ``paths``, other than ``__init__.py``, that assign
+    ``__all__``."""
+    found = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                found.append(path.name)
+                break
+    return found
+
+
+def test_the_library_api_is_listed_once():
+    # the library API is what __init__ re-exports; no module keeps a second list
+    assert second_api_lists(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_api_list_checker_flags_modules_but_not_the_package(tmp_path):
+    for name, src in (("__init__.py", "__all__ = ['a']\n"), ("a.py", "__all__ = ['f']\n"),
+                      ("b.py", "x = 1\n__all__: list = []\n"), ("c.py", "all_ = []\n")):
+        (tmp_path / name).write_text(src)
+    assert second_api_lists(sorted(tmp_path.glob("*.py"))) == ["a.py", "b.py"]
