@@ -675,16 +675,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(val, path) -> int:
+    val = _integer()(val, path)
+    if not 0 <= val < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers
+        raise ConfigError(f"{path}: must lie in [0, 2**63)")
+    return val
+
+
 def run(config_path, subcommand: str, out=None, seed=None, threads=None) -> int:
     cfg = load_config(config_path)
-    out_dir = Path(out if out is not None else _top(cfg, "out_dir", _string, "out"))
+    # every config value is checked, also where its flag overrides it
+    cfg_out = _top(cfg, "out_dir", _string, "out")
+    cfg_seed = _top(cfg, "seed", _seed, 20240801)
+    cfg_threads = _top(cfg, "threads", _integer(least=1), 1)
+    out_dir = Path(cfg_out if out is None else out)
+    eff_seed = cfg_seed if seed is None else _seed(seed, "--seed")
+    eff_threads = cfg_threads if threads is None else _integer(least=1)(threads, "--threads")
     out_dir.mkdir(parents=True, exist_ok=True)
-    eff_seed = seed if seed is not None else _top(cfg, "seed", _integer(), 20240801)
-    if not 0 <= eff_seed < 2 ** 63:  # Philox keys (seed, trajectory id) as 64-bit integers
-        raise ConfigError(f"{'config.seed' if seed is None else '--seed'}: must lie in [0, 2**63)")
-    eff_threads = threads if threads is not None else _top(cfg, "threads", _integer(least=1), 1)
-    if eff_threads < 1:
-        raise ConfigError("--threads: must be at least 1")
     ctx = RunContext(cfg, out_dir, eff_seed, eff_threads)
     code, outputs = HANDLERS[subcommand](ctx)
     write_manifest(ctx, subcommand, config_path, outputs)

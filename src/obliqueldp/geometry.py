@@ -182,26 +182,14 @@ class Domain:
                 Q[at_centre] = self._centre_projection
         return Q
 
-    def _inside(self, X: np.ndarray) -> np.ndarray:
-        """Whether each row of ``X`` lies in the closure (level <= 0)."""
+    def inside_many(self, X: np.ndarray) -> np.ndarray:
+        """Whether each row of ``X`` (B, d) lies in the closure (level <= 0):
+        the domain's one closure test, and the sign of its signed distances."""
         return np.array([self.level_function(x) <= 0.0 for x in X], dtype=bool)
 
     def _signed_distances(self, X: np.ndarray) -> np.ndarray:
         d = _row_norms(X - self._closest_points(X))
-        return np.where(self._inside(X), d, -d)
-
-    def outside_many(self, X) -> np.ndarray:
-        """``signed_distance_many(X) < 0.0``, bit for bit: the level function
-        clears the rows in the closure, and only the others are projected
-        (a row outside lies at a positive distance unless it rounds onto its
-        own closest point)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = ~self._inside(X)
-        rows = np.nonzero(out)[0]
-        if len(rows):
-            Y = X[rows]
-            out[rows] = _row_norms(Y - self._closest_points(Y)) > 0.0
-        return out
+        return np.where(self.inside_many(X), d, -d)
 
     # -- core operations ---------------------------------------------------
 
@@ -286,18 +274,23 @@ class Domain:
     def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
         """``(q, dz)`` pushback of one point ``p`` along ``field``: ``q = p -
         dz`` in the closure, ``dz`` = lam * gamma(q), lam >= 0, and zero for
-        a point of the closure (the two tests of ``signed_distance``).
+        a point that ``inside_many`` puts in the closure or that lies at zero
+        distance from its closest boundary point.  Where ``pushback_many``
+        has a batch form, the contact is its row.
 
-        The contact is the root of f(t) = (p - centre - g(t)) x gamma(g(t))
-        nearest g(t0).  Under a built-in field gamma(g) is parallel to w =
-        (g'_y + kappa g'_x, -g'_x + kappa g'_y), the normal plus kappa times
-        the tangent scaled by |g'|, and Newton's method finds the root of (p
-        - centre - g) x w from t0 (the root at kappa = 0).  A custom field
-        takes secant steps from t0 and t0 + 1e-6, with gamma from
-        ``field.gamma_many``.  ``oblique_pushback`` answers for a row that
-        does not settle or lands behind p (lam < 0) by more than a rounding
-        error; a row behind by less comes back unchanged."""
-        if self._inside(p[None, :])[0]:
+        Otherwise the contact is the root of f(t) = (p - centre - g(t)) x
+        gamma(g(t)) nearest g(t0).  Under a built-in field gamma(g) is
+        parallel to w = (g'_y + kappa g'_x, -g'_x + kappa g'_y), the normal
+        plus kappa times the tangent scaled by |g'|, and Newton's method finds
+        the root of (p - centre - g) x w from t0 (the root at kappa = 0).  A
+        custom field takes secant steps from t0 and t0 + 1e-6, with gamma
+        from ``field.gamma_many``.  ``oblique_pushback`` answers for a row
+        that does not settle or lands behind p (lam < 0) by more than a
+        rounding error; a row behind by less comes back unchanged."""
+        closed = self.pushback_many(p[None, :], field)
+        if closed is not None:
+            return closed[0][0], closed[1][0]
+        if self.inside_many(p[None, :])[0]:
             return p, np.zeros(2)
         x, y = float(p[0] - self.center[0]), float(p[1] - self.center[1])
         t = self._closest_angles(np.array([[x, y]]))[0]
@@ -377,17 +370,15 @@ class Domain:
     def sample_closure(self, n: int) -> np.ndarray:
         """Quasi-uniform sample of the closure (low-discrepancy + rejection)."""
         lo, hi = self.bounding_box[:, 0], self.bounding_box[:, 1]
-        pts = []
+        pts, found = [], 0
         skip, block = 0, max(2 * n, 64)
         for _ in range(64):
-            raw = _sobol_points(self.dimension, block, skip=skip)
+            P = lo + _sobol_points(self.dimension, block, skip=skip) * (hi - lo)
             skip += block
-            for u in raw:
-                p = lo + u * (hi - lo)
-                if self.level(p) <= 0.0:
-                    pts.append(p)
-                    if len(pts) >= n:
-                        return np.array(pts)
+            pts.append(P[self.inside_many(P)])
+            found += len(pts[-1])
+            if found >= n:
+                return np.concatenate(pts)[:n]
         raise GeometryError("closure sampling failed; is the domain empty?")
 
 
@@ -412,8 +403,9 @@ class Interval(Domain):
     # An own binding, which the benchmark's tracer patches class by class.
     signed_distance_many = Domain.signed_distance_many
 
-    def outside_many(self, X) -> np.ndarray:
-        return self.signed_distance_many(X) < 0.0
+    def inside_many(self, X: np.ndarray) -> np.ndarray:
+        x = X[:, 0]
+        return (x >= self.a) & (x <= self.b)
 
     def _closest_points(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
@@ -422,11 +414,6 @@ class Interval(Domain):
     def normal_many(self, X) -> np.ndarray:
         x = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
         return np.where(x - self.a < self.b - x, -1.0, 1.0).reshape(-1, 1)
-
-    def closed_contact(self, p: np.ndarray, field: "ObliqueField"):
-        # the violated endpoint, for any admissible field: a row of pushback_many
-        q = np.minimum(np.maximum(p, self.a), self.b)
-        return q, p - q
 
     def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
         if len(P) == 1 and self.a <= P[0, 0] <= self.b:
@@ -481,7 +468,7 @@ class Ellipse(Domain):
         fp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
         return f, fp
 
-    def _inside(self, X: np.ndarray) -> np.ndarray:
+    def inside_many(self, X: np.ndarray) -> np.ndarray:
         return _row_dots((X - self.center) / self.semi_axes) <= 1.0
 
     # An own binding, which the benchmark's tracer patches class by class.
@@ -519,8 +506,9 @@ class Disk(Ellipse):
     # An own binding, which the benchmark's tracer patches class by class.
     signed_distance_many = Domain.signed_distance_many
 
-    def outside_many(self, X) -> np.ndarray:
-        return self.signed_distance_many(X) < 0.0
+    def inside_many(self, X: np.ndarray) -> np.ndarray:
+        D = X - self.center
+        return np.sqrt(np.add.reduce(D * D, axis=1)) <= self.radius
 
     def _closest_points(self, X: np.ndarray) -> np.ndarray:
         rel = X - self.center
@@ -540,13 +528,12 @@ class Disk(Ellipse):
     def pushback_many(self, P: np.ndarray, field: "ObliqueField"):
         if field.kappa != 0.0:
             return None
-        rel = P - self.center
-        rad = np.linalg.norm(rel, axis=1)
-        out = rad > self.radius
-        r, s = rel[out], rad[out][:, None]
+        out = ~self.inside_many(P)
+        r = P[out] - self.center
+        s = np.linalg.norm(r, axis=1, keepdims=True)
         Q, dZ = P.copy(), np.zeros(P.shape)
         Q[out] = self.center + r * (self.radius / s)
-        # Scaling rel, rather than taking P - Q, keeps dZ exactly radial even
+        # Scaling r, rather than taking P - Q, keeps dZ exactly radial even
         # for rows that overshoot the circle by a rounding error.
         dZ[out] = r * ((s - self.radius) / s)
         return Q, dZ
@@ -556,15 +543,17 @@ class Disk(Ellipse):
         degrees): p - centre = (R + lam) u + lam kappa J u with q = centre + R u,
         so lam is the root of (R + lam)^2 + (lam kappa)^2 = |p - centre|^2 and
         u is p - centre turned back and normalised.  A point of the closure
-        (the sign of ``signed_distance``) comes back unchanged; a custom
-        field takes ``Domain.closed_contact``."""
+        comes back unchanged; the normal field and a custom one take
+        ``Domain.closed_contact``."""
         k, R = field.kappa, self.radius
+        if not k:
+            return super().closed_contact(p, field)
         cx, cy = float(self.center[0]), float(self.center[1])
         rx, ry = float(p[0]) - cx, float(p[1]) - cy
         if math.sqrt(rx * rx + ry * ry) <= R:
+            # inside_many on one row, bit for bit, in floats: its array
+            # calls would add about 3 us to every row of the per-row route
             return p, np.zeros(2)
-        if k is None:
-            return super().closed_contact(p, field)
         # an overshoot of an ulp or two may round to delta <= 0: lam = 0 then
         delta = max(rx * rx + ry * ry - R * R, 0.0)
         # the positive root, written without the cancellation of -R + sqrt(...)

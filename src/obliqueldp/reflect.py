@@ -205,14 +205,14 @@ def reflect_rows(domain: Domain, field: ObliqueField, P: np.ndarray):
 
     Returns ``(Q, dZ)`` with ``Q = P - dZ``; interior rows come back unchanged
     with zero dZ.  Without a batch closed form (``Domain.pushback_many``),
-    ``Domain.outside_many`` picks the exterior rows, projecting only rows
-    outside the closure, and each goes through ``reflect_step``.
+    each row that the closure test ``Domain.inside_many`` puts outside goes
+    through ``reflect_step``.
     """
     closed = domain.pushback_many(P, field)
     if closed is not None:
         return closed
     Q, dZ = P, np.zeros(P.shape)
-    out = np.nonzero(domain.outside_many(P))[0]
+    out = np.nonzero(~domain.inside_many(P))[0]
     if len(out):
         Q = P.copy()
         for i in out:
@@ -252,7 +252,7 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
     deterministic and state-free, and is stepped ``WINDOW`` steps at a time:
     every row's predictors come from one running sum of its increments, the
     same sequential float order as ``advance``, and one
-    ``Domain.outside_many`` call finds the rows that leave the closure.
+    ``Domain.inside_many`` call finds the rows that leave the closure.
     Those rows alone re-run the window through ``advance`` from the earliest
     first exit among them, so every result is bitwise that of the per-step
     loop.
@@ -284,10 +284,9 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
 
 def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
     """``sup_deviations`` of a deterministic, state-free batch, ``WINDOW``
-    steps at a time, with the running squared maxima ``sq`` of node 0.  The
-    exterior test of a window's predictors (``Domain.outside_many``) is the
-    sign of their signed distances, bit for bit, and projects only the
-    predictors outside the closure."""
+    steps at a time, with the running squared maxima ``sq`` of node 0.  A
+    predictor leaves the closure where the closure test
+    ``Domain.inside_many`` is false; no predictor is projected."""
     B, d = X.shape
     for k0 in range(0, len(dts), WINDOW):
         k1 = min(k0 + WINDOW, len(dts))
@@ -296,7 +295,7 @@ def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
         P[0] = X
         np.multiply(drifts[k0:k1], dts[k0:k1, None, None], out=P[1:])
         np.add.accumulate(P, axis=0, out=P)
-        outside = domain.outside_many(P[1:].reshape(-1, d)).reshape(-1, B)
+        outside = ~domain.inside_many(P[1:].reshape(-1, d)).reshape(-1, B)
         left = np.nonzero(outside.any(axis=0))[0]
         # the first exit: nodes before it are exact for every row
         j0 = int(outside[:, left].argmax(axis=0).min()) if len(left) else k1 - k0

@@ -389,13 +389,22 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
         assert run_cli(subcommand, path, out) == 1, dotted
         assert (named or [dotted])[0] in capsys.readouterr().err, dotted
         # the config is checked before any output is written
-        assert not any(out.iterdir()), dotted
+        assert not out.exists() or not any(out.iterdir()), dotted
 
     for flag, value in (("--seed", "-1"), ("--threads", "0")):
         out = tmp_path / f"out{flag}"
         assert run_cli("simulate", EXAMPLE, out, flag, value) == 1
         assert f"config error: {flag}: " in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    # a config value is checked also where a flag overrides it, before the
+    # output directory is made
+    for key, value in (("out_dir", 5), ("seed", -3), ("threads", "x")):
+        path, out = tmp_path / f"overridden_{key}.json", tmp_path / f"out_overridden_{key}"
+        path.write_text(json.dumps(_with(EXAMPLE, key, value)))
+        assert run_cli("simulate", path, out, "--seed", "1", "--threads", "1") == 1
+        assert f"config error: config.{key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     # testfn.n_samples is read with the other testfn fields, before the build
     def no_build(*args, **kwargs):

@@ -187,7 +187,11 @@ def test_batched_ellipse_projection_matches_rows_and_is_a_closest_point(a, b, cx
 
 
 def test_exterior_mask_is_the_signed_distance_sign():
-    # rows inside, outside, at the centre, and within an ulp of the boundary
+    # rows inside, outside, at the centre, and within an ulp of the boundary:
+    # every row at a negative signed distance is outside by the closure test,
+    # and a row that the closure test alone puts outside lies at zero
+    # distance, where its contact leaves it unchanged; on the disk and the
+    # interval the two tests agree bit for bit
     rng = np.random.default_rng(11)
     th = rng.uniform(0.0, 2.0 * np.pi, 300)
     for dom in (Ellipse(1.2, 0.7, (-0.5, 0.3)), Ellipse(0.4, 1.7), _squircle(1.3, 0.6)[0],
@@ -198,11 +202,22 @@ def test_exterior_mask_is_the_signed_distance_sign():
             dom.center + rng.uniform(0.0, 1.8, (300, 1)) * (B - dom.center),
             B, np.nextafter(B, np.inf), np.nextafter(B, -np.inf),
             np.nextafter(B, dom.center), np.nextafter(B, 2.0 * B - dom.center)])
-        assert dom.outside_many(X).tobytes() == (dom.signed_distance_many(X) < 0.0).tobytes()
+        outside, sd = ~dom.inside_many(X), dom.signed_distance_many(X)
+        assert not np.any((sd < 0.0) & ~outside)
+        at_zero = outside & ~(sd < 0.0)
+        assert not sd[at_zero].any()
+        if isinstance(dom, Disk):
+            assert not at_zero.any()
+            continue
+        assert at_zero.any()
+        field = normal_field(dom, n_certify=16)
+        for p in X[at_zero]:
+            q, dz = reflect_step(dom, field, p)
+            assert q.tobytes() == p.tobytes() and dz.tobytes() == np.zeros(2).tobytes()
     iv = Interval(-1.0, 3.0)
     x = np.array([-1.0, 3.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(3.0, 4.0), 5.0])
     X = x[:, None]
-    assert iv.outside_many(X).tobytes() == (iv.signed_distance_many(X) < 0.0).tobytes()
+    assert (~iv.inside_many(X)).tobytes() == (iv.signed_distance_many(X) < 0.0).tobytes()
 
 
 def _contact_case(shape, a, b, cx, cy, kappa):
@@ -287,6 +302,28 @@ def test_disk_closure_sample_is_the_closed_form():
         r = radius * r_unit
         expected = np.asarray(c) + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         assert Disk(radius, c).sample_closure(100).tobytes() == expected.tobytes()
+
+
+def test_generic_closure_sample_is_the_per_point_rejection():
+    # a custom domain keeps the Sobol points of its box that the closure
+    # test accepts, block by block: the bits of the point-by-point rejection
+    # loop; the loose box takes several blocks
+    from obliqueldp.geometry import _sobol_points
+
+    sq, level, grad, curve = _squircle(1.3, 0.6, (0.2, -0.1))
+    loose = Domain(level, sq.bounding_box * 3.0, boundary=curve, grad_level=grad,
+                   center=sq.center)
+    for dom, n in ((sq, 100), (sq, 7), (loose, 150)):
+        lo, hi = dom.bounding_box[:, 0], dom.bounding_box[:, 1]
+        expected, skip, block = [], 0, max(2 * n, 64)
+        while len(expected) < n:
+            for u in _sobol_points(2, block, skip=skip):
+                p = lo + u * (hi - lo)
+                if dom.level(p) <= 0.0 and len(expected) < n:
+                    expected.append(p)
+            skip += block
+        assert dom.sample_closure(n).tobytes() == np.array(expected).tobytes()
+    assert skip > max(2 * n, 64)
 
 
 def test_custom_level_set_domain_squircle():

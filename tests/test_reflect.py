@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obliqueldp.geometry import (
     CoefficientField,
@@ -388,9 +388,12 @@ def _scaled_boundary_point(domain, r, theta):
        kappa=st.one_of(st.none(), st.floats(-1.0, 1.0)), custom=st.booleans(),
        rows=st.lists(st.tuples(st.floats(0.0, 1.6), st.floats(0.0, 2.0 * np.pi)),
                      min_size=1, max_size=6))
+# the disk's normal contact of one point is a row of its batch form
+@example(kind="disk", kappa=None, custom=False, rows=[(1.3, 0.1), (1.1, 2.0), (0.5, 1.0)])
 def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kappa, custom,
                                                                        rows):
-    # a custom copy of the field keeps the secant contact under test
+    # a custom copy of the field keeps the secant contact under test; every
+    # row of the batch is the one-point contact, bit for bit
     domain = _DOMAINS[kind]
     if kappa is None or domain.dimension == 1:
         field = _normal(kind)
@@ -402,8 +405,7 @@ def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kap
     Q, dZ = reflect_rows(domain, field, P)
     for p, q, dz, sd in zip(P, Q, dZ, domain.signed_distance_many(P)):
         q1, dz1 = reflect_step(domain, field, p)
-        np.testing.assert_allclose(q, q1, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(dz, dz1, rtol=0.0, atol=1e-12)
+        assert q.tobytes() == q1.tobytes() and dz.tobytes() == dz1.tobytes()
         if sd >= 0.0:
             # interior rows pass through untouched
             assert q.tobytes() == p.tobytes()
@@ -507,8 +509,8 @@ def test_windowed_steps_equal_the_per_step_loop(case, n_steps, rows, seed):
 
 def test_windowed_batch_inside_the_closure_steps_without_advance(monkeypatch):
     disk, field = _disk_setup(0.5)
-    calls = {"advance": 0, "sd_many": 0}
-    advance, sd_many = reflect.advance, disk.signed_distance_many
+    calls = {"advance": 0, "inside_many": 0}
+    advance, inside_many = reflect.advance, disk.inside_many
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -517,14 +519,15 @@ def test_windowed_batch_inside_the_closure_steps_without_advance(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(reflect, "advance", counted("advance", advance))
-    monkeypatch.setattr(disk, "signed_distance_many", counted("sd_many", sd_many))
+    monkeypatch.setattr(disk, "inside_many", counted("inside_many", inside_many))
     n_steps = 2 * reflect.WINDOW + 5
     grid = TimeGrid.uniform(0.0, 1.0, n_steps)
     X = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.1]])
     drifts = np.random.default_rng(1).uniform(-0.3, 0.3, (n_steps, 3, 2))
     g_nodes = [np.zeros((n_steps + 1, 2))]
     end, devs = reflect.sup_deviations(disk, field, X, grid, drifts, g_nodes)
-    assert calls == {"advance": 0, "sd_many": -(-n_steps // reflect.WINDOW)}
+    # one closure test per window
+    assert calls == {"advance": 0, "inside_many": -(-n_steps // reflect.WINDOW)}
     # the same batch given as a callable takes one advance per step
     end1, devs1 = reflect.sup_deviations(disk, field, X, grid,
                                          lambda k, _X: drifts[k], g_nodes)
