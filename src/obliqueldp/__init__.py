@@ -37,6 +37,7 @@ from .sde import (  # noqa: F401
     estimate_event_probability,
     log_rate_estimate,
     simulate_reflected_sde,
+    tube_obstacle,
 )
 from .rate import (  # noqa: F401
     RateResult,
@@ -58,7 +59,6 @@ from .hjbvi import (  # noqa: F401
     residual_scan,
     solve_eps_vi,
     solve_limit_vi,
-    tube_obstacle,
 )
 from .testfn import (  # noqa: F401
     build_testfn,

@@ -31,13 +31,13 @@ from .control_stop import DiscreteProblem, EnumerationLimitError, ObstacleBoundE
 from .geometry import CoefficientField, Disk, Ellipse, GeometryError, Interval, \
     constant_function, oblique_from_tangent
 from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, constant_obstacle, solve_eps_vi, \
-    solve_limit_vi, tube_obstacle
+    solve_limit_vi
 from .ldp import LdpConfig, checked_eps_ladder, dump_json, run_lower_bound_experiment, \
     run_upper_bound_experiment
 from .rate import rate_of_event, rate_of_path
 from .reflect import ReferencePath, TimeGrid
 from .sde import EventSpec, NoiseScale, estimate_event_probability, \
-    simulate_reflected_sde
+    simulate_reflected_sde, tube_obstacle
 from .testfn import build_testfn, check_testfn_properties
 
 # every top-level key that some pipeline reads
@@ -357,17 +357,12 @@ class RunContext:
             "scheme_tol": (_number(positive=True), 0.02),
             "lambda_fraction": (_number(positive=True), 0.15)})
         self.rate_tol, self.scheme_tol, self.lambda_fraction = tol.values()
+        self.tubes = {"references": self.references, "radii": _array(None, positive=True)}
         self.events = {}
-        read = _objects(_object({"id": (_text, None), "kind": _as_given,
-                                 "references": self.references,
-                                 "radii": _array(None, positive=True)}))
+        read = _objects(_object({"id": (_text, None), "kind": _as_given, **self.tubes}))
         for i, ev in enumerate(read(_top(cfg, "events", default=[]), "events")):
             path = f"events[{i}]"
-            with _named({ValueError: f"{path}: "}):
-                event = EventSpec(kind=ev["kind"], references=ev["references"],
-                                  radii=ev["radii"])
-            with _named({ValueError: f"{path}."}):
-                event.validate_in(self.domain)
+            event = self.event(ev["kind"], ev["references"], ev["radii"], path)
             name = f"event-{i}" if ev["id"] is None else ev["id"]
             if name in self.events:
                 raise ConfigError(f"{path}.id: duplicate id '{name}'")
@@ -400,6 +395,15 @@ class RunContext:
         if not refs:
             raise ConfigError(f"{path}: need at least one reference")
         return refs
+
+    def event(self, kind, references, radii, path: str) -> EventSpec:
+        """The event on the tubes of the block at ``path``, checked in the
+        domain; an error names the block."""
+        with _named({ValueError: f"{path}: "}):
+            event = EventSpec(kind, references, radii)
+        with _named({ValueError: f"{path}."}):
+            event.validate_in(self.domain)
+        return event
 
     def write_json(self, name: str, payload: dict) -> str:
         dump_json(self.out_dir / name, payload)
@@ -527,7 +531,8 @@ def cmd_hjb(ctx: RunContext):
                      {**_tube(ctx.reference), "smoothing": (_smoothing, "cell")})
         if ob["smoothing"] == "cell":
             ob["smoothing"] = cell_width(ctx.domain, f["n_x"])
-        obstacle = tube_obstacle(**ob)
+        with _named({ValueError: "hjb.obstacle.smoothing: "}):
+            obstacle = tube_obstacle(**ob)
     kwargs = dict(n_x=f["n_x"], t0=ctx.t0, t_end=ctx.t_end, store_every=f["store_every"])
     if f["dv_est"] is not None:
         kwargs["dv_est"] = f["dv_est"]
@@ -569,8 +574,7 @@ def cmd_testfn_check(ctx: RunContext):
 
 def _ldp_config(ctx: RunContext) -> tuple:
     f = _fields(_top(ctx.cfg, "ldp"), "ldp", {
-        "bound": (_choice("lower", "upper", "both"), "lower"),
-        "references": ctx.references, "radii": _array(None, positive=True),
+        "bound": (_choice("lower", "upper", "both"), "lower"), **ctx.tubes,
         "n_x": (_integer(least=2), LdpConfig.n_x),
         "rate_segments": (_integer(least=1), LdpConfig.rate_segments),
         "rate_max_segments": (_integer(least=1), LdpConfig.rate_max_segments),
@@ -580,19 +584,23 @@ def _ldp_config(ctx: RunContext) -> tuple:
         "dp_controls": (_array(None), LdpConfig.dp_controls)})
     bound = f.pop("bound")
     _at_least(f["rate_max_segments"], "ldp.rate_max_segments", f["rate_segments"])
+    event = ctx.event("intersection_of_complements", f.pop("references"), f.pop("radii"), "ldp")
     with _named({ValueError: "config."}):
         ladder = checked_eps_ladder(_top(ctx.cfg, "eps_ladder", _array(None, positive=True)))
     n_samples = _top(ctx.cfg, "n_samples", _integer(least=100))
     with _named({ValueError: "ldp."}):
         config = LdpConfig(
             domain=ctx.domain, field=ctx.field, coeffs=ctx.coeffs, t0=ctx.t0,
-            x0=ctx.x0, t_end=ctx.t_end, eps_ladder=ladder, n_samples=n_samples,
+            x0=ctx.x0, t_end=ctx.t_end, event=event, eps_ladder=ladder, n_samples=n_samples,
             n_steps=ctx.n_steps, seed=ctx.seed, scheme_tol=ctx.scheme_tol,
             lambda_fraction=ctx.lambda_fraction, rate_tol=ctx.rate_tol,
             n_threads=ctx.threads, **f)
-        EventSpec.complements(f["references"], f["radii"]).validate_in(ctx.domain)
-    if bound != "lower" and len(f["references"]) != 1:
-        raise ConfigError("ldp.references: the upper bound takes exactly one tube")
+    if bound != "lower":
+        if len(event.references) != 1:
+            raise ConfigError("ldp.references: the upper bound takes exactly one tube")
+        # the upper bound's PDE obstacle is smoothed over one cell
+        with _named({ValueError: "ldp.n_x: "}):
+            event.obstacles(config.obstacle_height, smoothing=cell_width(ctx.domain, config.n_x))
     return config, bound
 
 

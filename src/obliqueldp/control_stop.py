@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .hjbvi import Obstacle
 from .reflect import Control, TimeGrid, solve_reflected_ode
+from .sde import Obstacle
 
 
 class EnumerationLimitError(RuntimeError):

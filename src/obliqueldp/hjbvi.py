@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .sde import NoiseScale
+from .sde import NoiseScale, Obstacle
 
 MIN_TYPE = "min_type"
 MAX_TYPE = "max_type"
@@ -32,32 +32,6 @@ class NanError(RuntimeError):
 
 class StencilError(RuntimeError):
     """Raised when no admissible oblique ghost stencil exists at a node."""
-
-
-Obstacle = Callable[[float, np.ndarray], np.ndarray]
-
-
-def tube_obstacle(reference, radius: float, height: float, complement: bool = False,
-                  smoothing: float = 0.0) -> Obstacle:
-    """Height times the (mollified) indicator of an instantaneous tube (or
-    its complement) at each row of the states, for the PDE and the DP alike.
-
-    ``reference`` maps time to a point (a ReferencePath).  Membership is
-    strict inclusion within ``radius`` of the reference at the queried time,
-    matching the node-sampled event semantics; with ``smoothing`` w > 0 the
-    jump is replaced by a linear ramp over the band [radius - w, radius].
-    """
-
-    def psi(t: float, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        dist = np.linalg.norm(X - np.asarray(reference.at(t))[None, :], axis=1)
-        if smoothing > 0.0:
-            ramp = np.clip((dist - (radius - smoothing)) / smoothing, 0.0, 1.0)
-        else:
-            ramp = (dist >= radius).astype(float)
-        return height * (ramp if complement else (1.0 - ramp))
-
-    return psi
 
 
 def cell_width(domain: Domain, n_x: int) -> float:

@@ -16,12 +16,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .reflect import Control, ReferencePath, TimeGrid, holder_half_quotient, solve_reflected_ode
+from .reflect import Control, TimeGrid, holder_half_quotient, solve_reflected_ode
 from .sde import (EventSpec, LogRateInterval, NoiseScale,
                   estimate_event_probability, log_rate_estimate)
 from .rate import rate_of_event, weak_stability_check
 from .control_stop import DiscreteProblem, reduced_value
-from .hjbvi import MIN_TYPE, cell_width, solve_eps_vi, solve_limit_vi, tube_obstacle
+from .hjbvi import MIN_TYPE, cell_width, solve_eps_vi, solve_limit_vi
 
 
 def dump_json(path, payload) -> None:
@@ -51,9 +51,9 @@ GOODNESS_N_MAX = 64
 class LdpConfig:
     """Everything one experiment needs, in one place.
 
-    references/radii define the tube(s): a single tube for ball events, one
-    or more for intersection-of-complements events.  obstacle_height is the
-    cap A used by the PDE/DP obstacles; it should exceed the expected rate.
+    event is the intersection of complements of the tubes; the upper bound
+    takes the ball of its one tube.  obstacle_height is the cap A used by
+    the PDE/DP obstacles; it should exceed the expected rate.
     """
 
     domain: Domain
@@ -62,8 +62,7 @@ class LdpConfig:
     t0: float
     x0: Sequence[float]
     t_end: float
-    references: Sequence[ReferencePath]
-    radii: Sequence[float]
+    event: EventSpec
     eps_ladder: Sequence[float]
     n_samples: int = 20000
     n_steps: int = 256
@@ -82,10 +81,8 @@ class LdpConfig:
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        self.references = list(self.references)
-        self.radii = [float(r) for r in self.radii]
-        if len(self.references) != len(self.radii):
-            raise ValueError("references and radii must pair up")
+        if self.event.kind != "intersection_of_complements":
+            raise ValueError("event: must be an intersection of complements")
         self.eps_ladder = checked_eps_ladder(self.eps_ladder)
         if not self.obstacle_height > 0.0:
             raise ValueError("obstacle_height: must be positive")
@@ -182,14 +179,15 @@ def _gaps(mc: Optional[float], lam: float, dp: Optional[float]) -> dict:
     return out
 
 
-def _experiment(config: LdpConfig, event: EventSpec, bound: str,
+def _experiment(config: LdpConfig, event: EventSpec,
                 dp_solve: Callable[[], tuple]) -> LdpReport:
     """Monte Carlo ladder, action, and DP/PDE value, judged against one side.
 
     ``dp_solve`` returns the DP or PDE value and its extra ``details`` entries.
-    The upper bound asks the smallest-eps log-rate not to exceed the action
-    plus the slack; the lower bound asks it not to undershoot minus the slack.
+    A ball event asks the smallest-eps log-rate not to exceed the action plus
+    the slack (upper bound); the lower bound, not to undershoot minus it.
     """
+    bound = "upper" if event.kind == "ball" else "lower"
     estimates, log_rates = _mc_ladder(config, event)
     lam_res = rate_of_event(config.domain, config.field, config.coeffs,
                             config.t0, config.x0, event, tol=config.rate_tol,
@@ -223,18 +221,16 @@ def run_upper_bound_experiment(config: LdpConfig) -> LdpReport:
     The PDE value comes from the capped obstacle problem, whose value at
     (t0, x0) is the capped action min(A, Lambda).
     """
-    if len(config.references) != 1:
-        raise ValueError("upper-bound experiment uses exactly one tube")
-    ref, r = config.references[0], config.radii[0]
+    event = EventSpec("ball", config.event.references, config.event.radii)
+    obstacle, = event.obstacles(config.obstacle_height,
+                                smoothing=cell_width(config.domain, config.n_x))
 
     def pde_value():
-        obstacle = tube_obstacle(ref, r, config.obstacle_height, complement=True,
-                                 smoothing=cell_width(config.domain, config.n_x))
         vg = solve_limit_vi(config.domain, config.field, config.coeffs, obstacle,
                             MIN_TYPE, n_x=config.n_x, t0=config.t0, t_end=config.t_end)
         return float(vg.value_at(config.t0, config.x0)), {"vi_n_t": vg.meta["n_t"]}
 
-    return _experiment(config, EventSpec.ball(ref, r), "upper", pde_value)
+    return _experiment(config, event, pde_value)
 
 
 def run_lower_bound_experiment(config: LdpConfig) -> LdpReport:
@@ -246,17 +242,15 @@ def run_lower_bound_experiment(config: LdpConfig) -> LdpReport:
 
     def dp_value():
         dp_grid = TimeGrid.uniform(config.t0, config.t_end, config.dp_n_steps)
-        obstacles = [tube_obstacle(ref, r, config.obstacle_height)
-                     for ref, r in zip(config.references, config.radii)]
         controls = [np.full(config.coeffs.m, a) for a in config.dp_controls]
         problem = DiscreteProblem.build(config.domain, config.field, config.coeffs,
-                                        dp_grid, controls, obstacles,
+                                        dp_grid, controls,
+                                        config.event.obstacles(config.obstacle_height),
                                         substeps=config.dp_substeps)
         return (reduced_value(problem, config.t0, config.x0),
                 {"dp_n_steps": config.dp_n_steps})
 
-    return _experiment(config, EventSpec.complements(config.references, config.radii),
-                       "lower", dp_value)
+    return _experiment(config, config.event, dp_value)
 
 
 @dataclass
@@ -280,9 +274,7 @@ def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
     each requested cap height plus one effectively uncapped reference height,
     all on the same tube.
     """
-    if len(config.references) != 1:
-        raise ValueError("cap identity check uses exactly one tube")
-    ref, r = config.references[0], config.radii[0]
+    event = EventSpec("ball", config.event.references, config.event.radii)
     eps = min(config.eps_ladder)
     h = cell_width(config.domain, config.n_x)
 
@@ -293,7 +285,7 @@ def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
 
     def value_for(height: float) -> float:
         nonlocal dt_shared
-        obstacle = tube_obstacle(ref, r, height, complement=True, smoothing=h)
+        obstacle, = event.obstacles(height, smoothing=h)
         vg = solve_eps_vi(config.domain, config.field, config.coeffs, obstacle,
                           NoiseScale(eps), MIN_TYPE, n_x=config.n_x,
                           t0=config.t0, t_end=config.t_end, dt=dt_shared)

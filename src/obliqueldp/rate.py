@@ -138,13 +138,13 @@ def _pseudo_inverse_start(coeffs, t0, x0, target: ReferencePath, n_seg, t_end) -
     return a0
 
 
-def _penalty_solve(batch: _PathBatch, starts, penalty_of_devs, residual_of_devs, tol):
+def _penalty_solve(batch: _PathBatch, starts, event: EventSpec, tol):
     """Run the weight ladder from every start; return the best admissible run.
 
-    Winner selection is deterministic: feasible beats infeasible, then lower
-    action, then lower start index.
+    The penalty sums the squared shortfalls from the event, the residual is
+    the largest.  Winner selection is deterministic: feasible beats
+    infeasible, then lower action, then lower start index.
     """
-    n_vars = batch.n_seg * batch.m
     best = None
     total_it = 0
     for s_idx, a_start in enumerate(starts):
@@ -153,7 +153,7 @@ def _penalty_solve(batch: _PathBatch, starts, penalty_of_devs, residual_of_devs,
         # begins at a low weight that can trade feasibility for action and
         # never recover, and an already admissible start must not be lost.
         devs0 = batch.max_devs(a.reshape(1, batch.n_seg, batch.m))[0]
-        resid0 = residual_of_devs(devs0)
+        resid0 = float(event.shortfalls(devs0, tol).max())
         if resid0 <= tol:
             action0 = batch.actions(a.reshape(1, batch.n_seg, batch.m))[0]
             cand0 = (False, action0, s_idx, a.copy(), resid0)
@@ -162,12 +162,13 @@ def _penalty_solve(batch: _PathBatch, starts, penalty_of_devs, residual_of_devs,
         for w in _WEIGHT_LADDER:
             def objective(A_flat, w=w):
                 A = A_flat.reshape(-1, batch.n_seg, batch.m)
-                return batch.actions(A) + w * penalty_of_devs(batch.max_devs(A))
+                return batch.actions(A) + w * np.sum(
+                    event.shortfalls(batch.max_devs(A), tol) ** 2, axis=1)
 
             a, nit = _fd_minimize(objective, a)
             total_it += nit
             devs = batch.max_devs(a.reshape(1, batch.n_seg, batch.m))[0]
-            resid = residual_of_devs(devs)
+            resid = float(event.shortfalls(devs, tol).max())
             if resid <= tol:
                 break
         action = batch.actions(a.reshape(1, batch.n_seg, batch.m))[0]
@@ -206,23 +207,6 @@ def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     if t_end is None:
         t_end = float(max(ref.nodes[-1] for ref in event.references))
-    radii = event.radii
-
-    if event.kind == "ball":
-        r = radii[0]
-
-        def penalty(devs):
-            return np.maximum(devs[:, 0] - (r - tol), 0.0) ** 2
-
-        def residual(devs):
-            return max(devs[0] - (r - tol), 0.0)
-    else:
-        def penalty(devs):
-            return np.sum(np.maximum((radii[None, :] + tol) - devs, 0.0) ** 2, axis=1)
-
-        def residual(devs):
-            return float(np.max(np.maximum((radii + tol) - devs, 0.0)))
-
     def escape_starts(n_seg):
         starts = [np.zeros((n_seg, coeffs.m))]
         if event.kind == "ball":
@@ -233,7 +217,7 @@ def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
         dirs = [np.eye(d)[j] * s for j in range(d) for s in (+1.0, -1.0)]
         for i, ref in enumerate(event.references):
             for u in dirs:
-                tgt_end = np.asarray(ref.at(t_end)) + (radii[i] + 3 * tol) * u
+                tgt_end = np.asarray(ref.at(t_end)) + (event.radii[i] + 3 * tol) * u
                 line = ReferencePath(np.array([t0, t_end]), np.stack([x0, tgt_end]))
                 starts.append(_pseudo_inverse_start(coeffs, t0, x0, line, n_seg, t_end))
         return starts
@@ -244,15 +228,15 @@ def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
         starts = escape_starts(n_seg)
         if warm is not None:
             starts.append(np.repeat(warm, 2, axis=0))
-        a, action, resid, infeas, nit = _penalty_solve(batch, starts, penalty, residual, tol)
+        a, action, resid, infeas, nit = _penalty_solve(batch, starts, event, tol)
         if not infeas and event.kind == "intersection_of_complements":
-            a, action = _zero_tail(batch, a, radii, tol, residual)
+            a, action = _zero_tail(batch, a, event, tol)
         return batch, a, action, resid, infeas, nit
 
     return _refine(run, n_segments, max_segments, coeffs.m)
 
 
-def _zero_tail(batch: _PathBatch, a_flat, radii, tol, residual):
+def _zero_tail(batch: _PathBatch, a_flat, event: EventSpec, tol):
     """Zero the control after the last time any escape threshold is first met.
 
     Keeps the modification only when the event stays realized; the action can
@@ -260,20 +244,15 @@ def _zero_tail(batch: _PathBatch, a_flat, radii, tol, residual):
     """
     a = a_flat.reshape(batch.n_seg, batch.m)
     path = batch.solve_path(a_flat)
-    nodes = batch.grid.nodes
-    last_hit = 0.0
-    for i, g in enumerate(batch.g_nodes):
-        dev = np.linalg.norm(path.points - g, axis=1)
-        idx = np.nonzero(dev >= radii[i] + tol)[0]
-        if len(idx) == 0:
-            return a_flat, float(batch.actions(a_flat.reshape(1, batch.n_seg, batch.m))[0])
-        last_hit = max(last_hit, nodes[idx[0]])
-    seg_nodes = np.linspace(batch.grid.t0, batch.grid.t_end, batch.n_seg + 1)
+    node_devs = np.stack([np.linalg.norm(path.points - g, axis=1) for g in batch.g_nodes], axis=1)
+    met = event.shortfalls(node_devs, tol) == 0.0
     trimmed = a.copy()
-    trimmed[seg_nodes[:-1] >= last_hit] = 0.0
-    devs = batch.max_devs(trimmed[None, :, :])[0]
-    if residual(devs) <= tol:
-        return trimmed.reshape(-1), float(batch.actions(trimmed[None, :, :])[0])
+    if met.any(axis=0).all():
+        last_hit = batch.grid.nodes[met.argmax(axis=0)].max()
+        seg_nodes = np.linspace(batch.grid.t0, batch.grid.t_end, batch.n_seg + 1)
+        trimmed[seg_nodes[:-1] >= last_hit] = 0.0
+        if event.shortfalls(batch.max_devs(trimmed[None, :, :]), tol).max() <= tol:
+            return trimmed.reshape(-1), float(batch.actions(trimmed[None, :, :])[0])
     return a_flat, float(batch.actions(a_flat.reshape(1, batch.n_seg, batch.m))[0])
 
 

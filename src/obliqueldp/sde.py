@@ -1,4 +1,4 @@
-"""Small-noise simulation of the reflected diffusion and event Monte Carlo.
+"""Small-noise simulation of the reflected diffusion, its tube events, and Monte Carlo.
 
 Every trajectory takes the reflected Euler step of ``reflect.advance`` with
 a Gaussian shock added to the predictor.  With constant coefficients a whole
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,35 @@ class NoiseScale:
             raise ValueError("noise scale must be nonnegative")
 
 
+Obstacle = Callable[[float, np.ndarray], np.ndarray]
+
+
+def tube_obstacle(reference, radius: float, height: float, complement: bool = False,
+                  smoothing: float = 0.0) -> Obstacle:
+    """Height times the (mollified) indicator of an instantaneous tube (or
+    its complement) at each row of the states, for the PDE and the DP alike.
+
+    ``reference`` maps time to a point (a ReferencePath).  Membership is
+    strict inclusion within ``radius`` of the reference at the queried time,
+    matching the node-sampled event semantics; with ``smoothing`` w > 0 the
+    jump is replaced by a linear ramp over the band [radius - w, radius],
+    which may not reach past the reference.
+    """
+    if smoothing > radius:
+        raise ValueError(f"smoothing {smoothing} is wider than the tube radius {radius}")
+
+    def psi(t: float, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        dist = np.linalg.norm(X - np.asarray(reference.at(t))[None, :], axis=1)
+        if smoothing > 0.0:
+            ramp = np.clip((dist - (radius - smoothing)) / smoothing, 0.0, 1.0)
+        else:
+            ramp = (dist >= radius).astype(float)
+        return height * (ramp if complement else (1.0 - ramp))
+
+    return psi
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """Path event defined by sup-norm distance to reference trajectories.
@@ -44,7 +73,8 @@ class EventSpec:
     kind "ball": the path stays strictly within radius ``radii[0]`` of the
     single reference at every grid node.  kind "intersection_of_complements":
     for every reference i the path deviates by at least ``radii[i]`` at some
-    node.
+    node.  The Monte Carlo count, the rate penalty and the PDE/DP obstacles
+    all read the radii here.
     """
 
     kind: str
@@ -62,8 +92,8 @@ class EventSpec:
             raise ValueError("ball events take exactly one reference path")
         if len(self.references) != len(self.radii):
             raise ValueError("need one radius per reference")
-        if np.any(self.radii <= 0.0):
-            raise ValueError("radii must be positive")
+        if not np.all(np.isfinite(self.radii) & (self.radii > 0.0)):
+            raise ValueError("radii must be positive and finite")
 
     @classmethod
     def ball(cls, reference: ReferencePath, radius: float) -> "EventSpec":
@@ -79,6 +109,21 @@ class EventSpec:
         if self.kind == "ball":
             return devs[:, 0] < self.radii[0]
         return np.all(devs >= self.radii[None, :], axis=1)
+
+    def shortfalls(self, devs, tol: float) -> np.ndarray:
+        """(B, n_refs) distance of each path from the event shrunk by ``tol``
+        (radius - tol for a ball, radius + tol otherwise), given its deviations."""
+        devs = np.atleast_2d(devs)
+        if self.kind == "ball":
+            return np.maximum(devs - (self.radii - tol), 0.0)
+        return np.maximum((self.radii + tol) - devs, 0.0)
+
+    def obstacles(self, height: float, smoothing: float = 0.0) -> list:
+        """One tube obstacle per reference, zero where the event may be: the
+        complement of the tube for a ball, the tube itself otherwise."""
+        return [tube_obstacle(ref, r, height, complement=self.kind == "ball",
+                              smoothing=smoothing)
+                for ref, r in zip(self.references, self.radii)]
 
     def validate_in(self, domain: Domain) -> None:
         """Raise ValueError, naming ``references[j]``, when a reference path

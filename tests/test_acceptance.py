@@ -20,13 +20,13 @@ from obliqueldp.control_stop import (DiscreteProblem, multi_stop_value,
 from obliqueldp.geometry import (CoefficientField, Disk, Ellipse, Interval,
                                  constant_coefficients, normal_field,
                                  oblique_from_tangent)
-from obliqueldp.hjbvi import solve_limit_vi, tube_obstacle
+from obliqueldp.hjbvi import solve_limit_vi
 from obliqueldp.ldp import cap_identity_check, run_lower_bound_experiment
 from obliqueldp.rate import rate_of_event, rate_of_path, weak_stability_check
 from obliqueldp.reflect import (Control, ReferencePath, TimeGrid,
                                 holder_half_quotient, solve_reflected_ode,
                                 solve_skorokhod_picard, validate_reflected_path)
-from obliqueldp.sde import EventSpec, NoiseScale, simulate_reflected_sde
+from obliqueldp.sde import EventSpec, NoiseScale, simulate_reflected_sde, tube_obstacle
 from obliqueldp.testfn import build_testfn, check_testfn_properties
 
 from pathlib import Path

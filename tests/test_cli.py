@@ -358,6 +358,19 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
                                               "references": [{"kind": "constant",
                                                               "point": [0.0]}] * 2},
              "config error: ldp.references: the upper bound takes exactly one tube"),
+            # a block's radii pair up with its references
+            ("simulate", EXAMPLE, "events[0].radii", [0.5, 0.5],
+             "config error: events[0]: need one radius per reference"),
+            ("verify-ldp", LDP_SMALL, "ldp.radii", [0.5, 0.5],
+             "config error: ldp: need one radius per reference"),
+            # an obstacle's smoothing ramp may not reach the reference
+            ("hjb", EXAMPLE, "hjb.obstacle", {"reference": {"kind": "constant", "point": [0.0]},
+                                              "radius": 0.1, "smoothing": 0.5},
+             "config error: hjb.obstacle.smoothing: "),
+            ("verify-ldp", LDP_SMALL, "ldp", {"bound": "upper", "n_x": 3, "radii": [0.5],
+                                              "references": [{"kind": "constant",
+                                                              "point": [0.0]}]},
+             "config error: ldp.n_x: "),
             ("stopping", EXAMPLE, "stopping.n_steps", 30, "config error: stopping.budget: "),
             # the Philox key holds the seed as a 64-bit integer
             ("simulate", EXAMPLE, "seed", -5, "config error: config.seed: "),

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from obliqueldp.cli import build_coefficients
 from obliqueldp.geometry import Interval, constant_coefficients, normal_field
-from obliqueldp.hjbvi import solve_eps_vi, tube_obstacle
+from obliqueldp.hjbvi import solve_eps_vi
 from obliqueldp.rate import rate_of_event
 from obliqueldp.reflect import ReferencePath, TimeGrid
-from obliqueldp.sde import EventSpec, NoiseScale, simulate_reflected_sde
+from obliqueldp.sde import EventSpec, NoiseScale, simulate_reflected_sde, tube_obstacle
 
 # the coefficients of the benchmark's ou_1d scenario
 OU_1D = {"drift": {"name": "linear", "matrix": [[-1.0]], "offset": [0.2]},

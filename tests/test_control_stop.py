@@ -10,8 +10,8 @@ from obliqueldp.control_stop import (
     value_inf_sup,
 )
 from obliqueldp.geometry import Interval, constant_coefficients, normal_field
-from obliqueldp.hjbvi import tube_obstacle
 from obliqueldp.reflect import ReferencePath, TimeGrid
+from obliqueldp.sde import tube_obstacle
 
 
 def _problem(obstacles, controls=(0.0, 1.0), n_steps=2, obstacle_bound=np.inf):

@@ -24,10 +24,9 @@ from obliqueldp.hjbvi import (
     residual_scan,
     solve_eps_vi,
     solve_limit_vi,
-    tube_obstacle,
 )
 from obliqueldp.reflect import ReferencePath, TimeGrid
-from obliqueldp.sde import NoiseScale
+from obliqueldp.sde import NoiseScale, tube_obstacle
 
 
 def _setup_1d():

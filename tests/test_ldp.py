@@ -18,22 +18,22 @@ from obliqueldp.ldp import (LdpConfig, LdpReport, cap_identity_check,
                             goodness_proxy, run_lower_bound_experiment,
                             run_upper_bound_experiment)
 from obliqueldp.reflect import ReferencePath, TimeGrid
-from obliqueldp.sde import LogRateInterval
+from obliqueldp.sde import EventSpec, LogRateInterval
 
 # discretely monitored exit probability of the centred radius-0.5 tube at
 # eps = 0.25 with 256 steps, from the transfer-matrix oracle
 KERNEL_EXIT_025 = 0.083619
 
 
-def make_config(**overrides):
+def make_config(references=(ReferencePath.constant([0.0], 0.0, 1.0),), radii=(0.5,),
+                **overrides):
     interval = Interval(-1.0, 1.0)
     base = dict(
         domain=interval,
         field=normal_field(interval),
         coeffs=constant_coefficients([0.0], [[1.0]]),
         t0=0.0, x0=[0.0], t_end=1.0,
-        references=[ReferencePath.constant([0.0], 0.0, 1.0)],
-        radii=[0.5],
+        event=EventSpec.complements(references, radii),
         eps_ladder=[0.5, 0.35, 0.25],
         n_samples=4000, n_steps=256, seed=20240801, n_x=101,
     )
@@ -182,8 +182,11 @@ def test_config_validation_errors():
         make_config(eps_ladder=[0.25, 0.35, 0.5])
     with pytest.raises(ValueError, match="eps_ladder"):
         make_config(eps_ladder=[0.5, 0.25, 0.25])
-    with pytest.raises(ValueError, match="pair up"):
+    with pytest.raises(ValueError, match="one radius per reference"):
         make_config(radii=[0.5, 0.3])
+    # the lower bound's event; the upper bound takes the ball of its one tube
+    with pytest.raises(ValueError, match="intersection of complements"):
+        make_config(event=EventSpec.ball(ReferencePath.constant([0.0], 0.0, 1.0), 0.5))
 
 
 def test_cap_identity_on_moving_tube():

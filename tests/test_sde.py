@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obliqueldp.geometry import CoefficientField, Disk, Interval, ObliqueField, \
     constant_coefficients, normal_field, oblique_from_tangent
@@ -126,10 +127,53 @@ def test_event_spec_validation():
         EventSpec("ball", [ref, ref], np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         EventSpec.ball(ref, -0.5)
+    # a NaN radius would never hit and an infinite one always would
+    for radius in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EventSpec.ball(ref, radius)
+        with pytest.raises(ValueError, match="finite"):
+            EventSpec.complements([ref, ref], [0.5, radius])
     iv = Interval(-1.0, 1.0)
     outside = ReferencePath.constant([1.5], 0.0, 1.0)
     with pytest.raises(ValueError):
         EventSpec.ball(outside, 0.5).validate_in(iv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_event_forms_agree_at_the_monitoring_nodes(data):
+    # the Monte Carlo count, the rate shortfall and the PDE/DP obstacles read
+    # one event, so at the nodes of a path they agree on membership
+    d = data.draw(st.sampled_from([1, 2]), label="d")
+    n_nodes = data.draw(st.integers(2, 6), label="n_nodes")
+    n_refs = data.draw(st.integers(1, 3), label="n_refs")
+    points = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
+                      min_size=n_nodes, max_size=n_nodes)
+    nodes = np.linspace(0.0, 1.0, n_nodes)
+    path = np.array(data.draw(points, label="path"))
+    refs = [ReferencePath(nodes, np.array(data.draw(points, label="ref"))) for _ in range(n_refs)]
+    node_devs = np.stack([np.linalg.norm(path - ref.at(nodes), axis=1) for ref in refs], axis=1)
+    # a radius is often one of the node distances, where the tube's edge counts
+    radii = [data.draw(st.one_of(st.floats(0.05, 3.0), st.sampled_from(
+        [float(v) for v in node_devs[:, i] if v > 0.0] or [1.0])), label="radius")
+        for i in range(n_refs)]
+    height = data.draw(st.floats(0.1, 2.0), label="height")
+    tol = data.draw(st.floats(1e-3, 0.1), label="tol")
+
+    def obstacle_values(event):
+        # (n_nodes, n_refs): each tube's obstacle at each node of the path
+        return np.array([[float(psi(t, x)[0]) for psi in event.obstacles(height)]
+                         for t, x in zip(nodes, path)])
+
+    ball = EventSpec.ball(refs[0], radii[0])
+    complements = EventSpec.complements(refs, radii)
+    sup = node_devs.max(axis=0)[None, :]
+    assert ball.hits(sup[:, :1])[0] == np.all(obstacle_values(ball) == 0.0)
+    assert complements.hits(sup)[0] == np.all(np.any(obstacle_values(complements) == 0.0,
+                                                     axis=0))
+    for event, devs in ((ball, sup[:, :1]), (complements, sup)):
+        if np.all(event.shortfalls(devs, tol) == 0.0):
+            assert event.hits(devs)[0]
 
 
 def test_small_sample_count_rejected():
