@@ -35,7 +35,7 @@ from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, constant_obstacle, solve_eps_
 from .ldp import LdpConfig, checked_eps_ladder, dump_json, run_lower_bound_experiment, \
     run_upper_bound_experiment
 from .rate import rate_of_event, rate_of_path
-from .reflect import ReferencePath, TimeGrid
+from .reflect import ReferencePath, TimeGrid, _checked_start
 from .sde import EventSpec, NoiseScale, estimate_event_probability, \
     simulate_reflected_sde, tube_obstacle
 from .testfn import build_testfn, check_testfn_properties
@@ -350,8 +350,8 @@ class RunContext:
         if self.t_end <= self.t0:
             raise ConfigError("time.t_end: must exceed time.t0")
         self.x0 = _top(cfg, "x0", _array(d))
-        if self.domain.signed_distance(self.x0) < -1e-12:
-            raise ConfigError("config.x0: outside the closure of the domain")
+        with _named({ValueError: "config.x0: "}):
+            _checked_start(self.domain, self.x0)
         tol = _fields(_top(cfg, "tolerances", default={}), "tolerances", {
             "rate_tol": (_number(positive=True), 1e-3),
             "scheme_tol": (_number(positive=True), 0.02),
@@ -379,6 +379,8 @@ class RunContext:
         def polyline(points, times):
             if len(times) != len(points) or np.any(np.diff(times) <= 0):
                 raise ConfigError(f"{path}.times: need one strictly increasing time per point")
+            if times[0] != t0 or times[-1] != t_end:
+                raise ConfigError(f"{path}.times: must run from time.t0 to time.t_end")
             return ReferencePath(times, points)
 
         return _built_in(block, path, {
@@ -425,18 +427,16 @@ def cmd_simulate(ctx: RunContext):
     eps = _top(ctx.cfg, "eps", _number(least=0))
     if ctx.events:
         n_samples = _top(ctx.cfg, "n_samples", _integer(least=100))
-    path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs,
-                                  NoiseScale(eps), ctx.t0, ctx.x0, ctx.grid,
-                                  ctx.seed, trajectory_id=0)
+    path = simulate_reflected_sde(ctx.domain, ctx.field, ctx.coeffs, NoiseScale(eps),
+                                  ctx.x0, ctx.grid, ctx.seed, trajectory_id=0)
     path.write_csv(ctx.out_dir / "path.csv", ctx.domain)
     outputs = {"path": "path.csv"}
     if ctx.events:
         rows = []
         for event_id, event in ctx.events.items():
             est = estimate_event_probability(
-                ctx.domain, ctx.field, ctx.coeffs, NoiseScale(eps), ctx.t0,
-                ctx.x0, ctx.grid, event, n_samples, ctx.seed,
-                n_threads=ctx.threads)
+                ctx.domain, ctx.field, ctx.coeffs, NoiseScale(eps), ctx.x0, ctx.grid,
+                event, n_samples, ctx.seed, n_threads=ctx.threads)
             rows.append({"event_id": event_id, "eps": eps, "p_hat": est.p_hat,
                          "ci": est.ci_half_width, "n": est.n_samples})
         outputs["estimates"] = ctx.write_json("estimates.json", {"estimates": rows})

@@ -59,7 +59,7 @@ class DiscreteProblem:
         def state_rule(k: int, x: np.ndarray, a: np.ndarray) -> np.ndarray:
             cell = TimeGrid.uniform(grid.nodes[k], grid.nodes[k + 1], substeps)
             ctrl = Control(cell, np.repeat(a[None, :], substeps, axis=0))
-            path = solve_reflected_ode(domain, field, coeffs, ctrl, cell.t0, x, cell)
+            path = solve_reflected_ode(domain, field, coeffs, ctrl, x, cell)
             return path.points[-1]
 
         return cls(grid=grid, control_set=control_set, state_rule=state_rule,

@@ -143,10 +143,8 @@ def _mc_ladder(config: LdpConfig, event: EventSpec):
     estimates, log_rates = [], []
     for e in config.eps_ladder:
         est = estimate_event_probability(
-            config.domain, config.field, config.coeffs, NoiseScale(e),
-            config.t0, config.x0, config.mc_grid, event,
-            config.n_samples, config.seed,
-            n_threads=config.n_threads)
+            config.domain, config.field, config.coeffs, NoiseScale(e), config.x0,
+            config.mc_grid, event, config.n_samples, config.seed, n_threads=config.n_threads)
         estimates.append(est)
         log_rates.append(None if est.zero_hit else log_rate_estimate(est, NoiseScale(e)))
     return estimates, log_rates
@@ -342,7 +340,7 @@ def goodness_proxy(config: LdpConfig) -> GoodnessReport:
         action = 0.5 * float(np.sum(raw ** 2 * grid.dts[:, None]))
         ctrl = Control(grid, raw * math.sqrt(GOODNESS_ACTION_BOUND / action))
         path = solve_reflected_ode(config.domain, config.field, config.coeffs,
-                                   ctrl, config.t0, config.x0, grid)
+                                   ctrl, config.x0, grid)
         quotients.append(holder_half_quotient(path))
     quotients = [float(q) for q in quotients]
     half = max(quotients[:max(1, len(quotients) // 2)])

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .reflect import Control, ReferencePath, TimeGrid, solve_reflected_ode, sup_deviations
+from .reflect import (Control, ReferencePath, TimeGrid, _checked_start, solve_reflected_ode,
+                      sup_deviations)
 from .sde import EventSpec
 
 INFEASIBLE = math.inf
@@ -89,7 +90,7 @@ class _PathBatch:
 
     def solve_path(self, a: np.ndarray):
         return solve_reflected_ode(self.domain, self.field, self.coeffs,
-                                   self.control_from(a), self.grid.t0, self.x0, self.grid)
+                                   self.control_from(a), self.x0, self.grid)
 
 
 def _fd_minimize(objective, a0: np.ndarray):
@@ -189,7 +190,7 @@ def rate_of_path(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     sup-norm mismatch enters as a quadratic penalty with an increasing weight
     ladder, and the reported residual is the final mismatch.
     """
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = _checked_start(domain, x)
     gap0 = float(np.linalg.norm(g.at(t0) - x0))
     if gap0 > tol:
         return RateResult(INFEASIBLE, Control.zero(
@@ -204,7 +205,7 @@ def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                   t_end: Optional[float] = None, n_segments: int = 64,
                   substeps: int = 4, max_segments: int = 256) -> RateResult:
     """Least action over controls whose reflected path realizes the event."""
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = _checked_start(domain, x)
     if t_end is None:
         t_end = float(max(ref.nodes[-1] for ref in event.references))
     def escape_starts(n_seg):
@@ -308,13 +309,13 @@ def weak_stability_check(domain: Domain, field: ObliqueField, coeffs: Coefficien
         raise ValueError("need n_max >= 4")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     grid = TimeGrid.uniform(t0, t_end, 4096)
-    base = solve_reflected_ode(domain, field, coeffs, None, t0, x0, grid)
+    base = solve_reflected_ode(domain, field, coeffs, None, x0, grid)
     ns, dists = [], []
     n = 1
     while n <= n_max:
         ctrl = Control.from_function(
             grid, lambda t, n=n: np.full(coeffs.m, np.sin(n * t)))
-        path = solve_reflected_ode(domain, field, coeffs, ctrl, t0, x0, grid)
+        path = solve_reflected_ode(domain, field, coeffs, ctrl, x0, grid)
         ns.append(n)
         dists.append(float(np.max(np.linalg.norm(path.points - base.points, axis=1))))
         n *= 2

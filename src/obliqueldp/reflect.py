@@ -177,15 +177,10 @@ def reflect_step(domain: Domain, field: ObliqueField, p):
 # Path solvers
 
 
-def _checked_grid(grid: TimeGrid, t0: float) -> TimeGrid:
-    if abs(grid.t0 - t0) > 1e-12:
-        raise ValueError(f"grid starts at {grid.t0}, expected t0 = {t0}")
-    return grid
-
-
-def _checked_start(domain: Domain, grid: TimeGrid, t0: float, x) -> np.ndarray:
-    """The start point as an array, checked against the grid and the closure."""
-    _checked_grid(grid, t0)
+def _checked_start(domain: Domain, x) -> np.ndarray:
+    """The start point as an array, checked against the closure: the one
+    start check of every path solver, whose grid's first node is the start
+    time."""
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.signed_distance(x0) < -1e-12:
         raise ValueError(f"start point {x0} lies outside the closure")
@@ -333,14 +328,15 @@ def _euler_reflect(domain: Domain, field: ObliqueField, x0: np.ndarray, grid: Ti
 
 
 def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                        control: Optional[Control], t0: float, x, grid: TimeGrid) -> ReflectedPath:
-    """Controlled reflected Euler path on the given grid.
+                        control: Optional[Control], x, grid: TimeGrid) -> ReflectedPath:
+    """Controlled reflected Euler path on the given grid, from ``x`` at the
+    grid's first node.
 
     The drift is ``b - sigma @ alpha`` with the control held piecewise
     constant; the corrector pushes exterior predictors back along the oblique
     field.
     """
-    x0 = _checked_start(domain, grid, t0, x)
+    x0 = _checked_start(domain, x)
 
     def drift_at(k, xk):
         return _drift(coeffs, control, grid.nodes[k], xk)
@@ -357,7 +353,7 @@ class PicardDiagnostics:
 
 
 def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                           control: Optional[Control], t0: float, x, grid: TimeGrid,
+                           control: Optional[Control], x, grid: TimeGrid,
                            tol: float = 1e-10, eta: Optional[float] = None):
     """Windowed Picard fixed-point solve of the reflected dynamics.
 
@@ -367,8 +363,7 @@ def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: Coeffici
     contraction factor is at most one half; a window gets 200 iterations.
     Returns the path and diagnostics.
     """
-    grid = _checked_grid(grid, t0)
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = _checked_start(domain, x)
     horizon = grid.t_end - grid.t0
     if eta is not None:
         n_win = min(max(1, int(np.ceil(horizon / eta))), grid.n_steps)

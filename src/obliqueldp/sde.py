@@ -177,12 +177,13 @@ def trajectory_noise(seed: int, trajectory_id: int, n_steps: int, m: int,
 
 
 def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                           eps: NoiseScale, t0: float, x, grid: TimeGrid, seed: int,
+                           eps: NoiseScale, x, grid: TimeGrid, seed: int,
                            trajectory_id: int = 0,
                            gen: Optional[np.random.Generator] = None) -> ReflectedPath:
-    """One reflected Euler trajectory of the noisy dynamics; ``gen`` is an
-    optional Philox-backed generator to re-key (see ``trajectory_noise``)."""
-    x0 = _checked_start(domain, grid, t0, x)
+    """One reflected Euler trajectory of the noisy dynamics from ``x`` at the
+    grid's first node; ``gen`` is an optional Philox-backed generator to
+    re-key (see ``trajectory_noise``)."""
+    x0 = _checked_start(domain, x)
     xi = trajectory_noise(seed, trajectory_id, grid.n_steps, coeffs.m, gen)
     b_fun, s_fun = coeffs.at_eps(eps.eps).pointwise()
     nodes = grid.nodes
@@ -201,7 +202,7 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
 # Monte Carlo over trajectory blocks
 
 
-def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references):
+def _block(domain, field, coeffs, eps, grid, x0, seed, ids, references):
     """Terminal states (B, d) and sup-norm deviations from each reference
     (B, n_refs) of one trajectory block.  Constant coefficients advance the
     whole block at once; otherwise each trajectory is simulated on its own."""
@@ -212,7 +213,7 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references):
     if not coeffs.is_constant:
         ends, devs = [], []
         for tid in ids:
-            pts = simulate_reflected_sde(domain, field, coeffs, eps, t0, x0, grid, seed,
+            pts = simulate_reflected_sde(domain, field, coeffs, eps, x0, grid, seed,
                                          trajectory_id=int(tid), gen=gen).points
             ends.append(pts[-1].copy())
             devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
@@ -232,22 +233,23 @@ def _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, references):
 
 
 def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                               eps: NoiseScale, t0: float, x, grid: TimeGrid,
+                               eps: NoiseScale, x, grid: TimeGrid,
                                event: EventSpec, n_samples: int, seed: int,
                                chunk_size: int = 4096, n_threads: int = 1) -> McEstimate:
-    """Crude Monte Carlo probability of the path event.
+    """Crude Monte Carlo probability of the path event from ``x`` at the
+    grid's first node.
 
     Trajectory i always consumes the stream keyed (seed, i), so the estimate
     is a pure function of (seed, config) independent of chunking or threads.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    x0 = _checked_start(domain, x)
     event.validate_in(domain)
     id_chunks = np.array_split(np.arange(n_samples), max(1, -(-n_samples // chunk_size)))
 
     def work(ids):
-        _, devs = _block(domain, field, coeffs, eps, t0, grid, x0, seed, ids, event.references)
+        _, devs = _block(domain, field, coeffs, eps, grid, x0, seed, ids, event.references)
         return int(event.hits(devs).sum())
 
     if n_threads > 1:

@@ -51,7 +51,7 @@ def test_criterion_01_reflection_feasibility_and_support():
     worst_sd, worst_angle, n_refl = 0.0, 0.0, 0
     for i in range(10_000):
         path = simulate_reflected_sde(disk, field, coeffs, NoiseScale(0.5),
-                                      0.0, [0.0, 0.0], grid, seed=424242,
+                                      [0.0, 0.0], grid, seed=424242,
                                       trajectory_id=i)
         sizes = np.linalg.norm(path.reflection_increments, axis=1)
         on_boundary = np.abs(disk.signed_distance_many(path.points)) <= 1e-6
@@ -96,8 +96,8 @@ def test_criterion_02_picard_contraction_on_random_instances():
         ctrl = Control.from_function(
             grid, lambda t, a=amp, w=w, d=dim: np.full(d, a * np.sin(w * np.pi * t)))
         x0 = dom.sample_closure(8)[int(rng.integers(0, 8))] * 0.8
-        direct = solve_reflected_ode(dom, fld, coeffs, ctrl, 0.0, x0, grid)
-        fixed, diag = solve_skorokhod_picard(dom, fld, coeffs, ctrl, 0.0, x0,
+        direct = solve_reflected_ode(dom, fld, coeffs, ctrl, x0, grid)
+        fixed, diag = solve_skorokhod_picard(dom, fld, coeffs, ctrl, x0,
                                              grid, tol=tol)
         worst_sup = max(worst_sup, float(np.max(
             np.linalg.norm(direct.points - fixed.points, axis=1))))
@@ -133,7 +133,7 @@ def test_criterion_03_holder_half_quotients_bounded_and_stable():
             if amp is not None:
                 ctrl = Control.from_function(
                     grid, lambda t, a=amp: np.full(coeffs.m, a * np.sin(5 * t)))
-            path = solve_reflected_ode(dom, fld, coeffs, ctrl, 0.0,
+            path = solve_reflected_ode(dom, fld, coeffs, ctrl,
                                        np.asarray(x0, dtype=float), grid)
             qs.append(holder_half_quotient(path))
         assert np.isfinite(qs[0]) and np.isfinite(qs[1])

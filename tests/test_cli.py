@@ -460,7 +460,8 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
         assert run_cli("hjb", path, tmp_path / "out") == 1
         assert "coefficients.perturbation.drift_shift" in capsys.readouterr().err
 
-    for times in (["a", "b"], [0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0]):
+    # a polyline runs over the run's horizon, time.t0 to time.t_end
+    for times in (["a", "b"], [0.0, 0.5, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 5.0], [0.5, 1.0]):
         cfg = json.loads(Path(EXAMPLE).read_text())
         cfg["rate"]["target"] = {"kind": "polyline", "times": times,
                                  "points": [[0.0], [0.5]]}

@@ -154,7 +154,7 @@ def test_ou_rate_of_event_is_pinned():
 
 def test_ou_reflected_sde_path_is_pinned():
     iv, field, co = _ou_setup()
-    path = simulate_reflected_sde(iv, field, co, NoiseScale(0.5), 0.0, [0.0],
+    path = simulate_reflected_sde(iv, field, co, NoiseScale(0.5), [0.0],
                                   TimeGrid.uniform(0.0, 1.0, 64), seed=20240801,
                                   trajectory_id=3)
     assert _digest(path.points, path.reflection_increments) == "3122cec01f25d602"

@@ -2,8 +2,9 @@
 for F401), the pipelines that never call scipy's solvers do not load them,
 every default of a package function is overridden by some call: in the package
 for a private function, in the package, the tests or the benchmark for a
-public one, and every public definition of the package runs in a pipeline or
-is library API.
+public one, every public definition of the package runs in a pipeline or
+is library API, and no function takes a start time ``t0`` beside a ``grid``,
+whose first node is the start time.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -386,3 +387,30 @@ def test_api_list_checker_flags_modules_but_not_the_package(tmp_path):
                       ("b.py", "x = 1\n__all__: list = []\n"), ("c.py", "all_ = []\n")):
         (tmp_path / name).write_text(src)
     assert second_api_lists(sorted(tmp_path.glob("*.py"))) == ["a.py", "b.py"]
+
+
+def start_time_beside_grid(sources):
+    """The functions and methods of ``sources``, nested ones included, that
+    take both a ``t0`` and a ``grid`` parameter."""
+    found = []
+    for node in (n for tree in map(ast.parse, sources) for n in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if {"t0", "grid"} <= {a.arg for a in args.posonlyargs + args.args
+                                  + args.kwonlyargs}:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_no_function_takes_a_start_time_beside_a_grid():
+    # a grid's first node is the start time: a second input could disagree
+    assert start_time_beside_grid(_sources(PACKAGE.glob("*.py"))) == []
+
+
+def test_start_time_checker_reads_functions_methods_and_keywords():
+    src = ("def f(t0, grid):\n    pass\n"
+           "def g(grid, *, t0=0.0):\n    pass\n"
+           "def h(t0, t_end, n_steps):\n    pass\n"
+           "class K:\n    def m(self, x, t0, grid=None):\n        pass\n"
+           "    def n(self, grid):\n        def inner(grid, t0):\n            pass\n")
+    assert start_time_beside_grid([src]) == ["f", "g", "inner", "m"]

@@ -109,6 +109,27 @@ def test_exit_rate_on_disk_with_oblique_reflection():
     assert res.value == pytest.approx(0.125, rel=0.05)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_sliding_action_sees_the_tilt(kappa):
+    # b = 0, sigma = I: a path sliding along the wall at speed v costs
+    # v^2 / (2 (1 + kappa^2)) per unit time in the direction the tilt helps
+    # (clockwise for kappa > 0) and v^2 / 2 the other way, here with v = 1/2
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, kappa)
+    coeffs = constant_coefficients([0.0, 0.0], np.eye(2))
+    grid = TimeGrid.uniform(0.0, 1.0, 256)
+    values = {}
+    for turn in (-1.0, 1.0):
+        g = ReferencePath.from_function(
+            grid, lambda t, s=turn: np.array([np.cos(0.5 * s * t), np.sin(0.5 * s * t)]))
+        values[turn] = rate_of_path(disk, field, coeffs, 0.0, [1.0, 0.0], g, tol=1e-2,
+                                    n_segments=16, max_segments=16).value
+    # the tol tube makes the action fall short of the oracle by about 2%
+    assert values[-1.0] == pytest.approx(0.125 / (1.0 + kappa ** 2), rel=0.03)
+    assert values[1.0] == pytest.approx(0.125, rel=0.03)
+    assert values[-1.0] / values[1.0] == pytest.approx(1.0 / (1.0 + kappa ** 2), rel=0.02)
+
+
 def test_weak_stability_of_oscillating_controls():
     iv, field, coeffs = _setup_1d()
     rep = weak_stability_check(iv, field, coeffs, 0.0, [0.0], n_max=64)

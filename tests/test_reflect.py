@@ -234,7 +234,7 @@ def test_one_dimensional_drift_sticks_to_endpoint():
     field = normal_field(iv)
     coeffs = constant_coefficients([2.0], [[1.0]])
     grid = TimeGrid.uniform(0.0, 1.0, 4096)
-    path = solve_reflected_ode(iv, field, coeffs, None, 0.0, [0.5], grid)
+    path = solve_reflected_ode(iv, field, coeffs, None, [0.5], grid)
     # free motion reaches the right endpoint at t = 0.25 and stays there
     k_hit = int(np.argmax(path.points[:, 0] >= 1.0 - 1e-12))
     assert grid.nodes[k_hit] == pytest.approx(0.25, abs=1e-12)
@@ -255,7 +255,7 @@ def test_oblique_disk_drift_against_fine_reference():
     ends = {}
     for n in (2 ** 12, 2 ** 14):
         grid = TimeGrid.uniform(0.0, 1.0, n)
-        path = solve_reflected_ode(disk, field, coeffs, None, 0.0, [0.0, 0.0], grid)
+        path = solve_reflected_ode(disk, field, coeffs, None, [0.0, 0.0], grid)
         ends[n] = path.points[-1]
         rep = validate_reflected_path(disk, field, path)
         assert rep.ok()
@@ -272,7 +272,7 @@ def test_total_variation_on_oblique_disk_case():
     disk, field = _disk_setup(0.5)
     coeffs = constant_coefficients([2.0, 0.0], np.eye(2))
     grid = TimeGrid.uniform(0.0, 1.0, 2 ** 14)
-    path = solve_reflected_ode(disk, field, coeffs, None, 0.0, [0.0, 0.0], grid)
+    path = solve_reflected_ode(disk, field, coeffs, None, [0.0, 0.0], grid)
     assert path.total_variation == pytest.approx(ref_tv, rel=2e-3)
 
 
@@ -282,7 +282,7 @@ def test_holder_quotient_stable_under_refinement():
     vals = []
     for n in (2 ** 12, 2 ** 13):
         grid = TimeGrid.uniform(0.0, 1.0, n)
-        path = solve_reflected_ode(disk, field, coeffs, None, 0.0, [0.0, 0.0], grid)
+        path = solve_reflected_ode(disk, field, coeffs, None, [0.0, 0.0], grid)
         vals.append(holder_half_quotient(path))
     assert vals[0] == pytest.approx(np.sqrt(2.0), rel=1e-3)
     assert 0.5 < vals[0] / vals[1] < 2.0
@@ -294,7 +294,7 @@ def test_controlled_path_moves_against_drift():
     grid = TimeGrid.uniform(0.0, 1.0, 1024)
     # control cancels the drift exactly: b - sigma a = 0
     a = Control.from_function(grid, lambda t: np.array([2.0, 0.0]))
-    path = solve_reflected_ode(disk, field, coeffs, a, 0.0, [0.0, 0.0], grid)
+    path = solve_reflected_ode(disk, field, coeffs, a, [0.0, 0.0], grid)
     np.testing.assert_allclose(path.points[-1], [0.0, 0.0], atol=1e-12)
     assert path.total_variation == 0.0
 
@@ -313,8 +313,8 @@ def test_picard_matches_stepper_and_contracts():
     coeffs = _state_dependent_disk_coeffs()
     grid = TimeGrid.uniform(0.0, 1.0, 512)
     tol = 1e-10
-    direct = solve_reflected_ode(disk, field, coeffs, None, 0.0, [0.9, 0.0], grid)
-    fixed, diag = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.9, 0.0],
+    direct = solve_reflected_ode(disk, field, coeffs, None, [0.9, 0.0], grid)
+    fixed, diag = solve_skorokhod_picard(disk, field, coeffs, None, [0.9, 0.0],
                                          grid, tol=tol)
     sup = float(np.max(np.linalg.norm(direct.points - fixed.points, axis=1)))
     assert sup <= 3.0 * tol
@@ -326,7 +326,7 @@ def test_picard_window_splitting_via_eta():
     disk, field = _disk_setup(0.5)
     coeffs = _state_dependent_disk_coeffs()
     grid = TimeGrid.uniform(0.0, 1.0, 256)
-    _, diag = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.0, 0.0],
+    _, diag = solve_skorokhod_picard(disk, field, coeffs, None, [0.0, 0.0],
                                      grid, tol=1e-10, eta=0.25)
     assert diag.window_count == 4
 
@@ -336,9 +336,9 @@ def test_picard_windows_never_outnumber_steps():
     disk, field = _disk_setup(0.5)
     coeffs = _state_dependent_disk_coeffs()
     grid = TimeGrid.uniform(0.0, 1.0, 8)
-    fine, diag = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.9, 0.0],
+    fine, diag = solve_skorokhod_picard(disk, field, coeffs, None, [0.9, 0.0],
                                         grid, eta=0.01)
-    step, _ = solve_skorokhod_picard(disk, field, coeffs, None, 0.0, [0.9, 0.0],
+    step, _ = solve_skorokhod_picard(disk, field, coeffs, None, [0.9, 0.0],
                                      grid, eta=0.125)
     assert diag.window_count == 8
     assert np.array_equal(fine.points, step.points)
@@ -348,10 +348,10 @@ def test_flow_restart_property():
     disk, field = _disk_setup(0.5)
     coeffs = constant_coefficients([2.0, 0.0], np.eye(2))
     grid = TimeGrid.uniform(0.0, 1.0, 1024)
-    full = solve_reflected_ode(disk, field, coeffs, None, 0.0, [0.0, 0.0], grid)
+    full = solve_reflected_ode(disk, field, coeffs, None, [0.0, 0.0], grid)
     # a restart at a grid node (s = 0.5) replays the same float operations
     tail = TimeGrid(grid.nodes[512:])
-    restart = solve_reflected_ode(disk, field, coeffs, None, tail.t0, full.points[512], tail)
+    restart = solve_reflected_ode(disk, field, coeffs, None, full.points[512], tail)
     assert np.array_equal(restart.points, full.points[512:])
     assert np.array_equal(restart.reflection_increments, full.reflection_increments[512:])
     assert full.total_variation > 0.0
@@ -362,7 +362,7 @@ def test_start_outside_closure_rejected():
     coeffs = constant_coefficients([0.0, 0.0], np.eye(2))
     grid = TimeGrid.uniform(0.0, 1.0, 16)
     with pytest.raises(ValueError):
-        solve_reflected_ode(disk, field, coeffs, None, 0.0, [2.0, 0.0], grid)
+        solve_reflected_ode(disk, field, coeffs, None, [2.0, 0.0], grid)
 
 
 _DOMAINS = {"interval": Interval(-1.0, 1.0), "disk": Disk(1.0),

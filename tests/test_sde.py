@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from obliqueldp.geometry import CoefficientField, Disk, Interval, ObliqueField, \
     constant_coefficients, normal_field, oblique_from_tangent
-from obliqueldp.reflect import ReferencePath, TimeGrid, solve_reflected_ode
+from obliqueldp.rate import rate_of_event, rate_of_path
+from obliqueldp.reflect import ReferencePath, TimeGrid, solve_reflected_ode, \
+    solve_skorokhod_picard
 from obliqueldp.sde import (
     _block,
     EventSpec,
@@ -76,7 +78,7 @@ def test_two_dimensional_block_is_pinned(kind, ends_digest, devs_digest):
             ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
 
     def block(f):
-        return _block(disk, f, coeffs, NoiseScale(0.5), 0.0, TimeGrid.uniform(0.0, 1.0, 32),
+        return _block(disk, f, coeffs, NoiseScale(0.5), TimeGrid.uniform(0.0, 1.0, 32),
                       np.array([0.2, 0.1]), 17, np.arange(5, 69), refs)
 
     ends, devs = block(field)
@@ -100,10 +102,10 @@ def test_state_dependent_block_equals_fresh_trajectories():
     refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
             ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
     grid, x0, ids = TimeGrid.uniform(0.0, 1.0, 32), np.array([0.2, 0.1]), np.arange(5, 21)
-    ends, devs = _block(disk, field, coeffs, NoiseScale(0.5), 0.0, grid, x0, 17, ids, refs)
+    ends, devs = _block(disk, field, coeffs, NoiseScale(0.5), grid, x0, 17, ids, refs)
     g_nodes = [ref.at(grid.nodes) for ref in refs]
     for tid, end, dev in zip(ids, ends, devs):
-        pts = simulate_reflected_sde(disk, field, coeffs, NoiseScale(0.5), 0.0, x0, grid, 17,
+        pts = simulate_reflected_sde(disk, field, coeffs, NoiseScale(0.5), x0, grid, 17,
                                      trajectory_id=int(tid)).points
         assert end.tobytes() == pts[-1].tobytes()
         assert dev.tolist() == [np.linalg.norm(pts - g, axis=1).max() for g in g_nodes]
@@ -113,8 +115,8 @@ def test_zero_noise_reduces_to_the_drift_ode():
     iv, field, _ = _interval_setup()
     coeffs = constant_coefficients([2.0], [[1.0]])
     grid = TimeGrid.uniform(0.0, 1.0, 512)
-    ode = solve_reflected_ode(iv, field, coeffs, None, 0.0, [0.5], grid)
-    sde = simulate_reflected_sde(iv, field, coeffs, NoiseScale(0.0), 0.0, [0.5],
+    ode = solve_reflected_ode(iv, field, coeffs, None, [0.5], grid)
+    sde = simulate_reflected_sde(iv, field, coeffs, NoiseScale(0.0), [0.5],
                                  grid, seed=1)
     np.testing.assert_array_equal(sde.points, ode.points)
 
@@ -176,12 +178,46 @@ def test_event_forms_agree_at_the_monitoring_nodes(data):
             assert event.hits(devs)[0]
 
 
+START_ENTRIES = ("solve_reflected_ode", "simulate_reflected_sde", "solve_skorokhod_picard",
+                 "estimate constant", "estimate state-dependent", "rate_of_event ball",
+                 "rate_of_event complements", "rate_of_path")
+
+
+@pytest.mark.parametrize("entry", START_ENTRIES)
+def test_every_path_entry_rejects_a_start_outside_the_closure(entry):
+    # a path starts at its grid's first node; one check holds the start
+    # point to the closure, whatever the coefficients or the event
+    iv, field, coeffs = _interval_setup()
+    ou = CoefficientField(b=lambda t, x: -x, sigma=lambda t, x: np.eye(1), m=1,
+                          lipschitz_x=1.0)
+    grid, x0 = TimeGrid.uniform(0.0, 1.0, 8), [1.2]
+    ref = ReferencePath.constant([0.9], 0.0, 1.0)
+    ball, complements = EventSpec.ball(ref, 0.5), EventSpec.complements([ref], [0.5])
+    calls = {
+        "solve_reflected_ode": lambda: solve_reflected_ode(iv, field, coeffs, None, x0, grid),
+        "simulate_reflected_sde": lambda: simulate_reflected_sde(
+            iv, field, coeffs, NoiseScale(1.0), x0, grid, seed=0),
+        "solve_skorokhod_picard": lambda: solve_skorokhod_picard(
+            iv, field, coeffs, None, x0, grid),
+        "estimate constant": lambda: estimate_event_probability(
+            iv, field, coeffs, NoiseScale(1.0), x0, grid, ball, n_samples=200, seed=0),
+        "estimate state-dependent": lambda: estimate_event_probability(
+            iv, field, ou, NoiseScale(1.0), x0, grid, ball, n_samples=200, seed=0),
+        "rate_of_event ball": lambda: rate_of_event(iv, field, coeffs, 0.0, x0, ball),
+        "rate_of_event complements": lambda: rate_of_event(
+            iv, field, coeffs, 0.0, x0, complements),
+        "rate_of_path": lambda: rate_of_path(iv, field, coeffs, 0.0, x0, ref),
+    }
+    with pytest.raises(ValueError, match="outside the closure"):
+        calls[entry]()
+
+
 def test_small_sample_count_rejected():
     iv, field, coeffs = _interval_setup()
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     ev = EventSpec.ball(ReferencePath.constant([0.0], 0.0, 1.0), 0.5)
     with pytest.raises(ValueError):
-        estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0, [0.0],
+        estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                    grid, ev, n_samples=50, seed=0)
 
 
@@ -189,7 +225,7 @@ def test_stay_probability_matches_kernel_oracle():
     iv, field, coeffs = _interval_setup()
     grid = TimeGrid.uniform(0.0, 1.0, 256)
     ev = EventSpec.ball(ReferencePath.constant([0.0], 0.0, 1.0), 0.5)
-    est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0, [0.0],
+    est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                      grid, ev, n_samples=20000, seed=11235)
     assert abs(est.p_hat - KERNEL_SURVIVAL_EPS_05) <= 3.0 * est.ci_half_width
     assert est.n_hits == round(est.p_hat * est.n_samples)
@@ -201,7 +237,7 @@ def test_exit_probability_ladder_matches_kernel_oracle():
     ref = ReferencePath.constant([0.0], 0.0, 1.0)
     ev = EventSpec.complements([ref], [0.5])
     for eps, pk in KERNEL_EXIT.items():
-        est = estimate_event_probability(iv, field, coeffs, NoiseScale(eps), 0.0,
+        est = estimate_event_probability(iv, field, coeffs, NoiseScale(eps),
                                          [0.0], grid, ev, n_samples=20000, seed=4242)
         assert abs(est.p_hat - pk) <= 3.0 * est.ci_half_width
 
@@ -211,11 +247,11 @@ def test_estimates_invariant_to_chunking_and_threads():
     grid = TimeGrid.uniform(0.0, 1.0, 256)
     ev = EventSpec.ball(ReferencePath.constant([0.0], 0.0, 1.0), 0.5)
     kw = dict(n_samples=3000, seed=7)
-    e1 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0, [0.0],
+    e1 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                     grid, ev, chunk_size=4096, **kw)
-    e2 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0, [0.0],
+    e2 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                     grid, ev, chunk_size=257, **kw)
-    e3 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0, [0.0],
+    e3 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                     grid, ev, chunk_size=500, n_threads=4, **kw)
     assert e1.n_hits == e2.n_hits == e3.n_hits == 1220
 
@@ -227,7 +263,7 @@ def test_stay_probability_monotone_in_radius():
     ps = []
     for r in (0.3, 0.5, 0.7):
         ev = EventSpec.ball(ref, r)
-        est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), 0.0,
+        est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5),
                                          [0.0], grid, ev, n_samples=4000, seed=5)
         ps.append(est.p_hat)
     assert ps[0] < ps[1] < ps[2]
@@ -239,7 +275,7 @@ def test_terminal_moments_on_wide_interval():
     wide, wfield, coeffs = _interval_setup(-4.0, 4.0)
     grid = TimeGrid.uniform(0.0, 1.0, 256)
     # one block of 20000 trajectories; each draws the stream keyed (99, id)
-    vals = _block(wide, wfield, coeffs, NoiseScale(0.5), 0.0, grid, np.array([0.0]), 99,
+    vals = _block(wide, wfield, coeffs, NoiseScale(0.5), grid, np.array([0.0]), 99,
                   np.arange(20000), ())[0]
     assert vals.shape == (20000, 1)
     n = 20000
@@ -263,7 +299,7 @@ def test_zero_hit_estimate_has_no_finite_rate():
     grid = TimeGrid.uniform(0.0, 1.0, 64)
     ref = ReferencePath.constant([0.0], 0.0, 1.0)
     ev = EventSpec.complements([ref], [3.9])
-    est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.1), 0.0, [0.0],
+    est = estimate_event_probability(iv, field, coeffs, NoiseScale(0.1), [0.0],
                                      grid, ev, n_samples=500, seed=1)
     assert est.zero_hit
     with pytest.raises(InfiniteEstimateError):
