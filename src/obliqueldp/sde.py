@@ -202,6 +202,10 @@ def simulate_reflected_sde(domain: Domain, field: ObliqueField, coeffs: Coeffici
 # Monte Carlo over trajectory blocks
 
 
+# Trajectories per sub-block of the constant-coefficient shock fill.
+_SUB = 64
+
+
 def _block(domain, field, coeffs, eps, grid, x0, seed, ids, references):
     """Terminal states (B, d) and sup-norm deviations from each reference
     (B, n_refs) of one trajectory block.  Constant coefficients advance the
@@ -218,18 +222,22 @@ def _block(domain, field, coeffs, eps, grid, x0, seed, ids, references):
             ends.append(pts[-1].copy())
             devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
         return np.array(ends), np.array(devs)
-    xi = np.empty((len(ids), grid.n_steps, coeffs.m))
-    for j, tid in enumerate(ids):
-        trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m, gen, out=xi[j])
-    shocks = xi @ coeffs.constant_sigma.T  # (B, n, d)
-    del xi
-    # time-major, so that step k reads one contiguous (B, d) slice
-    shocks = np.ascontiguousarray(shocks.transpose(1, 0, 2))
-    scale = eps.eps * np.sqrt(grid.dts)
+    # One pre-scaled, time-major (n, B, d) shock array, so that step k reads
+    # one contiguous (B, d) slice; it is filled _SUB trajectories at a time.
+    sigma_t = coeffs.constant_sigma.T
+    scale = eps.eps * np.sqrt(grid.dts)[:, None, None]
+    shocks = np.empty((grid.n_steps, len(ids), sigma_t.shape[1]))
+    xi = np.empty((min(len(ids), _SUB), grid.n_steps, coeffs.m))
+    for j0 in range(0, len(ids), _SUB):
+        part = xi[:len(ids) - j0]
+        for j, tid in enumerate(ids[j0:j0 + len(part)]):
+            trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m, gen, out=part[j])
+        np.multiply(scale, (part @ sigma_t).transpose(1, 0, 2),
+                    out=shocks[:, j0:j0 + len(part)])
     b = coeffs.constant_b
     X = np.repeat(x0[None, :], len(ids), axis=0)
     return sup_deviations(domain, field, X, grid, lambda k, _X: b, g_nodes,
-                          shock_at=lambda k, _X: scale[k] * shocks[k])
+                          shock_at=lambda k, _X: shocks[k])
 
 
 def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
@@ -244,9 +252,12 @@ def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: Coef
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    for name, value in (("chunk_size", chunk_size), ("n_threads", n_threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     x0 = _checked_start(domain, x)
     event.validate_in(domain)
-    id_chunks = np.array_split(np.arange(n_samples), max(1, -(-n_samples // chunk_size)))
+    id_chunks = np.array_split(np.arange(n_samples), -(-n_samples // chunk_size))
 
     def work(ids):
         _, devs = _block(domain, field, coeffs, eps, grid, x0, seed, ids, event.references)

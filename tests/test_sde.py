@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from obliqueldp.geometry import CoefficientField, Disk, Interval, ObliqueField, \
     constant_coefficients, normal_field, oblique_from_tangent
 from obliqueldp.rate import rate_of_event, rate_of_path
-from obliqueldp.reflect import ReferencePath, TimeGrid, solve_reflected_ode, \
+from obliqueldp.reflect import ReferencePath, TimeGrid, advance, solve_reflected_ode, \
     solve_skorokhod_picard
 from obliqueldp.sde import (
+    _SUB,
     _block,
     EventSpec,
     InfiniteEstimateError,
@@ -90,6 +92,80 @@ def test_two_dimensional_block_is_pinned(kind, ends_digest, devs_digest):
     ends1, devs1 = block(custom)
     np.testing.assert_allclose(ends1, ends, rtol=0.0, atol=1e-11)
     np.testing.assert_allclose(devs1, devs, rtol=0.0, atol=1e-11)
+
+
+def _block_wide_reference(domain, field, coeffs, eps, grid, x0, seed, ids, references):
+    """The constant block built whole: one (B, n, m) draw, its (B, n, d)
+    product with sigma^T, a time-major copy, and a plain ``advance`` loop that
+    scales each step's shocks."""
+    xi = np.stack([trajectory_noise(seed, int(tid), grid.n_steps, coeffs.m) for tid in ids])
+    shocks = np.ascontiguousarray((xi @ coeffs.constant_sigma.T).transpose(1, 0, 2))
+    scale = eps.eps * np.sqrt(grid.dts)
+    g_nodes = [ref.at(grid.nodes) for ref in references]
+    X = np.repeat(x0[None, :], len(ids), axis=0)
+    sq = [np.add.reduce((X - g[0]) ** 2, axis=1) for g in g_nodes]
+    for k in range(grid.n_steps):
+        X, _ = advance(domain, field, X, coeffs.constant_b, grid.dts[k], scale[k] * shocks[k])
+        sq = [np.maximum(s, np.add.reduce((X - g[k + 1]) ** 2, axis=1))
+              for s, g in zip(sq, g_nodes)]
+    return X, np.sqrt(np.array(sq).T)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("case", ["interval", "normal disk", "oblique disk"])
+@pytest.mark.parametrize("size", [1, _SUB - 1, _SUB, _SUB + 1, 2 * _SUB + 3])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_constant_block_equals_the_block_wide_construction(size, case, uniform, data):
+    # the block fills its shocks sub-block by sub-block with the step scale
+    # folded in; every bit must be that of the block built whole
+    if case == "interval":
+        domain = Interval(-1.0, 1.0)
+        field = normal_field(domain)
+        coeffs = constant_coefficients([0.4], [[1.3]])
+        x0 = np.array([data.draw(st.floats(-1.0, 1.0), label="x0")])
+        refs = [ReferencePath.constant([0.0], 0.0, 1.0)]
+    else:
+        domain = Disk(1.0)
+        field = normal_field(domain) if case == "normal disk" \
+            else oblique_from_tangent(domain, 0.5)
+        coeffs = constant_coefficients([0.5, -0.3], [[0.8, 0.3], [-0.2, 0.6]])
+        x0 = np.array(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2),
+                                label="x0"))
+        refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
+                ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
+    n_steps = data.draw(st.integers(1, 24), label="n_steps")
+    if uniform:
+        grid = TimeGrid.uniform(0.0, 1.0, n_steps)
+    else:
+        # cumulative sums of widths between 1 and 10 make the step scale vary
+        widths = np.array(data.draw(st.lists(st.floats(1.0, 10.0), min_size=n_steps,
+                                             max_size=n_steps), label="widths"))
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(widths) / widths.sum()]))
+    eps = NoiseScale(data.draw(st.floats(0.05, 1.5), label="eps"))
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    ids = np.arange(size) + data.draw(st.integers(0, 1000), label="first id")
+    args = (domain, field, coeffs, eps, grid, x0, seed, ids, refs)
+    ends, devs = _block(*args)
+    want_ends, want_devs = _block_wide_reference(*args)
+    assert ends.tobytes() == want_ends.tobytes()
+    assert devs.tobytes() == want_devs.tobytes()
+
+
+def test_constant_block_holds_one_shock_array():
+    # the pre-scaled time-major shocks are the block's one large array: no
+    # (B, n, m) draw, (B, n, d) product or transposed copy sits beside them
+    iv, field, coeffs = _interval_setup()
+    grid, n_traj = TimeGrid.uniform(0.0, 1.0, 1024), 4096
+    refs = [ReferencePath.constant([0.0], 0.0, 1.0)]
+    tracemalloc.start()
+    try:
+        _block(iv, field, coeffs, NoiseScale(0.5), grid, np.array([0.0]), 3,
+               np.arange(n_traj), refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * grid.n_steps * n_traj * 1 * 8
 
 
 def test_state_dependent_block_equals_fresh_trajectories():
@@ -254,6 +330,31 @@ def test_estimates_invariant_to_chunking_and_threads():
     e3 = estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0],
                                     grid, ev, chunk_size=500, n_threads=4, **kw)
     assert e1.n_hits == e2.n_hits == e3.n_hits == 1220
+
+
+def test_disk_estimates_invariant_to_chunking_and_threads():
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, 0.5)
+    coeffs = constant_coefficients([0.1, -0.2], [[0.8, 0.3], [-0.2, 0.6]])
+    grid = TimeGrid.uniform(0.0, 1.0, 32)
+    # the tube reaches past the boundary, so reflected paths count too
+    ev = EventSpec.ball(ReferencePath.constant([0.2, 0.1], 0.0, 1.0), 0.8)
+    hits = {(chunk, threads): estimate_event_probability(
+                disk, field, coeffs, NoiseScale(0.5), [0.2, 0.1], grid, ev, n_samples=1000,
+                seed=7, chunk_size=chunk, n_threads=threads).n_hits
+            for chunk in (63, 65, 4096) for threads in (1, 3)}
+    assert set(hits.values()) == {829}
+
+
+@pytest.mark.parametrize("name, value", [("chunk_size", 0), ("chunk_size", -7),
+                                         ("n_threads", 0), ("n_threads", -3)])
+def test_chunk_size_and_thread_count_must_be_positive(name, value):
+    iv, field, coeffs = _interval_setup()
+    grid = TimeGrid.uniform(0.0, 1.0, 8)
+    ev = EventSpec.ball(ReferencePath.constant([0.0], 0.0, 1.0), 0.5)
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        estimate_event_probability(iv, field, coeffs, NoiseScale(0.5), [0.0], grid, ev,
+                                   n_samples=200, seed=0, **{name: value})
 
 
 def test_stay_probability_monotone_in_radius():
