@@ -31,13 +31,25 @@ class ReflectionError(RuntimeError):
 
 
 def _sobol_points(d: int, n: int, skip: int = 0) -> np.ndarray:
-    """First ``n`` unscrambled Sobol points in [0,1)^d (after ``skip``)."""
-    from scipy.stats import qmc
-    sob = qmc.Sobol(d=d, scramble=False)
-    total = skip + n
-    m = max(1, int(np.ceil(np.log2(max(total, 2)))))
-    pts = sob.random_base2(m)
-    return pts[skip:skip + n]
+    """Points ``skip`` to ``skip + n`` of the unscrambled Sobol sequence in
+    [0,1)^d, d <= 2, bit for bit scipy's ``qmc.Sobol(d, scramble=False)``.
+
+    Point k is the XOR, over the set bits b of its Gray code k ^ (k >> 1),
+    of the 30-bit direction numbers m_b 2^(29-b), times 2^-30: m_b = 1 in
+    dimension 1, and m_0 = 1, m_{b+1} = m_b ^ (m_b << 1) in dimension 2
+    (Joe-Kuo's polynomial x + 1).
+    """
+    if d > 2:
+        raise ValueError(f"Sobol points are built for dimension 1 or 2, got {d}")
+    if skip + n > 1 << 30:
+        raise ValueError(f"at most 2**30 Sobol points, asked for {skip + n}")
+    k = np.arange(skip, skip + n, dtype=np.int64)
+    gray = (k ^ (k >> 1))[:, None]
+    x, m = np.zeros((n, d), dtype=np.int64), np.ones(2, dtype=np.int64)
+    for b in range(int(skip + n).bit_length()):
+        x ^= ((gray >> b) & 1) * (m[:d] << (29 - b))
+        m[1] ^= m[1] << 1
+    return x * 2.0 ** -30
 
 
 def _behind_by_rounding(p: np.ndarray, lam: float, g: np.ndarray) -> bool:

@@ -187,12 +187,18 @@ def _checked_start(domain: Domain, x) -> np.ndarray:
     return x0
 
 
-def _drift(coeffs: CoefficientField, control: Optional[Control], t: float,
-           x: np.ndarray) -> np.ndarray:
+def _controlled_drift(coeffs: CoefficientField, control: Optional[Control],
+                      grid: TimeGrid) -> Callable:
+    """``drift_at(k, x)``: the drift ``b - sigma @ alpha`` at node k of
+    ``grid``, with the control row of every step (``control.at`` of its
+    left node) looked up once."""
     b_fun, s_fun = coeffs.pointwise()
+    nodes = grid.nodes
     if control is None:
-        return b_fun(t, x)
-    return b_fun(t, x) - s_fun(t, x) @ control.at(t)
+        return lambda k, x: b_fun(nodes[k], x)
+    rows = control.values[np.clip(np.searchsorted(control.grid.nodes, nodes[:-1], side="right")
+                                  - 1, 0, control.grid.n_steps - 1)]
+    return lambda k, x: b_fun(nodes[k], x) - s_fun(nodes[k], x) @ rows[k]
 
 
 def reflect_rows(domain: Domain, field: ObliqueField, P: np.ndarray):
@@ -337,11 +343,7 @@ def solve_reflected_ode(domain: Domain, field: ObliqueField, coeffs: Coefficient
     field.
     """
     x0 = _checked_start(domain, x)
-
-    def drift_at(k, xk):
-        return _drift(coeffs, control, grid.nodes[k], xk)
-
-    return _euler_reflect(domain, field, x0, grid, drift_at)
+    return _euler_reflect(domain, field, x0, grid, _controlled_drift(coeffs, control, grid))
 
 
 @dataclass
@@ -380,6 +382,7 @@ def solve_skorokhod_picard(domain: Domain, field: ObliqueField, coeffs: Coeffici
 
 def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol):
     chunks = np.array_split(np.arange(grid.n_steps), n_win)
+    drift_at = _controlled_drift(coeffs, control, grid)
     all_pts = [x0[None, :]]
     all_incs = []
     xw = x0
@@ -393,7 +396,7 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol):
             # one sweep: coefficients frozen along the previous iterate
             sweep = _euler_reflect(
                 domain, field, xw, sub,
-                lambda k, _x: _drift(coeffs, control, sub.nodes[k], frozen[k]))
+                lambda k, _x: drift_at(i0 + k, frozen[k]))
             pts = sweep.points
             dist = float(np.max(np.linalg.norm(pts - frozen, axis=1)))
             frozen = pts

@@ -10,7 +10,6 @@ reproducible regardless of chunking or thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -264,6 +263,7 @@ def estimate_event_probability(domain: Domain, field: ObliqueField, coeffs: Coef
         return int(event.hits(devs).sum())
 
     if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             counts = list(pool.map(work, id_chunks))
     else:

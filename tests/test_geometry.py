@@ -291,6 +291,36 @@ def test_curve_points_are_the_boundary_curve():
             assert dom._curve_points(t).tobytes() == dom.boundary(t)[0].tobytes()
 
 
+@pytest.mark.parametrize("skip", [0, 37, 1000])
+@pytest.mark.parametrize("n", [1, 7, 100, 2048, 4097])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sobol_points_are_scipys_unscrambled_sobol(d, n, skip):
+    # the package builds the points itself; scipy's generator is the oracle
+    from scipy.stats import qmc
+
+    from obliqueldp.geometry import _sobol_points
+
+    m = max(1, int(np.ceil(np.log2(skip + n))))
+    expected = qmc.Sobol(d, scramble=False).random_base2(m)[skip:skip + n]
+    got = _sobol_points(d, n, skip=skip)
+    assert got.shape == (n, d)
+    assert got.tobytes() == expected.tobytes()
+    # numpy integer counts, as a caller may pass, give the same points
+    assert _sobol_points(d, np.int64(n), skip=np.int64(skip)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d, n, skip, message", [
+    (3, 8, 0, "dimension 1 or 2"),
+    (2, 2 ** 30 + 1, 0, "at most 2\\*\\*30"),
+    (1, 1, 2 ** 30, "at most 2\\*\\*30"),
+])
+def test_sobol_points_reject_a_third_dimension_and_too_many_points(d, n, skip, message):
+    from obliqueldp.geometry import _sobol_points
+
+    with pytest.raises(ValueError, match=message):
+        _sobol_points(d, n, skip=skip)
+
+
 def test_disk_closure_sample_is_the_closed_form():
     # the disk samples its closure as the ellipse does; the bits are those of
     # c + R sqrt(u0) (cos theta, sin theta) at theta = 2 pi u1

@@ -1,10 +1,11 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
-for F401), the pipelines that never call scipy's solvers do not load them,
-every default of a package function is overridden by some call: in the package
-for a private function, in the package, the tests or the benchmark for a
-public one, every public definition of the package runs in a pipeline or
-is library API, and no function takes a start time ``t0`` beside a ``grid``,
-whose first node is the start time.
+for F401), no package module imports ``scipy.stats``, the pipelines that
+never call scipy's solvers do not load them, every default of a package
+function is overridden by some call: in the package for a private
+function, in the package, the tests or the benchmark for a public one,
+every public definition of the package runs in a pipeline or is library
+API, and no function takes a start time ``t0`` beside a ``grid``, whose
+first node is the start time.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -133,34 +134,71 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from obliqueldp.cli import RunContext, load_config, run
 
-def solvers():
-    return [m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules]
+def loaded(names=("scipy.optimize", "scipy.stats")):
+    return [m for m in names if m in sys.modules]
 
 out = Path(sys.argv[2])
-for cfg in sys.argv[4:]:
+for cfg in sys.argv[5:]:
     RunContext(load_config(cfg), out, 1, 1)
-loaded = {"RunContext": solvers()}
-for sub in ("hjb", "stopping", "simulate"):
-    assert run(sys.argv[3], sub, out=out / sub) == 0, sub
-    loaded[sub] = solvers()
-print(json.dumps(loaded))
+seen = {"RunContext": loaded(("scipy.optimize", "scipy.stats", "concurrent.futures"))}
+for cfg, sub in ((sys.argv[3], "hjb"), (sys.argv[3], "stopping"), (sys.argv[3], "simulate"),
+                 (sys.argv[4], "testfn-check")):
+    assert run(cfg, sub, out=out / sub) == 0, sub
+    seen[sub] = loaded()
+print(json.dumps(seen))
 """
 
 
 def test_pipelines_without_a_solve_load_no_scipy_solvers(tmp_path):
     # scipy.optimize and scipy.stats take most of a cold start; only the
-    # L-BFGS rate solve, the bracketed pushbacks and Sobol sampling import
-    # them, so building every bundled config's context (which certifies its
-    # field) and the hjb, stopping and simulate pipelines must not
+    # L-BFGS rate solve and the bracketed pushbacks import scipy.optimize,
+    # and nothing imports scipy.stats, so building every bundled config's
+    # context (which certifies its field) and the hjb, stopping, simulate and
+    # 2-D testfn-check pipelines must not; a context loads no thread pool
     configs = sorted((ROOT / "configs").glob("*.json")) + sorted(
         (ROOT / "perfbench" / "configs").glob("*.json"))
+    cfg = json.loads((ROOT / "perfbench" / "configs" / "ellipse_geometry.json").read_text())
+    cfg["testfn"].update(n_boundary=12, probe_samples=32, n_samples=64)
+    small = tmp_path / "ellipse_testfn.json"
+    small.write_text(json.dumps(cfg))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(PACKAGE.parent), str(tmp_path),
-         str(ROOT / "configs" / "example_1d.json"), *map(str, configs)],
+         str(ROOT / "configs" / "example_1d.json"), str(small), *map(str, configs)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "RunContext": [], "hjb": [], "stopping": [], "simulate": []}
+        "RunContext": [], "hjb": [], "stopping": [], "simulate": [], "testfn-check": []}
+
+
+def modules_importing(sources, module):
+    """The indices of ``sources`` that import ``module`` or a submodule of
+    it, as ``import module``, ``from module import ...`` or ``from parent
+    import name``."""
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        return []
+
+    return [i for i, src in enumerate(sources)
+            if any(n == module or n.startswith(module + ".")
+                   for node in ast.walk(ast.parse(src)) for n in names(node))]
+
+
+def test_no_package_module_imports_scipy_stats():
+    # the Sobol points are built in geometry; scipy.stats costs a cold start
+    # about 25 MB and pulls in scipy.optimize
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [paths[i].name for i in modules_importing(_sources(paths), "scipy.stats")] == []
+
+
+def test_import_checker_finds_every_spelling():
+    srcs = ["import scipy.stats\n", "from scipy.stats import qmc\n",
+            "def f():\n    from scipy import stats\n", "from scipy.stats._qmc import Sobol\n",
+            "import scipy\nfrom scipy.optimize import brentq\n", "import scipy.statsmodels\n",
+            "from .scipy.stats import x\n"]
+    assert modules_importing(srcs, "scipy.stats") == [0, 1, 2, 3]
 
 
 def _defs(tree, private):

@@ -299,6 +299,35 @@ def test_controlled_path_moves_against_drift():
     assert path.total_variation == 0.0
 
 
+@pytest.mark.parametrize("ctrl_grid, grid", [
+    # the rate solver's segments: 4 control cells on 16 steps
+    (TimeGrid.uniform(0.0, 1.0, 4), TimeGrid.uniform(0.0, 1.0, 16)),
+    # cells whose nodes do not line up with the steps: 3 cells on 7 steps
+    (TimeGrid.uniform(0.0, 1.0, 3), TimeGrid.uniform(0.0, 1.0, 7)),
+], ids=["segments", "misaligned"])
+def test_controlled_drift_reads_the_control_of_each_step(ctrl_grid, grid):
+    # the control rows are looked up once per path: the bits of a path that
+    # calls Control.at at every step's left node
+    disk, field = _disk_setup(0.5)
+    coeffs = CoefficientField(
+        b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1] + t]),
+        sigma=lambda t, x: np.array([[1.0, 0.2 * x[1]], [0.1 * t, 0.7]]),
+        m=2, lipschitz_x=0.9)
+    control = Control(ctrl_grid, np.linspace(-2.1, 1.3, 2 * ctrl_grid.n_steps).reshape(-1, 2))
+    b_fun, s_fun = coeffs.pointwise()
+
+    def oracle_drift(k, x):
+        t = grid.nodes[k]
+        return b_fun(t, x) - s_fun(t, x) @ control.at(t)
+
+    x0 = np.array([0.3, -0.2])
+    oracle = reflect._euler_reflect(disk, field, x0, grid, oracle_drift)
+    path = solve_reflected_ode(disk, field, coeffs, control, x0, grid)
+    assert path.points.tobytes() == oracle.points.tobytes()
+    assert path.reflection_increments.tobytes() == oracle.reflection_increments.tobytes()
+    assert path.total_variation > 0.0
+
+
 def _state_dependent_disk_coeffs():
     return CoefficientField(
         b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1]]),
@@ -320,6 +349,20 @@ def test_picard_matches_stepper_and_contracts():
     assert sup <= 3.0 * tol
     assert diag.max_ratio <= 0.6
     assert all(it <= 200 for it in diag.iterations)
+
+
+def test_controlled_picard_windows_match_the_stepper():
+    # each window's sweep reads the control rows of its own steps
+    disk, field = _disk_setup(0.5)
+    coeffs = _state_dependent_disk_coeffs()
+    grid = TimeGrid.uniform(0.0, 1.0, 256)
+    control = Control(TimeGrid.uniform(0.0, 1.0, 3), [[0.4, -0.3], [-1.2, 0.5], [0.6, 0.1]])
+    tol = 1e-10
+    direct = solve_reflected_ode(disk, field, coeffs, control, [0.9, 0.0], grid)
+    fixed, diag = solve_skorokhod_picard(disk, field, coeffs, control, [0.9, 0.0],
+                                         grid, tol=tol, eta=0.25)
+    assert diag.window_count == 4
+    assert float(np.max(np.linalg.norm(direct.points - fixed.points, axis=1))) <= 3.0 * tol
 
 
 def test_picard_window_splitting_via_eta():
