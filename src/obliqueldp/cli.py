@@ -543,13 +543,11 @@ def cmd_hjb(ctx: RunContext):
     else:
         grid = solve_limit_vi(ctx.domain, ctx.field, ctx.coeffs, obstacle,
                               vi_type, **kwargs)
-    grid.export_csv(ctx.out_dir / "value.csv")
     grid.save_npz(ctx.out_dir / "value.npz")
     payload = {"value_at_start": grid.value_at(ctx.t0, ctx.x0),
                "vi_type": f["vi_type"], "eps": f["eps"], "h": grid.h, "dt": grid.dt,
                "n_stored_layers": int(len(grid.times))}
-    return 0, {"summary": ctx.write_json("hjb.json", payload),
-               "values": "value.csv", "layers": "value.npz"}
+    return 0, {"summary": ctx.write_json("hjb.json", payload), "layers": "value.npz"}
 
 
 def cmd_testfn_check(ctx: RunContext):

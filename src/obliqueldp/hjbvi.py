@@ -102,22 +102,6 @@ class ValueGrid:
         return float((1 - fx) * (1 - fy) * cell[0, 0] + fx * (1 - fy) * cell[1, 0]
                      + (1 - fx) * fy * cell[0, 1] + fx * fy * cell[1, 1])
 
-    def export_csv(self, path) -> None:
-        """One row ``t,x1[,x2],v`` per stored node, CRLF line ends.
-
-        Times and coordinates are written as ``%.10g``, values as ``%.17g``.
-        Each node's coordinates are formatted once and each layer is written
-        in one call; no field ever needs quoting.
-        """
-        coords = [",".join(["%.10g" % c for c in p]) for p in self.points.tolist()]
-        header = ["t"] + [f"x{j+1}" for j in range(self.dimension)] + ["v"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for ti, layer in zip(self.times.tolist(), self.layers):
-                t = "%.10g," % ti
-                fh.write("".join([f"{t}{c},{v:.17g}\r\n"
-                                  for c, v in zip(coords, layer.tolist())]))
-
     def save_npz(self, path) -> None:
         """The arrays as ``.npy`` entries of a deflated zip, each dated
         1980-01-01 so that the same grid always produces the same bytes."""

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField
+from .geometry import CoefficientField, Domain, ObliqueField, _as_point
 
 
 class ContractionError(RuntimeError):
@@ -180,9 +180,10 @@ def reflect_step(domain: Domain, field: ObliqueField, p):
 def _checked_start(domain: Domain, x) -> np.ndarray:
     """The start point as an array, checked against the closure: the one
     start check of every path solver, whose grid's first node is the start
-    time."""
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    if domain.signed_distance(x0) < -1e-12:
+    time.  The closure test settles a start inside; only a start it
+    rejects pays for the signed distance, which accepts it down to -1e-12."""
+    x0 = _as_point(x, domain.dimension)
+    if not domain.inside_many(x0[None])[0] and domain.signed_distance(x0) < -1e-12:
         raise ValueError(f"start point {x0} lies outside the closure")
     return x0
 

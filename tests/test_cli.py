@@ -77,22 +77,6 @@ def test_simulate_flags_the_nodes_on_the_boundary(tmp_path):
             == (tmp_path / "out" / "path.csv").read_bytes())
 
 
-def test_manifest_references_every_output(tmp_path):
-    out = tmp_path / "sim"
-    assert run_cli("simulate", EXAMPLE, out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    listed = {entry["path"] for entry in manifest["outputs"].values()}
-    on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
-    assert listed == on_disk
-    for entry in manifest["outputs"].values():
-        digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
-        assert digest == entry["sha256"]
-    assert manifest["subcommand"] == "simulate"
-    assert manifest["seed"] == 20240801
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "obliqueldp"}
-    assert "timestamp" in manifest
-
-
 def test_rate_for_linear_target(tmp_path):
     out = tmp_path / "rate"
     assert run_cli("rate", EXAMPLE, out) == 0
@@ -158,29 +142,36 @@ def test_stopping_computes_each_transition_once(tmp_path, monkeypatch):
 def test_hjb_outputs(tmp_path):
     out = tmp_path / "hjb"
     assert run_cli("hjb", EXAMPLE, out) == 0
+    assert {p.name for p in out.iterdir()} == {"hjb.json", "value.npz", "manifest.json"}
     payload = json.loads((out / "hjb.json").read_text())
     # staying inside the static tube costs nothing at its center
     assert payload["value_at_start"] <= 1e-9
     assert payload["vi_type"] == "min"
-    with open(out / "value.csv", newline="") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["t", "x1", "v"]
     grid = load_npz(out / "value.npz")
-    assert grid.vi_type == "min_type"
+    assert grid.dimension == 1
     assert len(grid.times) == payload["n_stored_layers"]
+    assert grid.vi_type == "min_type"
 
 
-def test_hjb_repeat_runs_are_byte_identical(tmp_path):
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli("hjb", EXAMPLE, first) == 0
-    assert run_cli("hjb", EXAMPLE, second) == 0
-    for name in ("value.csv", "value.npz", "hjb.json"):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
-    m1 = json.loads((first / "manifest.json").read_text())
-    m2 = json.loads((second / "manifest.json").read_text())
-    m1.pop("timestamp")
-    m2.pop("timestamp")
-    assert m1 == m2
+@pytest.mark.parametrize("subcommand", sorted(cli.HANDLERS))
+def test_every_pipeline_lists_its_outputs_and_repeats_them(tmp_path, subcommand):
+    manifests = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert run_cli(subcommand, EXAMPLE, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {entry["path"] for entry in manifest["outputs"].values()}
+        assert listed == {p.name for p in out.iterdir()} - {"manifest.json"}
+        for entry in manifest["outputs"].values():
+            digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"], entry["path"]
+        assert manifest.pop("timestamp")
+        manifests.append(manifest)
+    # equal manifests list equal digests, so the two runs wrote the same bytes
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["subcommand"] == subcommand
+    assert manifests[0]["seed"] == 20240801
+    assert set(manifests[0]["versions"]) == {"python", "numpy", "scipy", "obliqueldp"}
 
 
 def test_testfn_check_report(tmp_path):

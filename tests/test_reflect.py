@@ -412,6 +412,23 @@ _DOMAINS = {"interval": Interval(-1.0, 1.0), "disk": Disk(1.0),
             "ellipse": Ellipse(1.2, 0.7)}
 
 
+@pytest.mark.parametrize("kind", sorted(_DOMAINS))
+def test_start_check_decides_as_the_signed_distance(kind):
+    # 1e-13 outside fails the closure test but is accepted; 1e-9 outside is not
+    domain = _DOMAINS[kind]
+    edge = domain.boundary_points(8)
+    out = domain.normal_many(edge)
+    for x in np.concatenate([domain.sample_closure(8), edge,
+                             edge + 1e-13 * out, edge + 1e-9 * out]):
+        if domain.signed_distance(x) < -1e-12:
+            with pytest.raises(ValueError, match="lies outside the closure"):
+                reflect._checked_start(domain, x)
+        else:
+            assert reflect._checked_start(domain, x).tobytes() == x.tobytes()
+    with pytest.raises(ValueError, match="expected point of shape"):
+        reflect._checked_start(domain, np.zeros(domain.dimension + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _normal(kind):
     return normal_field(_DOMAINS[kind], n_certify=64)

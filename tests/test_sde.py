@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obliqueldp.cli import build_coefficients
 from obliqueldp.geometry import CoefficientField, Disk, Interval, ObliqueField, \
     constant_coefficients, normal_field, oblique_from_tangent
 from obliqueldp.rate import rate_of_event, rate_of_path
@@ -185,6 +186,51 @@ def test_state_dependent_block_equals_fresh_trajectories():
                                      trajectory_id=int(tid)).points
         assert end.tobytes() == pts[-1].tobytes()
         assert dev.tolist() == [np.linalg.norm(pts - g, axis=1).max() for g in g_nodes]
+
+
+_ENTRY = st.floats(-0.6, 0.6).filter(lambda v: abs(v) >= 0.05)
+
+
+def _matrix(*shape):
+    n = int(np.prod(shape))
+    return st.lists(_ENTRY, min_size=n, max_size=n).map(
+        lambda v: np.reshape(v, shape).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=_matrix(2, 2), offset=_matrix(2), base=_matrix(2, 2), slopes=_matrix(2, 2, 2),
+       x0=st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
+       n_steps=st.integers(1, 24), eps=st.floats(0.05, 1.5), seed=st.integers(0, 2**32),
+       first=st.integers(0, 1000), size=st.integers(1, 4))
+def test_state_dependent_block_equals_the_row_batch_loop(matrix, offset, base, slopes, x0,
+                                                         n_steps, eps, seed, first, size):
+    # the per-trajectory branch pinned against steps of a one-row batch
+    # through the row form of the coefficients, before anyone batches it
+    coeffs = build_coefficients({
+        "drift": {"name": "linear", "matrix": matrix, "offset": offset},
+        "dispersion": {"name": "linear", "base": base, "slopes": slopes}}, 2)
+    disk = Disk(1.0)
+    field = oblique_from_tangent(disk, 0.5)
+    grid, eps, x0 = TimeGrid.uniform(0.0, 1.0, n_steps), NoiseScale(eps), np.array(x0)
+    refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
+            ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
+    ids = np.arange(first, first + size)
+    ends, devs = _block(disk, field, coeffs, eps, grid, x0, seed, ids, refs)
+    co = coeffs.at_eps(eps.eps)
+    scale = eps.eps * np.sqrt(grid.dts)
+    for tid, end, dev in zip(ids, ends, devs):
+        xi = trajectory_noise(seed, int(tid), n_steps, coeffs.m)
+        X = x0[None, :]
+        pts = [X[0]]
+        for k in range(n_steps):
+            b, S = co.rows(grid.nodes[k], X)
+            X, _ = advance(disk, field, X, b, grid.dts[k],
+                           scale[k] * np.matmul(S, xi[k][:, None])[:, :, 0])
+            pts.append(X[0])
+        pts = np.array(pts)
+        assert end.tobytes() == pts[-1].tobytes()
+        assert dev.tobytes() == np.array(
+            [np.linalg.norm(pts - g.at(grid.nodes), axis=1).max() for g in refs]).tobytes()
 
 
 def test_zero_noise_reduces_to_the_drift_ode():
