@@ -17,7 +17,6 @@ from .geometry import (  # noqa: F401
     constant_coefficients,
     normal_field,
     oblique_from_tangent,
-    validate_coefficients,
     validate_oblique,
 )
 from .reflect import (  # noqa: F401
@@ -68,7 +67,6 @@ from .ldp import (  # noqa: F401
     LdpConfig,
     LdpReport,
     cap_identity_check,
-    goodness_proxy,
     run_lower_bound_experiment,
     run_upper_bound_experiment,
 )

@@ -241,12 +241,12 @@ _FIELDS = {
 
 # The built-in coefficients take a point (d,) or rows (B, d).  A row comes out
 # with the bits of the point call: per-row matrix products, the same float
-# order in every sum.  Each constructor returns the function, its Lipschitz
-# constant and its constant value (None when it varies).
+# order in every sum.  Each constructor returns the function and its
+# constant value (None when it varies).
 
 
 def _constant(value):
-    return constant_function(value), 0.0, value
+    return constant_function(value), value
 
 
 def _linear_drift(matrix, offset):
@@ -257,7 +257,7 @@ def _linear_drift(matrix, offset):
         # (d, d) @ (d, 1) per row: X @ matrix.T can round differently
         return offset + np.matmul(matrix, x[:, :, None])[:, :, 0]
 
-    return drift, float(np.linalg.norm(matrix, 2)), None
+    return drift, None
 
 
 def _rotational_drift(d, omega):
@@ -270,7 +270,7 @@ def _rotational_drift(d, omega):
             return omega * np.array([-x[1], x[0]])
         return omega * np.stack([-x[:, 1], x[:, 0]], axis=1)
 
-    return drift, abs(omega), None
+    return drift, None
 
 
 def _linear_dispersion(base, slopes):
@@ -289,7 +289,7 @@ def _linear_dispersion(base, slopes):
             total = total + x[j] * s
         return base + total
 
-    return sigma, math.sqrt(sum(float(np.sum(s * s)) for s in slopes)), None
+    return sigma, None
 
 
 def build_coefficients(block, d: int) -> CoefficientField:
@@ -306,7 +306,7 @@ def build_coefficients(block, d: int) -> CoefficientField:
         "perturbation": (_object({"drift_shift": (_array(d), np.zeros(d)),
                                   "dispersion_scale": (_number(), 0.0),
                                   "order": (_number(positive=True), 1.0)}), None)})
-    (b_fun, b_lip, b_const), (s_fun, s_lip, s_const) = f["drift"], f["dispersion"]
+    (b_fun, b_const), (s_fun, s_const) = f["drift"], f["dispersion"]
     m = s_fun(0.0, np.zeros(d)).shape[1]
     family, pert = None, f["perturbation"]
     if pert is not None:
@@ -317,11 +317,9 @@ def build_coefficients(block, d: int) -> CoefficientField:
             w = eps ** order
             return CoefficientField(b=lambda t, x: b_fun(t, x) + w * shift,
                                     sigma=lambda t, x: (1.0 + scale * w) * s_fun(t, x), m=m,
-                                    lipschitz_x=b_lip + abs(1.0 + scale * w) * s_lip,
                                     takes_rows=True)
-    return CoefficientField(b=b_fun, sigma=s_fun, m=m, lipschitz_x=b_lip + s_lip,
-                            family=family, constant_b=b_const, constant_sigma=s_const,
-                            takes_rows=True)
+    return CoefficientField(b=b_fun, sigma=s_fun, m=m, family=family,
+                            constant_b=b_const, constant_sigma=s_const, takes_rows=True)
 
 
 def _tube(reference) -> dict:

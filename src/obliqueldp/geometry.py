@@ -707,7 +707,6 @@ class CoefficientField:
     b: Callable[[float, np.ndarray], np.ndarray]
     sigma: Callable[[float, np.ndarray], np.ndarray]
     m: int
-    lipschitz_x: float
     family: Optional[Callable[[float], "CoefficientField"]] = None
     constant_b: Optional[np.ndarray] = None
     constant_sigma: Optional[np.ndarray] = None
@@ -757,34 +756,5 @@ def constant_coefficients(b_vec, sigma_mat) -> CoefficientField:
     b_arr = np.atleast_1d(np.asarray(b_vec, dtype=float))
     s_arr = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
     return CoefficientField(b=constant_function(b_arr), sigma=constant_function(s_arr),
-                            m=s_arr.shape[1], lipschitz_x=0.0,
-                            constant_b=b_arr, constant_sigma=s_arr, takes_rows=True)
-
-
-@dataclass(frozen=True)
-class CoefficientReport:
-    lipschitz_quotient: float
-    n_samples: int
-
-
-def validate_coefficients(coeffs: CoefficientField, domain: Domain,
-                          n_samples: int = 256) -> CoefficientReport:
-    """Sampled Lipschitz check of the base pair over the closure and times in
-    [0, 1] (a fixed seed)."""
-    rng = np.random.default_rng(0)
-    pts = domain.sample_closure(n_samples)
-    ts = rng.uniform(0.0, 1.0, size=n_samples)
-    quot = 0.0
-    for i in range(n_samples - 1):
-        x, y = pts[i], pts[i + 1]
-        dx = float(np.linalg.norm(x - y))
-        if dx < 1e-12:
-            continue
-        t = float(ts[i])
-        db = np.linalg.norm(np.asarray(coeffs.b(t, x)) - np.asarray(coeffs.b(t, y)))
-        ds = np.linalg.norm(np.asarray(coeffs.sigma(t, x)) - np.asarray(coeffs.sigma(t, y)))
-        quot = max(quot, float(db / dx), float(ds / dx))
-    if quot > coeffs.lipschitz_x * (1.0 + 1e-6) + 1e-12:
-        raise ValueError(
-            f"sampled Lipschitz quotient {quot:.6g} exceeds declared bound {coeffs.lipschitz_x:.6g}")
-    return CoefficientReport(lipschitz_quotient=quot, n_samples=n_samples)
+                            m=s_arr.shape[1], constant_b=b_arr, constant_sigma=s_arr,
+                            takes_rows=True)

@@ -16,10 +16,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import CoefficientField, Domain, ObliqueField
-from .reflect import Control, TimeGrid, holder_half_quotient, solve_reflected_ode
+from .reflect import TimeGrid
+from .reflect import solve_reflected_ode  # noqa: F401 - perfbench/tracing.py counts its calls here
 from .sde import (EventSpec, LogRateInterval, NoiseScale,
                   estimate_event_probability, log_rate_estimate)
-from .rate import rate_of_event, weak_stability_check
+from .rate import rate_of_event
 from .control_stop import DiscreteProblem, reduced_value
 from .hjbvi import MIN_TYPE, cell_width, solve_eps_vi, solve_limit_vi
 
@@ -40,11 +41,6 @@ INCONCLUSIVE = "inconclusive"
 CAP_HEIGHTS = (0.05, 1.0)
 CAP_REFERENCE_HEIGHT = 2.0
 CAP_TOL_REL = 0.10
-# goodness proxy: action of each random control, sample size, weak-stability
-# frequency limit
-GOODNESS_ACTION_BOUND = 1.0
-GOODNESS_N_CONTROLS = 12
-GOODNESS_N_MAX = 64
 
 
 @dataclass
@@ -300,53 +296,3 @@ def cap_identity_check(config: LdpConfig) -> CapIdentityReport:
     return CapIdentityReport(eps=eps, heights=heights, values=values,
                              reference_value=v_ref, targets=targets,
                              tol_rel=CAP_TOL_REL, passed=ok)
-
-
-@dataclass
-class GoodnessReport:
-    weak_n_values: list
-    weak_sup_dists: list
-    weak_passed: bool
-    quotients: list
-    envelope: float
-    envelope_stable: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.weak_passed and self.envelope_stable
-                and math.isfinite(self.envelope))
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), passed=self.passed)
-
-
-def goodness_proxy(config: LdpConfig) -> GoodnessReport:
-    """Compactness proxy for sublevel sets of the rate functional.
-
-    Oscillating controls must stop moving the path (weak stability), and a
-    sample of paths driven by controls of bounded action must share one
-    Holder-1/2 envelope; the envelope from half the sample must essentially
-    bound the whole sample.
-    """
-    weak = weak_stability_check(config.domain, config.field, config.coeffs,
-                                config.t0, config.x0, n_max=GOODNESS_N_MAX,
-                                t_end=config.t_end)
-    rng = np.random.default_rng(config.seed)
-    grid = TimeGrid.uniform(config.t0, config.t_end, 256)
-    m = config.coeffs.m
-    quotients = []
-    for _ in range(GOODNESS_N_CONTROLS):
-        raw = rng.standard_normal((grid.n_steps, m))
-        action = 0.5 * float(np.sum(raw ** 2 * grid.dts[:, None]))
-        ctrl = Control(grid, raw * math.sqrt(GOODNESS_ACTION_BOUND / action))
-        path = solve_reflected_ode(config.domain, config.field, config.coeffs,
-                                   ctrl, config.x0, grid)
-        quotients.append(holder_half_quotient(path))
-    quotients = [float(q) for q in quotients]
-    half = max(quotients[:max(1, len(quotients) // 2)])
-    envelope = max(quotients)
-    return GoodnessReport(weak_n_values=[int(n) for n in weak.n_values],
-                          weak_sup_dists=[float(d) for d in weak.sup_dists],
-                          weak_passed=bool(weak.passed), quotients=quotients,
-                          envelope=envelope,
-                          envelope_stable=envelope <= 1.5 * half)

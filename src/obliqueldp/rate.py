@@ -298,17 +298,16 @@ class WeakStabilityReport:
 
 
 def weak_stability_check(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                         t0: float, x, n_max: int = 64,
-                         t_end: float = 1.0) -> WeakStabilityReport:
+                         t0: float, x, n_max: int = 64) -> WeakStabilityReport:
     """Path response to weakly-null oscillating controls sin(n s), on 4096
-    steps.
+    steps up to time 1.
 
     The controlled paths must approach the uncontrolled one as n grows.
     """
     if n_max < 4:
         raise ValueError("need n_max >= 4")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
-    grid = TimeGrid.uniform(t0, t_end, 4096)
+    grid = TimeGrid.uniform(t0, 1.0, 4096)
     base = solve_reflected_ode(domain, field, coeffs, None, x0, grid)
     ns, dists = [], []
     n = 1

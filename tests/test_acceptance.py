@@ -90,7 +90,7 @@ def test_criterion_02_picard_contraction_on_random_instances():
         coeffs = CoefficientField(
             b=lambda t, x, M=M, off=off: off + M @ np.atleast_1d(x),
             sigma=lambda t, x, sig=sig: sig,
-            m=dim, lipschitz_x=float(np.linalg.norm(M, 2)))
+            m=dim)
         grid = TimeGrid.uniform(0.0, 1.0, 256)
         amp, w = rng.uniform(0.5, 2.0), rng.integers(1, 6)
         ctrl = Control.from_function(

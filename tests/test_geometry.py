@@ -12,7 +12,6 @@ from obliqueldp.geometry import (
     constant_coefficients,
     normal_field,
     oblique_from_tangent,
-    validate_coefficients,
     validate_oblique,
 )
 from obliqueldp.reflect import reflect_step
@@ -412,21 +411,6 @@ def test_constant_coefficients_fields_and_flags():
     assert co.m == 2
     np.testing.assert_allclose(co.b(0.3, np.zeros(2)), [1.0, -2.0])
     np.testing.assert_allclose(co.constant_sigma, [[0.5, 0.0], [0.0, 0.3]])
-    rep = validate_coefficients(co, Disk(1.0), n_samples=64)
-    assert rep.lipschitz_quotient == pytest.approx(0.0, abs=1e-12)
-
-
-def test_validate_coefficients_rejects_understated_lipschitz():
-    from obliqueldp.geometry import CoefficientField
-
-    co = CoefficientField(
-        b=lambda t, x: np.array([np.sin(3.0 * x[0]), 0.0]),
-        sigma=lambda t, x: np.eye(2),
-        m=2,
-        lipschitz_x=0.1,
-    )
-    with pytest.raises(ValueError):
-        validate_coefficients(co, Disk(1.0), n_samples=128)
 
 
 def test_sample_closure_prefix_property():

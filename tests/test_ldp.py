@@ -15,8 +15,7 @@ import pytest
 
 from obliqueldp.geometry import Interval, constant_coefficients, normal_field
 from obliqueldp.ldp import (LdpConfig, LdpReport, cap_identity_check,
-                            goodness_proxy, run_lower_bound_experiment,
-                            run_upper_bound_experiment)
+                            run_lower_bound_experiment, run_upper_bound_experiment)
 from obliqueldp.reflect import ReferencePath, TimeGrid
 from obliqueldp.sde import EventSpec, LogRateInterval
 
@@ -206,14 +205,6 @@ def test_cap_identity_on_moving_tube():
     assert check.values[1] == pytest.approx(0.330897, rel=1e-3)
     assert abs(check.values[1] - check.reference_value) <= \
         0.10 * check.reference_value
-
-
-def test_goodness_proxy_passes():
-    result = goodness_proxy(make_config())
-    assert result.passed
-    assert result.weak_passed
-    assert result.envelope_stable
-    assert result.envelope == pytest.approx(0.3522, rel=1e-2)
 
 
 def test_reports_are_deterministic_for_a_seed(lower_report):

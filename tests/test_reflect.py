@@ -288,6 +288,26 @@ def test_holder_quotient_stable_under_refinement():
     assert 0.5 < vals[0] / vals[1] < 2.0
 
 
+def test_bounded_action_paths_share_one_holder_envelope():
+    # sublevel sets of the rate functional are compact: paths driven by
+    # controls of action 1 share one Holder-1/2 envelope, which half the
+    # sample already essentially bounds
+    iv = Interval(-1.0, 1.0)
+    field, coeffs = normal_field(iv), constant_coefficients([0.0], [[1.0]])
+    grid = TimeGrid.uniform(0.0, 1.0, 256)
+    rng = np.random.default_rng(20240801)
+    quotients = []
+    for _ in range(12):
+        raw = rng.standard_normal((grid.n_steps, 1))
+        action = 0.5 * float(np.sum(raw ** 2 * grid.dts[:, None]))
+        control = Control(grid, raw / np.sqrt(action))
+        path = solve_reflected_ode(iv, field, coeffs, control, [0.0], grid)
+        quotients.append(holder_half_quotient(path))
+    envelope = max(quotients)
+    assert envelope == pytest.approx(0.3522, rel=1e-2)
+    assert envelope <= 1.5 * max(quotients[:6])
+
+
 def test_controlled_path_moves_against_drift():
     disk, field = _disk_setup(0.5)
     coeffs = constant_coefficients([2.0, 0.0], np.eye(2))
@@ -312,7 +332,7 @@ def test_controlled_drift_reads_the_control_of_each_step(ctrl_grid, grid):
     coeffs = CoefficientField(
         b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1] + t]),
         sigma=lambda t, x: np.array([[1.0, 0.2 * x[1]], [0.1 * t, 0.7]]),
-        m=2, lipschitz_x=0.9)
+        m=2)
     control = Control(ctrl_grid, np.linspace(-2.1, 1.3, 2 * ctrl_grid.n_steps).reshape(-1, 2))
     b_fun, s_fun = coeffs.pointwise()
 
@@ -333,7 +353,6 @@ def _state_dependent_disk_coeffs():
         b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1]]),
         sigma=lambda t, x: np.eye(2),
         m=2,
-        lipschitz_x=0.9,
     )
 
 

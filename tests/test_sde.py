@@ -175,7 +175,7 @@ def test_state_dependent_block_equals_fresh_trajectories():
     field = oblique_from_tangent(disk, 0.5)
     coeffs = CoefficientField(b=lambda t, x: np.array([1.0 - 0.8 * x[0], 0.3 * x[1]]),
                               sigma=lambda t, x: np.array([[0.8, 0.3 * x[0]], [-0.2, 0.6]]),
-                              m=2, lipschitz_x=0.9)
+                              m=2)
     refs = [ReferencePath.constant([0.0, 0.0], 0.0, 1.0),
             ReferencePath.constant([0.3, -0.1], 0.0, 1.0)]
     grid, x0, ids = TimeGrid.uniform(0.0, 1.0, 32), np.array([0.2, 0.1]), np.arange(5, 21)
@@ -310,8 +310,7 @@ def test_every_path_entry_rejects_a_start_outside_the_closure(entry):
     # a path starts at its grid's first node; one check holds the start
     # point to the closure, whatever the coefficients or the event
     iv, field, coeffs = _interval_setup()
-    ou = CoefficientField(b=lambda t, x: -x, sigma=lambda t, x: np.eye(1), m=1,
-                          lipschitz_x=1.0)
+    ou = CoefficientField(b=lambda t, x: -x, sigma=lambda t, x: np.eye(1), m=1)
     grid, x0 = TimeGrid.uniform(0.0, 1.0, 8), [1.2]
     ref = ReferencePath.constant([0.9], 0.0, 1.0)
     ball, complements = EventSpec.ball(ref, 0.5), EventSpec.complements([ref], [0.5])
