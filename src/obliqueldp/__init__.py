@@ -46,14 +46,12 @@ from .rate import (  # noqa: F401
 )
 from .control_stop import (  # noqa: F401
     DiscreteProblem,
-    ObstacleBoundError,
     multi_stop_value,
     reduced_value,
     value_inf_sup,
 )
 from .hjbvi import (  # noqa: F401
     ValueGrid,
-    constant_obstacle,
     load_npz,
     residual_scan,
     solve_eps_vi,

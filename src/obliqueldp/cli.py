@@ -26,12 +26,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .control_stop import DiscreteProblem, EnumerationLimitError, ObstacleBoundError, \
-    multi_stop_value, reduced_value
+from .control_stop import DiscreteProblem, EnumerationLimitError, multi_stop_value, \
+    reduced_value
 from .geometry import CoefficientField, Disk, Ellipse, GeometryError, Interval, \
     constant_function, oblique_from_tangent
-from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, constant_obstacle, solve_eps_vi, \
-    solve_limit_vi
+from .hjbvi import MAX_TYPE, MIN_TYPE, cell_width, solve_eps_vi, solve_limit_vi
 from .ldp import LdpConfig, checked_eps_ladder, dump_json, run_lower_bound_experiment, \
     run_upper_bound_experiment
 from .rate import rate_of_event, rate_of_path
@@ -444,13 +443,11 @@ def cmd_simulate(ctx: RunContext):
 def cmd_rate(ctx: RunContext):
     f = _fields(_top(ctx.cfg, "rate"), "rate", {
         "target": (ctx.reference, None), "event": (_text, None),
-        "n_segments": (_integer(least=1), 64), "max_segments": (_integer(least=1), None),
-        "substeps": (_integer(least=1), 4)})
+        "n_segments": (_integer(least=1), 64), "max_segments": (_integer(least=1), None)})
     n_segments = f["n_segments"]
     max_segments = 4 * n_segments if f["max_segments"] is None else f["max_segments"]
     _at_least(max_segments, "rate.max_segments", n_segments)
-    solve = dict(tol=ctx.rate_tol, n_segments=n_segments, substeps=f["substeps"],
-                 max_segments=max_segments)
+    solve = dict(tol=ctx.rate_tol, n_segments=n_segments, max_segments=max_segments)
     if f["target"] is not None:
         if f["event"] is not None:
             raise ConfigError("rate.event: give rate.target or rate.event, not both")
@@ -485,19 +482,16 @@ def cmd_stopping(ctx: RunContext):
     f = _fields(_top(ctx.cfg, "stopping"), "stopping", {
         "n_steps": (_integer(least=1), 4), "controls": _array(None, ctx.coeffs.m),
         "obstacles": _objects(_object(_tube(ctx.reference))),
-        "substeps": (_integer(least=1), 16),
-        "obstacle_bound": (_number(least=0), math.inf), "budget": (_number(least=1), 1e8)})
+        "substeps": (_integer(least=1), 16), "budget": (_number(least=1), 1e8)})
     obstacles = [tube_obstacle(**ob) for ob in f["obstacles"]]
     if not 1 <= len(obstacles) <= 3:
         raise ConfigError("stopping.obstacles: need between 1 and 3 obstacles")
     problem = DiscreteProblem.build(
         ctx.domain, ctx.field, ctx.coeffs, TimeGrid.uniform(ctx.t0, ctx.t_end, f["n_steps"]),
-        list(f["controls"]), obstacles, substeps=f["substeps"],
-        obstacle_bound=f["obstacle_bound"])
+        list(f["controls"]), obstacles, substeps=f["substeps"])
     values = {}
     indices = list(range(len(obstacles)))
-    with _named({ObstacleBoundError: "stopping.obstacle_bound: ",
-                 EnumerationLimitError: "stopping.budget: "}):
+    with _named({EnumerationLimitError: "stopping.budget: "}):
         for size in range(1, len(indices) + 1):
             for subset in itertools.combinations(indices, size):
                 # shares the problem's transition memo: each transition runs once
@@ -519,21 +513,14 @@ def _smoothing(val, path):
 def cmd_hjb(ctx: RunContext):
     f = _fields(_top(ctx.cfg, "hjb"), "hjb", {
         "vi_type": (_choice("min", "max"), "min"), "n_x": _integer(least=2),
-        "obstacle": _as_given, "store_every": (_integer(least=1), None),
-        "dv_est": (_number(positive=True), None), "eps": (_number(least=0), 0.0)})
+        "store_every": (_integer(least=1), None), "eps": (_number(least=0), 0.0),
+        "obstacle": _object({**_tube(ctx.reference), "smoothing": (_smoothing, "cell")})})
     ob = f["obstacle"]
-    if isinstance(ob, dict) and "height" in ob and "reference" not in ob:
-        obstacle = constant_obstacle(_fields(ob, "hjb.obstacle", {"height": _number()})["height"])
-    else:
-        ob = _fields(ob, "hjb.obstacle",
-                     {**_tube(ctx.reference), "smoothing": (_smoothing, "cell")})
-        if ob["smoothing"] == "cell":
-            ob["smoothing"] = cell_width(ctx.domain, f["n_x"])
-        with _named({ValueError: "hjb.obstacle.smoothing: "}):
-            obstacle = tube_obstacle(**ob)
+    if ob["smoothing"] == "cell":
+        ob["smoothing"] = cell_width(ctx.domain, f["n_x"])
+    with _named({ValueError: "hjb.obstacle.smoothing: "}):
+        obstacle = tube_obstacle(**ob)
     kwargs = dict(n_x=f["n_x"], t0=ctx.t0, t_end=ctx.t_end, store_every=f["store_every"])
-    if f["dv_est"] is not None:
-        kwargs["dv_est"] = f["dv_est"]
     vi_type = MIN_TYPE if f["vi_type"] == "min" else MAX_TYPE
     if f["eps"] > 0.0:
         grid = solve_eps_vi(ctx.domain, ctx.field, ctx.coeffs, obstacle,

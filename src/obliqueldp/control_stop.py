@@ -25,10 +25,6 @@ class EnumerationLimitError(RuntimeError):
     """Raised when a brute-force enumeration would exceed the budget."""
 
 
-class ObstacleBoundError(ValueError):
-    """Raised when an obstacle value exceeds the problem's declared bound."""
-
-
 def _cell_cost(a: np.ndarray, dt: float) -> float:
     """Running cost of one grid cell; shared by every solver in this module."""
     return 0.5 * float(a @ a) * dt
@@ -40,7 +36,6 @@ class DiscreteProblem:
     control_set: Sequence[np.ndarray]
     state_rule: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     obstacles: Sequence[Obstacle]
-    obstacle_bound: float = math.inf
     _transition_memo: dict = dataclass_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -52,8 +47,7 @@ class DiscreteProblem:
 
     @classmethod
     def build(cls, domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-              grid: TimeGrid, control_set, obstacles, substeps: int = 16,
-              obstacle_bound: float = math.inf) -> "DiscreteProblem":
+              grid: TimeGrid, control_set, obstacles, substeps: int = 16) -> "DiscreteProblem":
         """Problem whose one-cell transition integrates the reflected dynamics."""
 
         def state_rule(k: int, x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -63,15 +57,11 @@ class DiscreteProblem:
             return path.points[-1]
 
         return cls(grid=grid, control_set=control_set, state_rule=state_rule,
-                   obstacles=obstacles, obstacle_bound=obstacle_bound)
+                   obstacles=obstacles)
 
     def psi(self, i: int, k: int, x: np.ndarray) -> float:
         """Obstacle ``i`` at node ``k`` and state ``x``: its one value there."""
-        val = float(np.ravel(self.obstacles[i](float(self.grid.nodes[k]), x))[0])
-        if abs(val) > self.obstacle_bound:
-            raise ObstacleBoundError(
-                f"obstacle {i} exceeds declared bound {self.obstacle_bound} at node {k}")
-        return val
+        return float(np.ravel(self.obstacles[i](float(self.grid.nodes[k]), x))[0])
 
     def step(self, k: int, x: np.ndarray, a_idx: int) -> np.ndarray:
         key = (k, x.tobytes(), a_idx)

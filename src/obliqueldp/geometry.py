@@ -668,14 +668,15 @@ def validate_oblique(domain: Domain, field: ObliqueField,
     return ObliqueReport(min_dot=min_dot, n_samples=n_samples)
 
 
-def normal_field(domain: Domain, n_certify: int = 512) -> ObliqueField:
+def normal_field(domain: Domain) -> ObliqueField:
     """Reflection along the outward normal."""
-    return oblique_from_tangent(domain, 0.0, n_certify)
+    return oblique_from_tangent(domain, 0.0)
 
 
-def oblique_from_tangent(domain: Domain, kappa: float, n_certify: int = 512) -> ObliqueField:
+def oblique_from_tangent(domain: Domain, kappa: float) -> ObliqueField:
     """Normal plus ``kappa`` times the (counterclockwise) tangent; a tilt
-    (``kappa`` nonzero) needs a planar domain."""
+    (``kappa`` nonzero) needs a planar domain.  The field is certified
+    oblique on 512 boundary points."""
     kappa = float(kappa)
     if kappa != 0.0 and domain.dimension != 2:
         raise ValueError("tangential tilt requires a planar domain")
@@ -684,7 +685,7 @@ def oblique_from_tangent(domain: Domain, kappa: float, n_certify: int = 512) -> 
         return field.gamma_many(domain, _as_point(x, domain.dimension)[None, :])[0]
 
     field = ObliqueField(gamma, kappa)
-    validate_oblique(domain, field, n_certify)
+    validate_oblique(domain, field, 512)
     return field
 
 

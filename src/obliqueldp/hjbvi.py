@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,12 +39,6 @@ def cell_width(domain: Domain, n_x: int) -> float:
     domain's box: the one-cell smoothing of a tube obstacle."""
     box = domain.bounding_box
     return float(box[0, 1] - box[0, 0]) / (n_x - 1)
-
-
-def constant_obstacle(height: float) -> Obstacle:
-    def psi(t, X):
-        return np.full(np.atleast_2d(X).shape[0], float(height))
-    return psi
 
 
 @dataclass
@@ -289,21 +283,19 @@ class _Workspace:
 
 
 def solve_limit_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                   obstacle: Obstacle, vi_type: str = MIN_TYPE,
-                   terminal: Optional[Callable] = None, **options) -> ValueGrid:
+                   obstacle: Obstacle, vi_type: str = MIN_TYPE, **options) -> ValueGrid:
     """First-order obstacle problem (the small-noise limit): ``solve_eps_vi``
     at eps = 0, whose diffusion term is then multiplied by zero."""
-    return solve_eps_vi(domain, field, coeffs, obstacle, NoiseScale(0.0), vi_type,
-                        terminal, **options)
+    return solve_eps_vi(domain, field, coeffs, obstacle, NoiseScale(0.0), vi_type, **options)
 
 
 def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                 obstacle: Obstacle, eps: NoiseScale, vi_type: str = MIN_TYPE,
-                 terminal: Optional[Callable] = None, *, n_x: Optional[int] = None,
-                 t0: float = 0.0, t_end: float = 1.0, dt: Optional[float] = None,
-                 dv_est: Optional[float] = None,
-                 store_every: Optional[int] = None) -> ValueGrid:
-    """Second-order obstacle problem at noise level eps (log-transformed form)."""
+                 obstacle: Obstacle, eps: NoiseScale, vi_type: str = MIN_TYPE, *,
+                 n_x: Optional[int] = None, t0: float = 0.0, t_end: float = 1.0,
+                 dt: Optional[float] = None, store_every: Optional[int] = None) -> ValueGrid:
+    """Second-order obstacle problem at noise level eps (log-transformed form).
+
+    The terminal datum is the obstacle at ``t_end``."""
     eps = eps.eps
     if vi_type not in (MIN_TYPE, MAX_TYPE):
         raise ValueError(f"unknown vi_type {vi_type!r}")
@@ -314,14 +306,12 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     b0, sst0 = ws.coeff_arrays(t_end)
     max_b = float(np.max(np.linalg.norm(b0, axis=1)))
     max_s2 = float(np.max(np.linalg.norm(sst0, axis=(1, 2))))
-    if dv_est is None:
-        # the monotone projected scheme keeps gradients near the data's
-        # Lipschitz bound; estimate it from the terminal layer and obstacle
-        slopes = [ws.max_slope(np.asarray(obstacle(tt, pts), dtype=float).reshape(-1))
-                  for tt in np.linspace(t0, t_end, 9)]
-        if terminal is not None:
-            slopes.append(ws.max_slope(np.asarray(terminal(pts), dtype=float).reshape(-1)))
-        dv_est = 1.5 * max(slopes) + 2.0
+    # the monotone projected scheme keeps gradients near the data's
+    # Lipschitz bound; estimate it from the obstacle at nine times, the
+    # terminal layer at t_end among them
+    slopes = [ws.max_slope(np.asarray(obstacle(tt, pts), dtype=float).reshape(-1))
+              for tt in np.linspace(t0, t_end, 9)]
+    dv_est = 1.5 * max(slopes) + 2.0
     adv = max_b + max_s2 * dv_est
     # monotonicity needs the advective and diffusive outflow rates bounded
     # jointly, not separately
@@ -336,10 +326,7 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     if store_every is None:
         store_every = 1 if ws.d == 1 and n_t <= 20000 else max(1, n_t // 400)
 
-    if terminal is None:
-        v = np.asarray(obstacle(t_end, pts), dtype=float).reshape(-1)
-    else:
-        v = np.asarray(terminal(pts), dtype=float).reshape(-1)
+    v = np.asarray(obstacle(t_end, pts), dtype=float).reshape(-1)
     project = np.maximum if vi_type == MIN_TYPE else np.minimum
 
     times = [t_end]

@@ -21,6 +21,9 @@ from .sde import EventSpec
 
 INFEASIBLE = math.inf
 
+# Simulation steps per control segment.
+SUBSTEPS = 4
+
 
 @dataclass
 class RateResult:
@@ -41,15 +44,16 @@ class RateResult:
 class _PathBatch:
     """Evaluates many piecewise-constant controls at once.
 
-    Controls live on ``n_seg`` uniform segments; the state is stepped on a
-    finer uniform simulation grid (``substeps`` per segment).  All controls
-    advance together through ``sup_deviations``.  Constant coefficients give
-    every step a drift that does not read the state, built for all segments
-    at once, and such a batch is stepped a window at a time; otherwise the
-    coefficients are evaluated on the batch's rows at every step.
+    Controls live on ``n_seg`` uniform segments, the cells of ``seg_grid``;
+    the state is stepped on a finer uniform simulation grid (``SUBSTEPS``
+    per segment).  All controls advance together through ``sup_deviations``.
+    Constant coefficients give every step a drift that does not read the
+    state, built for all segments at once, and such a batch is stepped a
+    window at a time; otherwise the coefficients are evaluated on the
+    batch's rows at every step.
     """
 
-    def __init__(self, domain, field, coeffs, t0, x0, t_end, n_seg, substeps,
+    def __init__(self, domain, field, coeffs, t0, x0, t_end, n_seg,
                  references: Sequence[ReferencePath]):
         self.domain = domain
         self.field = field
@@ -57,9 +61,10 @@ class _PathBatch:
         self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         self.n_seg = n_seg
         self.m = coeffs.m
-        self.grid = TimeGrid.uniform(t0, t_end, n_seg * substeps)
+        self.seg_grid = TimeGrid.uniform(t0, t_end, n_seg)
+        self.grid = TimeGrid.uniform(t0, t_end, n_seg * SUBSTEPS)
         self.seg_dt = (t_end - t0) / n_seg
-        self.seg_of_step = np.minimum(np.arange(self.grid.n_steps) // substeps, n_seg - 1)
+        self.seg_of_step = np.minimum(np.arange(self.grid.n_steps) // SUBSTEPS, n_seg - 1)
         self.g_nodes = [np.atleast_2d(ref.at(self.grid.nodes)) for ref in references]
 
     def actions(self, A: np.ndarray) -> np.ndarray:
@@ -85,8 +90,7 @@ class _PathBatch:
         return sup_deviations(self.domain, self.field, X, self.grid, drift_at, self.g_nodes)[1]
 
     def control_from(self, a: np.ndarray) -> Control:
-        seg_grid = TimeGrid.uniform(self.grid.t0, self.grid.t_end, self.n_seg)
-        return Control(seg_grid, a.reshape(self.n_seg, self.m))
+        return Control(self.seg_grid, a.reshape(self.n_seg, self.m))
 
     def solve_path(self, a: np.ndarray):
         return solve_reflected_ode(self.domain, self.field, self.coeffs,
@@ -116,14 +120,15 @@ def _fd_minimize(objective, a0: np.ndarray):
 _WEIGHT_LADDER = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 
 
-def _pseudo_inverse_start(coeffs, t0, x0, target: ReferencePath, n_seg, t_end) -> np.ndarray:
+def _pseudo_inverse_start(coeffs, seg_grid: TimeGrid, target: ReferencePath) -> np.ndarray:
     """Control reproducing the target for unconstrained dynamics.
 
-    Uses alpha = sigma^T (sigma sigma^T)^{-1} (b - dg/dt) sampled at segment
-    midpoints; falls back to zeros when the diffusion is singular.
+    Uses alpha = sigma^T (sigma sigma^T)^{-1} (b - dg/dt) sampled at the
+    midpoints of the segments ``seg_grid``; falls back to zeros when the
+    diffusion is singular.
     """
-    seg_nodes = np.linspace(t0, t_end, n_seg + 1)
-    mids = 0.5 * (seg_nodes[:-1] + seg_nodes[1:])
+    t0, t_end, n_seg = seg_grid.t0, seg_grid.t_end, seg_grid.n_steps
+    mids = 0.5 * (seg_grid.nodes[:-1] + seg_grid.nodes[1:])
     a0 = np.zeros((n_seg, coeffs.m))
     h = (t_end - t0) / (4.0 * n_seg)
     b_fun, s_fun = coeffs.pointwise()
@@ -182,8 +187,7 @@ def _penalty_solve(batch: _PathBatch, starts, event: EventSpec, tol):
 
 def rate_of_path(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                  t0: float, x, g: ReferencePath, tol: float = 1e-3,
-                 n_segments: int = 64, substeps: int = 4,
-                 max_segments: int = 256) -> RateResult:
+                 n_segments: int = 64, max_segments: int = 256) -> RateResult:
     """Least action over controls whose reflected path reproduces ``g``.
 
     This is the action of the ball event of radius ``tol`` around ``g``: the
@@ -196,23 +200,21 @@ def rate_of_path(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
         return RateResult(INFEASIBLE, Control.zero(
             TimeGrid.uniform(t0, float(g.nodes[-1]), n_segments), coeffs.m), gap0, 0)
     return rate_of_event(domain, field, coeffs, t0, x0, EventSpec.ball(g, tol), tol=tol,
-                         n_segments=n_segments, substeps=substeps,
-                         max_segments=max_segments)
+                         n_segments=n_segments, max_segments=max_segments)
 
 
 def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
                   t0: float, x, event: EventSpec, tol: float = 1e-3,
                   t_end: Optional[float] = None, n_segments: int = 64,
-                  substeps: int = 4, max_segments: int = 256) -> RateResult:
+                  max_segments: int = 256) -> RateResult:
     """Least action over controls whose reflected path realizes the event."""
     x0 = _checked_start(domain, x)
     if t_end is None:
         t_end = float(max(ref.nodes[-1] for ref in event.references))
-    def escape_starts(n_seg):
-        starts = [np.zeros((n_seg, coeffs.m))]
+    def escape_starts(seg_grid):
+        starts = [np.zeros((seg_grid.n_steps, coeffs.m))]
         if event.kind == "ball":
-            starts.append(_pseudo_inverse_start(coeffs, t0, x0, event.references[0],
-                                                n_seg, t_end))
+            starts.append(_pseudo_inverse_start(coeffs, seg_grid, event.references[0]))
             return starts
         d = len(x0)
         dirs = [np.eye(d)[j] * s for j in range(d) for s in (+1.0, -1.0)]
@@ -220,13 +222,12 @@ def rate_of_event(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
             for u in dirs:
                 tgt_end = np.asarray(ref.at(t_end)) + (event.radii[i] + 3 * tol) * u
                 line = ReferencePath(np.array([t0, t_end]), np.stack([x0, tgt_end]))
-                starts.append(_pseudo_inverse_start(coeffs, t0, x0, line, n_seg, t_end))
+                starts.append(_pseudo_inverse_start(coeffs, seg_grid, line))
         return starts
 
     def run(n_seg, warm=None):
-        batch = _PathBatch(domain, field, coeffs, t0, x0, t_end, n_seg, substeps,
-                           event.references)
-        starts = escape_starts(n_seg)
+        batch = _PathBatch(domain, field, coeffs, t0, x0, t_end, n_seg, event.references)
+        starts = escape_starts(batch.seg_grid)
         if warm is not None:
             starts.append(np.repeat(warm, 2, axis=0))
         a, action, resid, infeas, nit = _penalty_solve(batch, starts, event, tol)
@@ -250,8 +251,7 @@ def _zero_tail(batch: _PathBatch, a_flat, event: EventSpec, tol):
     trimmed = a.copy()
     if met.any(axis=0).all():
         last_hit = batch.grid.nodes[met.argmax(axis=0)].max()
-        seg_nodes = np.linspace(batch.grid.t0, batch.grid.t_end, batch.n_seg + 1)
-        trimmed[seg_nodes[:-1] >= last_hit] = 0.0
+        trimmed[batch.seg_grid.nodes[:-1] >= last_hit] = 0.0
         if event.shortfalls(batch.max_devs(trimmed[None, :, :]), tol).max() <= tol:
             return trimmed.reshape(-1), float(batch.actions(trimmed[None, :, :])[0])
     return a_flat, float(batch.actions(a_flat.reshape(1, batch.n_seg, batch.m))[0])
@@ -298,20 +298,18 @@ class WeakStabilityReport:
 
 
 def weak_stability_check(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
-                         t0: float, x, n_max: int = 64) -> WeakStabilityReport:
-    """Path response to weakly-null oscillating controls sin(n s), on 4096
-    steps up to time 1.
+                         t0: float, x) -> WeakStabilityReport:
+    """Path response to weakly-null oscillating controls sin(n s), n = 1, 2,
+    4, ..., 64, on 4096 steps up to time 1.
 
     The controlled paths must approach the uncontrolled one as n grows.
     """
-    if n_max < 4:
-        raise ValueError("need n_max >= 4")
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     grid = TimeGrid.uniform(t0, 1.0, 4096)
     base = solve_reflected_ode(domain, field, coeffs, None, x0, grid)
     ns, dists = [], []
     n = 1
-    while n <= n_max:
+    while n <= 64:
         ctrl = Control.from_function(
             grid, lambda t, n=n: np.full(coeffs.m, np.sin(n * t)))
         path = solve_reflected_ode(domain, field, coeffs, ctrl, x0, grid)

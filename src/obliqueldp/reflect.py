@@ -250,11 +250,11 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
 
     The step-k inputs are ``drift_at(k, X)`` and ``shock_at(k, X)``, or,
     when ``drift_at`` is an array, its row k (broadcast to (B, d)): the
-    drifts then do not read the state.  Without a shock such a batch is
-    deterministic and state-free, and is stepped ``WINDOW`` steps at a time:
-    every row's predictors come from one running sum of its increments, the
-    same sequential float order as ``advance``, and one
-    ``Domain.inside_many`` call finds the rows that leave the closure.
+    drifts then do not read the state, and an array of drifts takes no
+    shocks.  Such a batch is deterministic and state-free, and is stepped
+    ``WINDOW`` steps at a time: every row's predictors come from one running
+    sum of its increments, the same sequential float order as ``advance``,
+    and one ``Domain.inside_many`` call finds the rows that leave the closure.
     Those rows alone re-run the window through ``advance`` from the earliest
     first exit among them, so every result is bitwise that of the per-step
     loop.
@@ -272,11 +272,7 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
     dts = grid.dts
     if not callable(drift_at):
         drifts = np.broadcast_to(drift_at, (grid.n_steps,) + X.shape)
-        if shock_at is None:
-            return _step_windows(domain, field, X, dts, drifts, g_nodes, sq)
-
-        def drift_at(k, _X):
-            return drifts[k]
+        return _step_windows(domain, field, X, dts, drifts, g_nodes, sq)
     for k in range(grid.n_steps):
         X, _ = advance(domain, field, X, drift_at(k, X), dts[k],
                        None if shock_at is None else shock_at(k, X))

@@ -293,7 +293,6 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
             ("testfn-check", EXAMPLE, "testfn.eps", 2.0),
             ("testfn-check", EXAMPLE, "testfn.n_boundary", 0),
             ("rate", EXAMPLE, "rate.n_segments", 0),
-            ("rate", EXAMPLE, "rate.substeps", 0),
             ("simulate", EXAMPLE, "eps", -0.5),
             ("simulate", EXAMPLE, "n_samples", 10),
             ("stopping", EXAMPLE, "stopping.obstacles[0].reference.point", [0.0, 0.0]),
@@ -308,10 +307,6 @@ def test_config_errors_name_the_field(tmp_path, capsys, monkeypatch):
             ("rate", EXAMPLE, "rate.max_segments", -4),
             ("stopping", EXAMPLE, "stopping.budget", 0),
             ("stopping", EXAMPLE, "stopping.budget", -5),
-            ("stopping", EXAMPLE, "stopping.obstacle_bound", -1.0),
-            ("stopping", EXAMPLE, "stopping.obstacle_bound", 0.5),
-            ("hjb", EXAMPLE, "hjb.dv_est", -1.0),
-            ("hjb", EXAMPLE, "hjb.dv_est", 0.0),
             ("hjb", EXAMPLE, "coefficients.drift.value", [0.0, 1.0]),
             ("hjb", EXAMPLE, "coefficients.dispersion.value", [[1.0, "x"]]),
             ("hjb", OU, "coefficients.drift.offset", [0.2, 0.1]),
@@ -470,18 +465,25 @@ UNKNOWN_FIELDS = [
     ("hjb", DISK, "domain.centre", [0.5, 0.0], "domain.centre"),
     ("simulate", EXAMPLE, "events[0].references[0].pont", [0.5],
      "events[0].references[0].pont"),
-    # a constant obstacle has a height and nothing else
-    ("hjb", EXAMPLE, "hjb.obstacle", {"height": 1.0, "radius": 0.5}, "hjb.obstacle.radius"),
+    # retired settings: the solver works each one out or uses one value
+    ("hjb", EXAMPLE, "hjb.dv_est", 35.0, "hjb.dv_est"),
+    ("stopping", EXAMPLE, "stopping.obstacle_bound", 10.0, "stopping.obstacle_bound"),
+    ("rate", EXAMPLE, "rate.substeps", 4, "rate.substeps"),
+    # an hjb obstacle is a tube: a bare height is no constant obstacle
+    ("hjb", EXAMPLE, "hjb.obstacle", {"height": 1.0}, "hjb.obstacle.reference",
+     "missing required field"),
 ]
 
 
-@pytest.mark.parametrize("subcommand, base, dotted, value, named", UNKNOWN_FIELDS,
-                         ids=[case[-1] for case in UNKNOWN_FIELDS])
-def test_unknown_fields_fail_by_name(tmp_path, capsys, subcommand, base, dotted, value, named):
+@pytest.mark.parametrize("subcommand, base, dotted, value, named, complaint",
+                         [(*case, "unknown field")[:6] for case in UNKNOWN_FIELDS],
+                         ids=[case[4] for case in UNKNOWN_FIELDS])
+def test_unknown_fields_fail_by_name(tmp_path, capsys, subcommand, base, dotted, value, named,
+                                     complaint):
     path, out = tmp_path / "unknown.json", tmp_path / "out"
     path.write_text(json.dumps(_with(base, dotted, value)))
     assert run_cli(subcommand, path, out) == 1
-    assert f"config error: {named}: unknown field" in capsys.readouterr().err
+    assert f"config error: {named}: {complaint}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -145,7 +145,7 @@ def test_ou_eps_vi_layers_are_pinned():
 def test_ou_rate_of_event_is_pinned():
     iv, field, co = _ou_setup()
     event = EventSpec.complements([ReferencePath.constant([0.0], 0.0, 1.0)], [0.5])
-    res = rate_of_event(iv, field, co, 0.0, [0.0], event, n_segments=8, substeps=4,
+    res = rate_of_event(iv, field, co, 0.0, [0.0], event, n_segments=8,
                         max_segments=8)
     assert res.value == 0.13205116421306085
     assert res.iterations == 67

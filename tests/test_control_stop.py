@@ -4,7 +4,6 @@ import pytest
 from obliqueldp.control_stop import (
     DiscreteProblem,
     EnumerationLimitError,
-    ObstacleBoundError,
     multi_stop_value,
     reduced_value,
     value_inf_sup,
@@ -14,14 +13,13 @@ from obliqueldp.reflect import ReferencePath, TimeGrid
 from obliqueldp.sde import tube_obstacle
 
 
-def _problem(obstacles, controls=(0.0, 1.0), n_steps=2, obstacle_bound=np.inf):
+def _problem(obstacles, controls=(0.0, 1.0), n_steps=2):
     iv = Interval(-1.0, 1.0)
     field = normal_field(iv)
     coeffs = constant_coefficients([0.0], [[1.0]])
     grid = TimeGrid.uniform(0.0, 1.0, n_steps)
     return DiscreteProblem.build(iv, field, coeffs, grid,
-                                 [np.array([a]) for a in controls], obstacles,
-                                 obstacle_bound=obstacle_bound)
+                                 [np.array([a]) for a in controls], obstacles)
 
 
 def test_two_step_values_match_hand_computation():
@@ -48,12 +46,6 @@ def test_node_index_requires_exact_node():
     p = _problem([lambda t, y: 1.0])
     with pytest.raises(ValueError, match="not a grid node"):
         reduced_value(p, 0.3, [0.0])
-
-
-def test_obstacle_bound_enforced():
-    p = _problem([lambda t, y: 2.0], obstacle_bound=1.0)
-    with pytest.raises(ObstacleBoundError):
-        reduced_value(p, 0.0, [0.0])
 
 
 def test_enumeration_budget_guard():

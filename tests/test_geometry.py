@@ -66,7 +66,7 @@ def test_disk_batch_projection_and_normals_match_pointwise():
         assert nb.tobytes() == nr.tobytes()
         np.testing.assert_allclose(np.linalg.norm(nb, axis=1), 1.0, atol=1e-12)
         for kappa in kappas:
-            field = oblique_from_tangent(dom, kappa, n_certify=16)
+            field = oblique_from_tangent(dom, kappa)
             rows = np.array([field(q) for q in proj_batch])
             assert rows.tobytes() == field.gamma_many(dom, proj_batch).tobytes()
 
@@ -209,7 +209,7 @@ def test_exterior_mask_is_the_signed_distance_sign():
             assert not at_zero.any()
             continue
         assert at_zero.any()
-        field = normal_field(dom, n_certify=16)
+        field = normal_field(dom)
         for p in X[at_zero]:
             q, dz = reflect_step(dom, field, p)
             assert q.tobytes() == p.tobytes() and dz.tobytes() == np.zeros(2).tobytes()
@@ -222,8 +222,8 @@ def test_exterior_mask_is_the_signed_distance_sign():
 def _contact_case(shape, a, b, cx, cy, kappa):
     dom = Ellipse(a, b, (cx, cy)) if shape == "ellipse" else _squircle(a, b, (cx, cy))[0]
     if kappa is None:
-        return dom, normal_field(dom, n_certify=16)
-    return dom, oblique_from_tangent(dom, kappa, n_certify=16)
+        return dom, normal_field(dom)
+    return dom, oblique_from_tangent(dom, kappa)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,7 +271,7 @@ def test_oblique_pushback_of_a_point_outside_by_rounding():
     outside = 0
     while outside < 200:
         dom = Ellipse(*rng.uniform(0.4, 2.5, 2), rng.uniform(-2.0, 2.0, 2))
-        field = oblique_from_tangent(dom, rng.uniform(-1.0, 1.0), n_certify=16)
+        field = oblique_from_tangent(dom, rng.uniform(-1.0, 1.0))
         for th in rng.uniform(0.0, 2.0 * np.pi, 8):
             p = dom.center + dom.boundary(np.float64(th))[0] + rng.uniform(-3e-16, 3e-16, 2)
             if dom.signed_distance(p) >= 0.0:
@@ -382,7 +382,7 @@ def test_validate_oblique_accepts_normal_and_tilted_fields():
     assert fob.kind == "oblique-tangent"
     assert fob.kappa == 0.5
     # a built-in field is its tilt: kappa 0 is the normal field, None custom
-    nf, flat = normal_field(disk, n_certify=64), oblique_from_tangent(disk, 0.0, n_certify=64)
+    nf, flat = normal_field(disk), oblique_from_tangent(disk, 0.0)
     assert (nf.kind, nf.kappa) == (flat.kind, flat.kappa) == ("normal", 0.0)
     pts = disk.boundary_points(7) * 1.1
     assert np.array_equal([nf(p) for p in pts], [flat(p) for p in pts])

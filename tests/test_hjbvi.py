@@ -17,7 +17,6 @@ from obliqueldp.hjbvi import (
     MAX_TYPE,
     CflError,
     NanError,
-    constant_obstacle,
     ValueGrid,
     load_npz,
     residual_scan,
@@ -36,6 +35,11 @@ def _setup_1d():
 def _moving_reference():
     grid = TimeGrid.uniform(0.0, 1.0, 512)
     return ReferencePath.from_function(grid, lambda s: np.array([s]))
+
+
+def constant_obstacle(height, terminal=None):
+    """The obstacle ``height``, or ``terminal`` at t = 1.0, the solvers' default end."""
+    return lambda t, X: np.full(len(X), height if terminal is None or t < 1.0 else terminal)
 
 
 def test_constant_obstacle_is_reproduced_exactly():
@@ -108,13 +112,14 @@ def test_eps_solver_tracks_the_diffusive_functional():
 
 
 def test_scheme_is_monotone_in_the_obstacle():
+    # the taller obstacle has the steeper ramp: its own time step is
+    # admissible for the lower one, as in cap_identity_check
     iv, field, coeffs = _setup_1d()
     gref = _moving_reference()
-    kw = dict(n_x=101, dv_est=35.0, dt=1e-4)
-    lo = solve_limit_vi(iv, field, coeffs,
-                        tube_obstacle(gref, 0.5, 1.0, complement=True), **kw)
     hi = solve_limit_vi(iv, field, coeffs,
-                        tube_obstacle(gref, 0.5, 1.2, complement=True), **kw)
+                        tube_obstacle(gref, 0.5, 1.2, complement=True), n_x=101)
+    lo = solve_limit_vi(iv, field, coeffs,
+                        tube_obstacle(gref, 0.5, 1.0, complement=True), n_x=101, dt=hi.dt)
     assert lo.dt == hi.dt
     assert np.all(hi.layers >= lo.layers - 1e-12)
 
@@ -133,10 +138,9 @@ def test_complementarity_scan_is_exact_on_full_storage():
 
 def test_max_type_projection_acts_from_above():
     iv, field, coeffs = _setup_1d()
-    vg = solve_limit_vi(iv, field, coeffs, constant_obstacle(0.4),
-                        vi_type=MAX_TYPE, terminal=lambda pts: np.full(len(pts), 2.0),
-                        n_x=41)
-    # the terminal layer holds the raw terminal data; every earlier layer is
+    vg = solve_limit_vi(iv, field, coeffs, constant_obstacle(0.4, terminal=2.0),
+                        vi_type=MAX_TYPE, n_x=41)
+    # the terminal layer holds the obstacle at t_end; every earlier layer is
     # clipped from above by the obstacle
     assert float(vg.layers[-1].max()) == 2.0
     assert float(vg.layers[:-1].max()) <= 0.4 + 1e-12
@@ -151,14 +155,15 @@ def test_cfl_violation_rejected():
 
 
 def test_nonfinite_layers_detected():
+    # an obstacle that is -inf near 0 at t_end makes the first step inf - inf
     iv, field, coeffs = _setup_1d()
-    ref = ReferencePath.constant([0.0], 0.0, 1.0)
-    obs = tube_obstacle(ref, 0.5, 1.0, complement=True)
+
+    def obstacle(t, X):
+        return np.where((t == 1.0) & (np.abs(X[:, 0]) < 0.1), -np.inf, 0.0)
+
     with np.errstate(invalid="ignore"):
         with pytest.raises(NanError):
-            solve_limit_vi(
-                iv, field, coeffs, obs, n_x=41,
-                terminal=lambda pts: np.where(np.abs(pts[:, 0]) < 0.1, -np.inf, 0.0))
+            solve_limit_vi(iv, field, coeffs, obstacle, n_x=41)
 
 
 def test_unknown_vi_type_rejected():

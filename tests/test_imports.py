@@ -1,11 +1,12 @@
 """Every name a package or test module imports is used there (a stdlib stand-in
 for F401), no package module imports ``scipy.stats``, the pipelines that
 never call scipy's solvers do not load them, every default of a package
-function is overridden by some call: in the package for a private
-function, in the package, the tests or the benchmark for a public one,
-every public definition of the package runs in a pipeline or is named
-library-only API, and no function takes a start time ``t0`` beside a
-``grid``, whose first node is the start time.
+function is overridden by some call with a value other than the default's
+own literal: in the package for a private function, in the package, the
+tests or the benchmark for a public one, every public definition of the
+package runs in a pipeline or is named library-only API, and no function
+takes a start time ``t0`` beside a ``grid``, whose first node is the start
+time.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -218,17 +219,17 @@ def _defs(tree, private):
 
 
 def _defaulted(func, is_method):
-    """(name, positional index or None) of every parameter with a default;
-    a method's index does not count ``self``."""
+    """(name, positional index or None, default) of every parameter with a
+    default; a method's index does not count ``self``."""
     args = func.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
     shift = 1 if is_method else 0
-    for i, arg in enumerate(positional[first:], start=first):
-        yield arg.arg, i - shift
+    for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), start=first):
+        yield arg.arg, i - shift, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _spelled(scope):
@@ -258,21 +259,43 @@ def _calls(scope, names=None):
         yield from _calls(node, names)
 
 
-def _passes(call, spelled, name, index):
-    """Whether ``call`` passes the parameter by keyword or by position; a
-    ``*args`` argument may pass anything, a ``**kwargs`` argument the names
-    ``spelled`` out where the call is made."""
-    if any(kw.arg == name or (kw.arg is None and name in spelled) for kw in call.keywords):
-        return True
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression, or a marker that equals no value."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _overrides(value, default) -> bool:
+    """Whether passing the expression ``value`` can change a parameter whose
+    default is ``default``: not when both are the same literal."""
+    got, want = _literal(value), _literal(default)
+    return got is _NOT_LITERAL or type(got) is not type(want) or got != want
+
+
+def _passes(call, spelled, name, index, default):
+    """Whether ``call`` passes the parameter by keyword or by position with a
+    value other than its default's own literal; a ``*args`` argument may
+    pass anything, a ``**kwargs`` argument the names ``spelled`` out where
+    the call is made."""
+    for kw in call.keywords:
+        if kw.arg == name and _overrides(kw.value, default):
+            return True
+        if kw.arg is None and name in spelled:
+            return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return index is not None and len(call.args) > index
+    return index is not None and len(call.args) > index and _overrides(call.args[index], default)
 
 
 def unpassed_defaults(sources, callers, private):
     """``name(param)`` for each defaulted parameter of a private (or public)
     function or method in ``sources`` that no call of that name in
-    ``callers`` passes."""
+    ``callers`` passes a value other than the default."""
     trees = [ast.parse(src) for src in sources]
     calls = {}
     for tree in map(ast.parse, callers):
@@ -283,8 +306,8 @@ def unpassed_defaults(sources, callers, private):
     return sorted(f"{fname}({param})"
                   for tree in trees
                   for fname, func, is_method in _defs(tree, private)
-                  for param, index in _defaulted(func, is_method)
-                  if not any(_passes(c, spelled, param, index)
+                  for param, index, default in _defaulted(func, is_method)
+                  if not any(_passes(c, spelled, param, index, default)
                              for c, spelled in calls.get(fname, [])))
 
 
@@ -313,10 +336,20 @@ def test_default_checker_counts_keywords_positions_and_methods():
            "    def _m(self, x=0, y=1):\n        pass\n"
            "    def __init__(self, z=0):\n        pass\n"
            "    def m(self, w=0):\n        pass\n"
-           "_f(0, c=3)\n_g(0, 1)\nK()._m(5)\n")
+           "_f(0, c=3)\n_g(0, 2)\nK()._m(5)\n")
     assert unpassed_defaults([src], [src], private=True) == ["_f(b)", "_m(y)"]
     assert unpassed_defaults([src], [src], private=False) == ["m(w)"]
     assert unpassed_defaults([src], [src, "K().m(w=1)\n"], private=False) == []
+
+
+def test_default_checker_does_not_count_the_default_literal():
+    # passing a default's own literal value sets nothing
+    src = ("def f(a, n=64, *, s='x', t=None, u=-1.5):\n    pass\n"
+           "f(0, 64, s='x', t=None, u=-1.5)\n")
+    assert unpassed_defaults([src], [src], private=False) == ["f(n)", "f(s)", "f(t)", "f(u)"]
+    # another literal, a literal of another type, or a non-literal is an override
+    assert unpassed_defaults([src], [src, "f(0, n=32, s=b'x', t=T, u=(-1.5,))\n"],
+                             private=False) == []
 
 
 def test_default_checker_reads_double_star_arguments_where_they_are_built():

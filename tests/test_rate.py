@@ -132,7 +132,7 @@ def test_sliding_action_sees_the_tilt(kappa):
 
 def test_weak_stability_of_oscillating_controls():
     iv, field, coeffs = _setup_1d()
-    rep = weak_stability_check(iv, field, coeffs, 0.0, [0.0], n_max=64)
+    rep = weak_stability_check(iv, field, coeffs, 0.0, [0.0])
     assert rep.passed
     assert rep.n_values[-1] == 64
     # tail decays like 1/n
@@ -190,7 +190,7 @@ def test_batched_segment_drifts_equal_the_per_segment_loop(m):
     coeffs = constant_coefficients([0.1, -0.2], sigma)
     refs = [ReferencePath.constant([0.5, 0.0], 0.0, 1.0),
             ReferencePath(np.array([0.0, 1.0]), np.array([[0.5, 0.0], [0.2, 0.6]]))]
-    batch = _PathBatch(disk, field, coeffs, 0.0, [0.5, 0.0], 1.0, 16, 4, refs)
+    batch = _PathBatch(disk, field, coeffs, 0.0, [0.5, 0.0], 1.0, 16, refs)
     A = np.random.default_rng(m).normal(0.0, 2.0, (9, 16, m))
     b, sig = coeffs.rows(0.0, batch.x0[None, :])
     per_seg = [b - np.einsum("...dm,...m->...d", sig, A[:, j, :]) for j in range(16)]

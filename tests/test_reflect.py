@@ -124,7 +124,7 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
     # radial projection is a second oracle.
     centre = np.array([cx, cy])
     disk = Disk(radius, centre)
-    field = oblique_from_tangent(disk, kappa, n_certify=16)
+    field = oblique_from_tangent(disk, kappa)
     p = centre + radius * (1.0 + 10.0 ** overshoot) * np.array([np.cos(theta), np.sin(theta)])
     q, dz = disk.closed_contact(p, field)
     scale = np.linalg.norm(p - centre) + np.linalg.norm(centre)
@@ -145,7 +145,7 @@ def test_closed_disk_contact_is_the_oblique_pushback(radius, cx, cy, kappa, over
     assert all(a.tobytes() == b.tobytes() for a, b in zip(reflect_step(disk, field, p), (q, dz)))
     c = disk.project_to_boundary(p)
     for contact, oracle in ((disk.closed_contact(p, _as_custom(field)), (q, dz)),
-                            (disk.closed_contact(p, normal_field(disk, n_certify=16)),
+                            (disk.closed_contact(p, normal_field(disk)),
                              (c, p - c))):
         for u, v in zip(contact, oracle):
             np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-13 * scale)
@@ -195,7 +195,7 @@ def test_exterior_ellipse_rows_go_through_reflect_step(monkeypatch):
     # perfbench/tracing.py counts reflect.reflect_step calls on the oblique
     # workloads: the ellipse's contact answers per row inside it
     ell = Ellipse(1.2, 0.7)
-    field = oblique_from_tangent(ell, 0.3, n_certify=64)
+    field = oblique_from_tangent(ell, 0.3)
     calls = []
     step = reflect.reflect_step
     monkeypatch.setattr(reflect, "reflect_step", lambda *a: calls.append(a[2]) or step(*a))
@@ -221,8 +221,8 @@ def test_oblique_pushback_finds_a_root_at_the_seam_of_the_scan():
     # roots within rounding of the angle 0, where the cross product at 2*pi
     # rounds to the other sign than at 0
     ell = Ellipse(1.0, 1.0)
-    for field, t in ((normal_field(ell, n_certify=16), 2.0 * np.pi),
-                     (oblique_from_tangent(ell, 4.4321210021707683e-185, n_certify=16), 0.0)):
+    for field, t in ((normal_field(ell), 2.0 * np.pi),
+                     (oblique_from_tangent(ell, 4.4321210021707683e-185), 0.0)):
         p = 1.03125 * ell.boundary(np.float64(t))[0]
         q, dz = ell.oblique_pushback(p, field)
         np.testing.assert_allclose(q, [1.0, 0.0], rtol=0.0, atol=1e-15)
@@ -450,7 +450,7 @@ def test_start_check_decides_as_the_signed_distance(kind):
 
 @functools.lru_cache(maxsize=None)
 def _normal(kind):
-    return normal_field(_DOMAINS[kind], n_certify=64)
+    return normal_field(_DOMAINS[kind])
 
 
 def _scaled_boundary_point(domain, r, theta):
@@ -477,7 +477,7 @@ def test_batch_corrector_matches_reflect_step_and_keeps_the_invariants(kind, kap
     if kappa is None or domain.dimension == 1:
         field = _normal(kind)
     else:
-        field = oblique_from_tangent(domain, kappa, n_certify=64)
+        field = oblique_from_tangent(domain, kappa)
     if custom:
         field = _as_custom(field)
     P = np.array([_scaled_boundary_point(domain, r, th) for r, th in rows])
@@ -506,7 +506,7 @@ def test_closed_contact_leaves_the_closure_unchanged(kind, tilt):
     if tilt == "normal" or domain.dimension == 1:
         field = _normal(kind)
     else:
-        field = oblique_from_tangent(domain, 0.4 if kind == "disk" else 1.0, n_certify=64)
+        field = oblique_from_tangent(domain, 0.4 if kind == "disk" else 1.0)
     if tilt == "custom":
         field = _as_custom(field)
     B = domain.boundary_points(24)
@@ -525,13 +525,13 @@ def test_closed_contact_leaves_the_closure_unchanged(kind, tilt):
 _WINDOWED = {
     "interval": (_DOMAINS["interval"], _normal("interval")),
     "disk-normal": (_DOMAINS["disk"], _normal("disk")),
-    "disk-oblique": (_DOMAINS["disk"], oblique_from_tangent(_DOMAINS["disk"], 0.5, n_certify=64)),
+    "disk-oblique": (_DOMAINS["disk"], oblique_from_tangent(_DOMAINS["disk"], 0.5)),
     "ellipse-oblique": (_DOMAINS["ellipse"],
-                        oblique_from_tangent(_DOMAINS["ellipse"], 0.3, n_certify=64)),
+                        oblique_from_tangent(_DOMAINS["ellipse"], 0.3)),
     "disk-custom": (_DOMAINS["disk"],
-                    _as_custom(oblique_from_tangent(_DOMAINS["disk"], 1.0, n_certify=64))),
+                    _as_custom(oblique_from_tangent(_DOMAINS["disk"], 1.0))),
     "ellipse-custom": (_DOMAINS["ellipse"],
-                       _as_custom(oblique_from_tangent(_DOMAINS["ellipse"], 0.3, n_certify=64))),
+                       _as_custom(oblique_from_tangent(_DOMAINS["ellipse"], 0.3))),
 }
 
 
