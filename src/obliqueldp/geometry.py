@@ -199,8 +199,12 @@ class Domain:
         the domain's one closure test, and the sign of its signed distances."""
         return np.array([self.level_function(x) <= 0.0 for x in X], dtype=bool)
 
-    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
-        d = _row_norms(X - self._closest_points(X))
+    def _signed_distances(self, X: np.ndarray, Q: Optional[np.ndarray] = None) -> np.ndarray:
+        """Signed distances of the rows of ``X``; ``Q``, when given, holds
+        their closest points, ``_closest_points(X)``, already solved.  The
+        closed forms of ``Interval`` and ``Disk`` ignore it: their distances
+        round as those forms do, not as ``X - Q``."""
+        d = _row_norms(X - (self._closest_points(X) if Q is None else Q))
         return np.where(self.inside_many(X), d, -d)
 
     # -- core operations ---------------------------------------------------
@@ -408,7 +412,7 @@ class Interval(Domain):
         x0 = float(np.atleast_1d(x)[0])
         return -min(x0 - self.a, self.b - x0)
 
-    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
+    def _signed_distances(self, X: np.ndarray, Q=None) -> np.ndarray:
         x = X[:, 0]
         return np.minimum(x - self.a, self.b - x)
 
@@ -510,7 +514,7 @@ class Disk(Ellipse):
         self.radius = float(radius)
         super().__init__(radius, radius, center)
 
-    def _signed_distances(self, X: np.ndarray) -> np.ndarray:
+    def _signed_distances(self, X: np.ndarray, Q=None) -> np.ndarray:
         # np.linalg.norm(axis=1) without its per-call overhead, same rounding
         D = X - self.center
         return self.radius - np.sqrt(np.add.reduce(D * D, axis=1))
@@ -631,16 +635,18 @@ class ObliqueField:
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.gamma(np.asarray(x, dtype=float)), dtype=float)
 
-    def gamma_many(self, domain: "Domain", Q) -> np.ndarray:
+    def gamma_many(self, domain: "Domain", Q, normals=None) -> np.ndarray:
         """Evaluate the field on an array of boundary points.
 
-        A built-in field takes a vectorized path; a custom one falls back to
-        a row loop over the scalar callable.
+        A built-in field takes a vectorized path from ``normals``, the
+        outward normals ``domain.normal_many(Q)`` when the caller already
+        holds them; a custom one falls back to a row loop over the scalar
+        callable and ignores them.
         """
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         if self.kappa is None:
             return np.array([self(q) for q in Q])
-        n = domain.normal_many(Q)
+        n = domain.normal_many(Q) if normals is None else normals
         if self.kappa == 0.0:
             return n
         return n + self.kappa * np.stack([-n[:, 1], n[:, 0]], axis=1)
@@ -659,7 +665,8 @@ def validate_oblique(domain: Domain, field: ObliqueField,
     Raises ObliqueConditionError when the sampled minimum is nonpositive.
     """
     pts = domain.boundary_points(n_samples)
-    dots = _row_dots(field.gamma_many(domain, pts), domain.normal_many(pts))
+    nrm = domain.normal_many(pts)
+    dots = _row_dots(field.gamma_many(domain, pts, nrm), nrm)
     min_dot = float(dots.min())
     if min_dot <= 0.0:
         worst = pts[int(np.argmin(dots))]

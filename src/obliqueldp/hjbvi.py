@@ -308,9 +308,14 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     max_s2 = float(np.max(np.linalg.norm(sst0, axis=(1, 2))))
     # the monotone projected scheme keeps gradients near the data's
     # Lipschitz bound; estimate it from the obstacle at nine times, the
-    # terminal layer at t_end among them
-    slopes = [ws.max_slope(np.asarray(obstacle(tt, pts), dtype=float).reshape(-1))
-              for tt in np.linspace(t0, t_end, 9)]
+    # terminal layer at t_end among them; a non-finite sample has no slope
+    slopes = []
+    for tt in np.linspace(t0, t_end, 9):
+        psi = np.asarray(obstacle(tt, pts), dtype=float).reshape(-1)
+        if not np.all(np.isfinite(psi)):
+            raise NanError(f"non-finite obstacle values at t = {tt:.6g}, "
+                           "where the gradient estimate samples it")
+        slopes.append(ws.max_slope(psi))
     dv_est = 1.5 * max(slopes) + 2.0
     adv = max_b + max_s2 * dv_est
     # monotonicity needs the advective and diffusive outflow rates bounded

@@ -79,14 +79,15 @@ class SmoothedDirectionField:
         """Exact (unsmoothed) values at points assumed to lie on the boundary."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         nrm = self.domain.normal_many(Q)
-        g = self.field.gamma_many(self.domain, Q)
+        g = self.field.gamma_many(self.domain, Q, nrm)
         dots = np.einsum("ij,ij->i", g, nrm)
         return g / dots[:, None]
 
     def _extended(self, P: np.ndarray) -> np.ndarray:
+        # one closest-point solve serves the values and the depth
         proj = self.domain.project_to_boundary_many(P)
         vals = self.boundary_values(proj)
-        depth = self.domain.signed_distance_many(P)
+        depth = self.domain._signed_distances(P, proj)
         s = np.clip((depth - self.blend_lo) / (self.blend_hi - self.blend_lo), 0.0, 1.0)
         fade = 1.0 - s * s * (3.0 - 2.0 * s)
         return fade[:, None] * vals + (1.0 - fade)[:, None] * self.mean

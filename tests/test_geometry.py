@@ -405,6 +405,25 @@ def test_oblique_gamma_many_matches_scalar_calls():
     np.testing.assert_allclose(batch, rows, atol=1e-12)
 
 
+@pytest.mark.parametrize("dom, pinned", [
+    (Disk(1.0), (0.9999999999999999, 0.9999999999999998, 1.2999999999999998)),
+    (Ellipse(1.2, 0.7), (0.9999999999999997, 0.9999999999999997, 1.13160676220906)),
+])
+def test_gamma_many_takes_the_normals_it_is_given(dom, pinned):
+    # given normals are the ones gamma_many would solve for, so every bit
+    # stays; a custom field ignores them; the certified minima are the
+    # values of the two-solve formula
+    q = dom.boundary_points(64)
+    n = dom.normal_many(q)
+    custom = ObliqueField(lambda x: 1.3 * (x - dom.center) / np.linalg.norm(x - dom.center))
+    fields = [oblique_from_tangent(dom, k) for k in (0.0, 0.5)] + [custom]
+    for field, min_dot in zip(fields, pinned):
+        assert np.array_equal(field.gamma_many(dom, q, n), field.gamma_many(dom, q))
+        assert validate_oblique(dom, field, 512).min_dot == min_dot
+    assert np.array_equal(custom.gamma_many(dom, q, np.full_like(n, np.nan)),
+                          custom.gamma_many(dom, q))
+
+
 def test_constant_coefficients_fields_and_flags():
     co = constant_coefficients([1.0, -2.0], [[0.5, 0.0], [0.0, 0.3]])
     assert co.is_constant

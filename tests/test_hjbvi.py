@@ -166,6 +166,19 @@ def test_nonfinite_layers_detected():
             solve_limit_vi(iv, field, coeffs, obstacle, n_x=41)
 
 
+def test_nonfinite_obstacle_fails_at_the_gradient_estimate():
+    # 5x with -inf on |x| < 0.1: its slope is not 5 but undefined, so the
+    # solve stops at the first estimate time instead of stepping from a
+    # floor estimate
+    iv, field, coeffs = _setup_1d()
+
+    def obstacle(t, X):
+        return np.where(np.abs(X[:, 0]) < 0.1, -np.inf, 5.0 * X[:, 0])
+
+    with pytest.raises(NanError, match=r"non-finite obstacle values at t = 0, "):
+        solve_limit_vi(iv, field, coeffs, obstacle, n_x=41)
+
+
 def test_unknown_vi_type_rejected():
     iv, field, coeffs = _setup_1d()
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from obliqueldp.geometry import (
     Disk,
+    Domain,
     Ellipse,
     Interval,
     ObliqueField,
@@ -194,3 +195,71 @@ def test_smoothed_field_jacobian_is_finite_through_the_core():
         J = sm.jacobian(p)
         assert np.all(np.isfinite(J))
         assert np.linalg.norm(J) < 50.0
+
+
+def _tilted_ellipse():
+    """The ellipse (1.1, 0.8) turned by 0.4 about (0.2, -0.1), as a custom
+    planar Domain: the generic closest-point solve, with no centre rule."""
+    c, s = np.array([0.2, -0.1]), np.array([1.1, 0.8])
+    R = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+
+    def level(x):
+        z = R.T @ (np.asarray(x) - c) / s
+        return float(z @ z - 1.0)
+
+    def grad(x):
+        return R @ (2.0 * (R.T @ (np.asarray(x) - c)) / (s * s))
+
+    def curve(t):
+        e = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        g = (e * s) @ R.T
+        return g, (e[..., ::-1] * np.array([-1.0, 1.0]) * s) @ R.T, -g
+
+    return Domain(level, np.stack([c - 1.2, c + 1.2], axis=1), boundary=curve,
+                  grad_level=grad, center=c)
+
+
+def _two_solve_many(sm, P):
+    """``SmoothedDirectionField.many`` written with one closest-point solve
+    for the values and another for the depth."""
+    n, d = P.shape
+    shifted = (P[:, None, :] + sm.rho * sm.nodes[None, :, :]).reshape(-1, d)
+    vals = sm.boundary_values(sm.domain.project_to_boundary_many(shifted))
+    depth = sm.domain.signed_distance_many(shifted)
+    s = np.clip((depth - sm.blend_lo) / (sm.blend_hi - sm.blend_lo), 0.0, 1.0)
+    fade = 1.0 - s * s * (3.0 - 2.0 * s)
+    ext = fade[:, None] * vals + (1.0 - fade)[:, None] * sm.mean
+    return np.einsum("q,nqd->nd", sm.weights, ext.reshape(n, len(sm.weights), d))
+
+
+@pytest.mark.parametrize("dom", [Ellipse(1.2, 0.7), Disk(1.0), Interval(-1.0, 1.0),
+                                 _tilted_ellipse()], ids=["ellipse", "disk", "interval",
+                                                          "custom"])
+def test_smoothed_field_shares_its_projection_bit_for_bit(dom):
+    field = normal_field(dom) if dom.dimension == 1 else oblique_from_tangent(dom, 0.3)
+    sm = SmoothedDirectionField(dom, field, 0.1)
+    rng = np.random.default_rng(7)
+    inside = dom.sample_closure(40)
+    lo, hi = dom.bounding_box[:, 0], dom.bounding_box[:, 1]
+    outside = (lo + rng.uniform(-0.5, 1.5, (200, dom.dimension)) * (hi - lo))
+    outside = outside[~dom.inside_many(outside)][:20]
+    centre = getattr(dom, "center", np.zeros(1)) + 1e-13  # within 1e-12 of it
+    P = np.vstack([inside, outside, centre])
+    assert len(outside) == 20
+    assert np.array_equal(sm.many(P), _two_solve_many(sm, P))
+
+
+def test_smoothed_field_solves_each_closest_point_once(monkeypatch):
+    ell = Ellipse(1.2, 0.7)
+    sm = SmoothedDirectionField(ell, oblique_from_tangent(ell, 0.5), 0.1)
+    rows = []
+    solve = Domain._closest_points
+
+    def counted(self, X):
+        rows.append(len(X))
+        return solve(self, X)
+
+    monkeypatch.setattr(Domain, "_closest_points", counted)
+    P = ell.sample_closure(9)
+    sm.many(P)
+    assert rows == [21 * len(P)]
