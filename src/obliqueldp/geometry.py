@@ -73,8 +73,21 @@ def _row_dots(D: np.ndarray, E: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row of ``D``, bit for bit."""
+    """The square root of ``_row_dots(D)``: ``np.linalg.norm`` of every row
+    of ``D`` taken one row at a time, bit for bit."""
     return np.sqrt(_row_dots(D))
+
+
+def _row_sq_norms(D: np.ndarray) -> np.ndarray:
+    """The squared norms over the last axis of ``D``, summed column by column
+    into a new array: ``np.add.reduce(D * D, axis=-1)``, whose square root is
+    ``np.linalg.norm(D, axis=-1)``, bit for bit at d <= 2 (a row has at most
+    one addition), without numpy's per-row reduce loop.  ``_row_dots`` rounds
+    like the BLAS dot instead, which this sum does not always."""
+    s = D[..., 0] * D[..., 0]
+    for j in range(1, D.shape[-1]):
+        s += D[..., j] * D[..., j]
+    return s
 
 
 class Domain:
@@ -515,20 +528,17 @@ class Disk(Ellipse):
         super().__init__(radius, radius, center)
 
     def _signed_distances(self, X: np.ndarray, Q=None) -> np.ndarray:
-        # np.linalg.norm(axis=1) without its per-call overhead, same rounding
-        D = X - self.center
-        return self.radius - np.sqrt(np.add.reduce(D * D, axis=1))
+        return self.radius - np.sqrt(_row_sq_norms(X - self.center))
 
     # An own binding, which the benchmark's tracer patches class by class.
     signed_distance_many = Domain.signed_distance_many
 
     def inside_many(self, X: np.ndarray) -> np.ndarray:
-        D = X - self.center
-        return np.sqrt(np.add.reduce(D * D, axis=1)) <= self.radius
+        return np.sqrt(_row_sq_norms(X - self.center)) <= self.radius
 
     def _closest_points(self, X: np.ndarray) -> np.ndarray:
         rel = X - self.center
-        nr = np.linalg.norm(rel, axis=1, keepdims=True)
+        nr = np.sqrt(_row_sq_norms(rel))[:, None]
         # Any boundary point is closest to the centre; a fixed one for determinism.
         unit = np.where(nr < 1e-12, np.array([1.0, 0.0]), rel / np.maximum(nr, 1e-12))
         return self.center + self.radius * unit
@@ -536,7 +546,7 @@ class Disk(Ellipse):
     def normal_many(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         rel = X - self.center
-        nr = np.linalg.norm(rel, axis=1, keepdims=True)
+        nr = np.sqrt(_row_sq_norms(rel))[:, None]
         if np.any(nr < 1e-12):
             raise DegenerateGeometryError("normal undefined at the disk center")
         return rel / nr
@@ -546,7 +556,7 @@ class Disk(Ellipse):
             return None
         out = ~self.inside_many(P)
         r = P[out] - self.center
-        s = np.linalg.norm(r, axis=1, keepdims=True)
+        s = np.sqrt(_row_sq_norms(r))[:, None]
         Q, dZ = P.copy(), np.zeros(P.shape)
         Q[out] = self.center + r * (self.radius / s)
         # Scaling r, rather than taking P - Q, keeps dZ exactly radial even

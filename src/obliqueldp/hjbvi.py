@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField
+from .geometry import CoefficientField, Domain, ObliqueField, _row_sq_norms
 from .sde import NoiseScale, Obstacle
 
 MIN_TYPE = "min_type"
@@ -91,7 +91,7 @@ class ValueGrid:
         cell = full[i:i + 2, j:j + 2]
         if np.any(np.isnan(cell)):
             pts = self.points
-            k = int(np.argmin(np.linalg.norm(pts - x[None, :], axis=1)))
+            k = int(np.argmin(np.sqrt(_row_sq_norms(pts - x[None, :]))))
             return float(layer[k])
         return float((1 - fx) * (1 - fy) * cell[0, 0] + fx * (1 - fy) * cell[1, 0]
                      + (1 - fx) * fy * cell[0, 1] + fx * fy * cell[1, 1])
@@ -304,7 +304,7 @@ def solve_eps_vi(domain: Domain, field: ObliqueField, coeffs: CoefficientField,
     pts = ws.pts
 
     b0, sst0 = ws.coeff_arrays(t_end)
-    max_b = float(np.max(np.linalg.norm(b0, axis=1)))
+    max_b = float(np.max(np.sqrt(_row_sq_norms(b0))))
     max_s2 = float(np.max(np.linalg.norm(sst0, axis=(1, 2))))
     # the monotone projected scheme keeps gradients near the data's
     # Lipschitz bound; estimate it from the obstacle at nine times, the

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField
+from .geometry import CoefficientField, Domain, ObliqueField, _row_sq_norms
 from .reflect import (Control, ReferencePath, TimeGrid, _checked_start, solve_reflected_ode,
                       sup_deviations)
 from .sde import EventSpec
@@ -246,7 +246,8 @@ def _zero_tail(batch: _PathBatch, a_flat, event: EventSpec, tol):
     """
     a = a_flat.reshape(batch.n_seg, batch.m)
     path = batch.solve_path(a_flat)
-    node_devs = np.stack([np.linalg.norm(path.points - g, axis=1) for g in batch.g_nodes], axis=1)
+    node_devs = np.stack([np.sqrt(_row_sq_norms(path.points - g)) for g in batch.g_nodes],
+                         axis=1)
     met = event.shortfalls(node_devs, tol) == 0.0
     trimmed = a.copy()
     if met.any(axis=0).all():
@@ -314,6 +315,6 @@ def weak_stability_check(domain: Domain, field: ObliqueField, coeffs: Coefficien
             grid, lambda t, n=n: np.full(coeffs.m, np.sin(n * t)))
         path = solve_reflected_ode(domain, field, coeffs, ctrl, x0, grid)
         ns.append(n)
-        dists.append(float(np.max(np.linalg.norm(path.points - base.points, axis=1))))
+        dists.append(float(np.max(np.sqrt(_row_sq_norms(path.points - base.points)))))
         n *= 2
     return WeakStabilityReport(n_values=np.array(ns), sup_dists=np.array(dists))

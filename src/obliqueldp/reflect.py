@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField, _as_point
+from .geometry import CoefficientField, Domain, ObliqueField, _as_point, _row_sq_norms
 
 
 class ContractionError(RuntimeError):
@@ -148,12 +148,13 @@ class ReflectedPath:
 
     @property
     def total_variation(self) -> float:
-        return float(np.sum(np.linalg.norm(self.reflection_increments, axis=1)))
+        return float(np.sum(np.sqrt(_row_sq_norms(self.reflection_increments))))
 
     def write_csv(self, path, domain: Domain) -> None:
         n1, d = self.points.shape
         dz = np.vstack([np.zeros((1, d)), self.reflection_increments])
-        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(self.reflection_increments, axis=1))])
+        cum = np.concatenate(
+            [[0.0], np.cumsum(np.sqrt(_row_sq_norms(self.reflection_increments)))])
         on_boundary = np.abs(domain.signed_distance_many(self.points)) <= 1e-6
         cols = [self.grid.nodes] + [self.points[:, j] for j in range(d)] \
             + [dz[:, j] for j in range(d)] + [cum, on_boundary.astype(float)]
@@ -265,8 +266,7 @@ def sup_deviations(domain: Domain, field: ObliqueField, X: np.ndarray, grid: Tim
 
     def track(Y, k):
         for s, g in zip(sq, g_nodes):
-            D = Y - g[k]
-            np.maximum(s, np.add.reduce(D * D, axis=1), out=s)
+            np.maximum(s, _row_sq_norms(Y - g[k]), out=s)
 
     track(X, 0)
     dts = grid.dts
@@ -298,8 +298,7 @@ def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
         # the first exit: nodes before it are exact for every row
         j0 = int(outside[:, left].argmax(axis=0).min()) if len(left) else k1 - k0
         for s, g in zip(sq, g_nodes):
-            D = P[1:] - g[k0 + 1:k1 + 1, None, :]
-            S = np.add.reduce(D * D, axis=2)
+            S = _row_sq_norms(P[1:] - g[k0 + 1:k1 + 1, None, :])
             S[j0:, left] = 0.0
             np.maximum(s, S.max(axis=0), out=s)
         X = P[-1].copy()
@@ -308,8 +307,7 @@ def _step_windows(domain, field, X, dts, drifts, g_nodes, sq):
             for k in range(k0 + j0, k1):
                 Y, _ = advance(domain, field, Y, drifts[k, left], dts[k])
                 for s, g in zip(sq, g_nodes):
-                    D = Y - g[k + 1]
-                    s[left] = np.maximum(s[left], np.add.reduce(D * D, axis=1))
+                    s[left] = np.maximum(s[left], _row_sq_norms(Y - g[k + 1]))
             X[left] = Y
     return X, np.sqrt(sq.T)
 
@@ -395,7 +393,7 @@ def _picard_run(domain, field, coeffs, control, grid, x0, n_win, tol):
                 domain, field, xw, sub,
                 lambda k, _x: drift_at(i0 + k, frozen[k]))
             pts = sweep.points
-            dist = float(np.max(np.linalg.norm(pts - frozen, axis=1)))
+            dist = float(np.max(np.sqrt(_row_sq_norms(pts - frozen))))
             frozen = pts
             if prev_dist is not None and prev_dist > 10.0 * tol:
                 ratio = dist / prev_dist
@@ -439,14 +437,14 @@ def validate_reflected_path(domain: Domain, field: ObliqueField,
                             path: ReflectedPath) -> PathReport:
     """Feasibility, boundary-localization, and direction checks for a path."""
     sd = domain.signed_distance_many(path.points)
-    sizes = np.linalg.norm(path.reflection_increments, axis=1)
+    sizes = np.sqrt(_row_sq_norms(path.reflection_increments))
     active = np.nonzero(sizes > 0.0)[0]
     worst_off = worst_angle = 0.0
     if len(active):
         worst_off = float(np.abs(sd[active + 1]).max())
         G = field.gamma_many(domain, domain.project_to_boundary_many(path.points[active + 1]))
         dZ = path.reflection_increments[active]
-        cosang = np.einsum("ij,ij->i", dZ, G) / (sizes[active] * np.linalg.norm(G, axis=1))
+        cosang = np.einsum("ij,ij->i", dZ, G) / (sizes[active] * np.sqrt(_row_sq_norms(G)))
         worst_angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)).max())
     return PathReport(
         min_signed_distance=float(sd.min()),
@@ -470,7 +468,7 @@ def holder_half_quotient(path: ReflectedPath) -> float:
         lags = np.concatenate([small, geo])
     best = 0.0
     for lag in lags:
-        dy = np.linalg.norm(pts[lag:] - pts[:-lag], axis=1)
+        dy = np.sqrt(_row_sq_norms(pts[lag:] - pts[:-lag]))
         dt = nodes[lag:] - nodes[:-lag]
         best = max(best, float(np.max(dy / np.sqrt(dt))))
     return best

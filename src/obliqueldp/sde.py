@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CoefficientField, Domain, ObliqueField
+from .geometry import CoefficientField, Domain, ObliqueField, _row_sq_norms
 from .reflect import (ReferencePath, ReflectedPath, TimeGrid, _checked_start, _euler_reflect,
                       sup_deviations)
 from .reflect import reflect_step  # noqa: F401 - re-exported; perfbench/tracing.py wraps it
@@ -55,7 +55,7 @@ def tube_obstacle(reference, radius: float, height: float, complement: bool = Fa
 
     def psi(t: float, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        dist = np.linalg.norm(X - np.asarray(reference.at(t))[None, :], axis=1)
+        dist = np.sqrt(_row_sq_norms(X - np.asarray(reference.at(t))[None, :]))
         if smoothing > 0.0:
             ramp = np.clip((dist - (radius - smoothing)) / smoothing, 0.0, 1.0)
         else:
@@ -219,7 +219,7 @@ def _block(domain, field, coeffs, eps, grid, x0, seed, ids, references):
             pts = simulate_reflected_sde(domain, field, coeffs, eps, x0, grid, seed,
                                          trajectory_id=int(tid), gen=gen).points
             ends.append(pts[-1].copy())
-            devs.append([np.linalg.norm(pts - g, axis=1).max() for g in g_nodes])
+            devs.append([np.sqrt(_row_sq_norms(pts - g)).max() for g in g_nodes])
         return np.array(ends), np.array(devs)
     # One pre-scaled, time-major (n, B, d) shock array, so that step k reads
     # one contiguous (B, d) slice; it is filled _SUB trajectories at a time.

@@ -71,6 +71,62 @@ def test_disk_batch_projection_and_normals_match_pointwise():
             assert rows.tobytes() == field.gamma_many(dom, proj_batch).tobytes()
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+                                1e154, -1e154, 1e-160, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), lead=st.sampled_from([(), (3,)]),
+       rows=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_sq_norms_is_the_reduce_loop_bit_for_bit(data, d, lead, rows, seed):
+    # ±0.0, subnormals whose squares underflow, and ±1e154 whose squares
+    # overflow to inf, among any finite floats, in (B, d) and (W, B, d);
+    # random mantissas besides, where a fused or BLAS dot rounds otherwise
+    from hypothesis.extra.numpy import arrays
+
+    from obliqueldp.geometry import _row_sq_norms
+
+    rng = np.random.default_rng(seed)
+    D = np.concatenate([data.draw(arrays(np.float64, lead + (rows, d), elements=st.one_of(
+        _EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)))),
+        rng.standard_normal(lead + (64, d)) * 10.0 ** rng.uniform(-3, 3, lead + (64, d))],
+        axis=-2)
+    with np.errstate(over="ignore"):
+        got, want = _row_sq_norms(D), np.add.reduce(D * D, axis=-1)
+        norm = np.linalg.norm(D, axis=-1)
+    assert not np.shares_memory(got, D)
+    assert got.tobytes() == want.tobytes()
+    assert np.sqrt(got).tobytes() == norm.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(radius=st.floats(0.05, 20.0), cx=st.floats(-3.0, 3.0), cy=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_disk_queries_are_their_norm_formulas_bit_for_bit(radius, cx, cy, seed):
+    # rows at the centre, on the circle, an ulp either side of it in each
+    # coordinate, and well inside and outside
+    disk = Disk(radius, center=(cx, cy))
+    c = disk.center
+    th = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 64)
+    u = np.stack([np.cos(th), np.sin(th)], axis=1)
+    on = c + radius * u
+    X = np.vstack([c[None, :], on, np.nextafter(on, on + u), np.nextafter(on, on - u),
+                   c + 0.3 * radius * u, c + 3.0 * radius * u])
+    rel = X - c
+    nr = np.linalg.norm(rel, axis=1, keepdims=True)
+    assert disk.signed_distance_many(X).tobytes() == (radius - nr[:, 0]).tobytes()
+    assert np.array_equal(disk.inside_many(X), nr[:, 0] <= radius)
+    unit = np.where(nr < 1e-12, np.array([1.0, 0.0]), rel / np.maximum(nr, 1e-12))
+    assert disk.project_to_boundary_many(X).tobytes() == (c + radius * unit).tobytes()
+    assert disk.normal_many(X[1:]).tobytes() == (rel[1:] / nr[1:]).tobytes()
+    out = nr[:, 0] > radius
+    Q, dZ = X.copy(), np.zeros(X.shape)
+    Q[out] = c + rel[out] * (radius / nr[out])
+    dZ[out] = rel[out] * ((nr[out] - radius) / nr[out])
+    got_q, got_dz = disk.pushback_many(X, normal_field(disk))
+    assert (got_q.tobytes(), got_dz.tobytes()) == (Q.tobytes(), dZ.tobytes())
+
+
 def test_ellipse_projection_against_parametric_scan():
     # closest points computed independently by dense parametric search
     ell = Ellipse(1.2, 0.7)

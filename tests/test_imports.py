@@ -6,7 +6,8 @@ own literal: in the package for a private function, in the package, the
 tests or the benchmark for a public one, every public definition of the
 package runs in a pipeline or is named library-only API, and no function
 takes a start time ``t0`` beside a ``grid``, whose first node is the start
-time.
+time, and every sum of squares over a row of the package goes through one
+helper.
 
 A line marked ``# noqa: F401`` keeps its imports: package re-exports, and
 names other code reaches through the module.
@@ -504,3 +505,67 @@ def test_start_time_checker_reads_functions_methods_and_keywords():
            "class K:\n    def m(self, x, t0, grid=None):\n        pass\n"
            "    def n(self, grid):\n        def inner(grid, t0):\n            pass\n")
     assert start_time_beside_grid([src]) == ["f", "g", "inner", "m"]
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def _squares(node):
+    """Whether ``node`` is ``e * e`` for one expression ``e``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and ast.dump(node.left) == ast.dump(node.right))
+
+
+def _sums_squares(call):
+    """Whether ``call`` is ``linalg.norm`` over one integer axis, an
+    ``add.reduce`` or ``np.sum`` of ``e * e``, or an ``einsum`` of one
+    operand with itself."""
+    name = (_dotted(call.func) or "").split(".")
+    if name[-2:] == ["linalg", "norm"]:
+        axis = [kw.value for kw in call.keywords if kw.arg == "axis"] + call.args[2:3]
+        return bool(axis) and type(_literal(axis[0])) is int
+    if name[-2:] == ["add", "reduce"] or name in (["np", "sum"], ["numpy", "sum"]):
+        return bool(call.args) and _squares(call.args[0])
+    if name[-1] == "einsum":
+        return len(call.args) == 3 and ast.dump(call.args[1]) == ast.dump(call.args[2])
+    return False
+
+
+def row_sums_of_squares(sources):
+    """(source index, line) of every row sum of squares in ``sources`` that
+    does not go through ``geometry._row_sq_norms``."""
+    return [(i, node.lineno) for i, tree in enumerate(map(ast.parse, sources))
+            for node in ast.walk(tree) if isinstance(node, ast.Call) and _sums_squares(node)]
+
+
+def test_one_helper_sums_the_squares_of_a_row():
+    # numpy's reduce loop costs about 16 ns a row on a 2-wide axis; the
+    # column-by-column sum is bit for bit np.linalg.norm's at d <= 2
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [(paths[i].name, line)
+            for i, line in row_sums_of_squares(_sources(paths))] == []
+
+
+def test_row_sum_of_squares_checker_finds_each_spelling():
+    src = ("np.linalg.norm(x, axis=1)\n"
+           "numpy.linalg.norm(x, axis=-1, keepdims=True)\n"
+           "np.linalg.norm(x, None, 0)\n"
+           "np.add.reduce(D * D, axis=1)\n"
+           "np.add.reduce(a[k] * a[k])\n"
+           "np.sum(z * z, axis=1)\n"
+           "np.einsum('ij,ij->i', z, z)\n"
+           # not a row sum of squares, or not over one integer axis
+           "np.linalg.norm(x)\n"
+           "np.linalg.norm(x, axis=(1, 2))\n"
+           "np.linalg.norm(x, axis=k)\n"
+           "np.add.reduce(r * g, axis=1)\n"
+           "np.add.reduce(v[idx] * wts, axis=1)\n"
+           "np.sum(A ** 2, axis=(1, 2))\n"
+           "np.einsum('ij,ij->i', g, nrm)\n")
+    assert row_sums_of_squares([src]) == [(0, line) for line in range(1, 8)]

@@ -263,3 +263,43 @@ def test_smoothed_field_solves_each_closest_point_once(monkeypatch):
     P = ell.sample_closure(9)
     sm.many(P)
     assert rows == [21 * len(P)]
+
+
+def _counting_distances(monkeypatch, dom):
+    """The input bytes of every ``signed_distance_many`` call on ``dom``."""
+    calls, sd = [], dom.signed_distance_many
+
+    def counted(X):
+        calls.append(np.asarray(X, dtype=float).tobytes())
+        return sd(X)
+
+    monkeypatch.setattr(dom, "signed_distance_many", counted)
+    return calls
+
+
+def test_gradient_stencils_compute_the_fixed_side_once(tf_disk_oblique, monkeypatch):
+    # each central-difference family shifts one side of the pairs; the other
+    # side's signed distances are computed once, to the same bits as psi_many
+    from obliqueldp.testfn import _fd_grad, _shifts
+
+    disk, tf = tf_disk_oblique
+    X, Y = disk.sample_closure(48), disk.boundary_points(48)
+    want_x = np.stack(_fd_grad(lambda S: tf.psi_many(S, Y), _shifts(X)), axis=1)
+    want_y = np.stack(_fd_grad(lambda S: tf.psi_many(X, S), _shifts(Y)), axis=1)
+    calls = _counting_distances(monkeypatch, disk)
+    assert tf.grad_x_psi_many(X, Y).tobytes() == want_x.tobytes()
+    assert (len(calls), calls.count(Y.tobytes())) == (1 + 2 * 2, 1)
+    calls.clear()
+    assert tf.grad_y_psi_many(X, Y).tobytes() == want_y.tobytes()
+    assert (len(calls), calls.count(X.tobytes())) == (1 + 2 * 2, 1)
+
+
+def test_build_computes_each_stencils_fixed_side_once(monkeypatch):
+    # the build's two stencil families and the check's two gradients each
+    # take the unshifted side once; only the check's psi_many asks again
+    disk = Disk(1.0)
+    calls = _counting_distances(monkeypatch, disk)
+    tf = build_testfn(disk, oblique_from_tangent(disk, 0.5), eps=0.1, rho=0.1)
+    assert (tf.A, tf.B, tf.C) == (4.0, 1.0, 1.0)
+    assert max(calls.count(c) for c in calls) == 2
+    assert len(calls) == (2 + 2 + 4 * 2) + (2 + 2 * (1 + 2 * 2))
