@@ -507,15 +507,6 @@ def test_start_time_checker_reads_functions_methods_and_keywords():
     assert start_time_beside_grid([src]) == ["f", "g", "inner", "m"]
 
 
-def _dotted(node):
-    """``a.b.c`` for a chain of attributes on a name, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
-
-
 def _squares(node):
     """Whether ``node`` is ``e * e`` for one expression ``e``."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
@@ -526,7 +517,7 @@ def _sums_squares(call):
     """Whether ``call`` is ``linalg.norm`` over one integer axis, an
     ``add.reduce`` or ``np.sum`` of ``e * e``, or an ``einsum`` of one
     operand with itself."""
-    name = (_dotted(call.func) or "").split(".")
+    name = ast.unparse(call.func).split(".")
     if name[-2:] == ["linalg", "norm"]:
         axis = [kw.value for kw in call.keywords if kw.arg == "axis"] + call.args[2:3]
         return bool(axis) and type(_literal(axis[0])) is int
