@@ -148,6 +148,10 @@ class Domain:
 
     # -- closest points ----------------------------------------------------
 
+    def _curve_row(self, t: float):
+        """``boundary(t)`` at one parameter as three (x, y) pairs of floats."""
+        return [v.tolist() for v in self.boundary(t)]
+
     def _newton_terms(self, t, x, y):
         """f and f' of f(t) = (g(t) - p) . g'(t), whose zeros are the boundary
         points normal to the centred point p = (x, y)."""
@@ -158,19 +162,34 @@ class Domain:
               + rx * g2[..., 0] + ry * g2[..., 1])
         return f, fp
 
+    def _newton_terms_row(self, t: float, x: float, y: float):
+        """``_newton_terms`` at one row, in floats, which round as numpy's
+        float64 scalars do at a fraction of their cost."""
+        (gx, gy), (g1x, g1y), (g2x, g2y) = self._curve_row(t)
+        rx, ry = gx - x, gy - y
+        return rx * g1x + ry * g1y, g1x * g1x + g1y * g1y + rx * g2x + ry * g2y
+
     def _closest_angles(self, P: np.ndarray) -> np.ndarray:
         """Parameters of the closest boundary points to the rows of ``P``
         (centred coordinates): the best scan angle, refined by Newton."""
         t = np.empty(len(P))
+        # (sx - x)**2 + (sy - y)**2 by the same ufuncs into two buffers made
+        # once a call: fresh block temporaries cost page faults, and buffers
+        # kept on the instance would be shared by threads
+        shape = (min(len(P), self._scan_block), len(self._scan_theta))
+        bx, by = np.empty(shape), np.empty(shape)
         for lo in range(0, len(P), self._scan_block):
             blk = P[lo:lo + self._scan_block]
-            d2 = (self._scan_x - blk[:, :1]) ** 2 + (self._scan_y - blk[:, 1:]) ** 2
+            dx2, dy2 = bx[:len(blk)], by[:len(blk)]
+            np.square(np.subtract(self._scan_x, blk[:, :1], out=dx2), out=dx2)
+            np.square(np.subtract(self._scan_y, blk[:, 1:], out=dy2), out=dy2)
+            d2 = np.add(dx2, dy2, out=dx2)
             t[lo:lo + self._scan_block] = self._scan_theta[np.argmin(d2, axis=1)]
         if len(P) == 1:
-            # One row: the same iteration on numpy scalars, without the masks.
-            tt, x, y = t[0], P[0, 0], P[0, 1]
+            # One row: the same iteration in floats, without the masks.
+            tt, x, y = float(t[0]), float(P[0, 0]), float(P[0, 1])
             for _ in range(60):
-                f, fp = self._newton_terms(tt, x, y)
+                f, fp = self._newton_terms_row(tt, x, y)
                 if abs(fp) < 1e-14:
                     break
                 step = f / fp
@@ -179,7 +198,7 @@ class Domain:
                     break
             t[0] = tt
             return t
-        # Every row at once; a row leaves the live set where the scalar loop stops.
+        # Every row at once; a row leaves the live set where the one-row loop stops.
         live = np.arange(len(P))
         for _ in range(60):
             tl = t[live]
@@ -322,7 +341,7 @@ class Domain:
         if self.inside_many(p[None, :])[0]:
             return p, np.zeros(2)
         x, y = float(p[0] - self.center[0]), float(p[1] - self.center[1])
-        t = self._closest_angles(np.array([[x, y]]))[0]
+        t = float(self._closest_angles(np.array([[x, y]]))[0])
         if not _row_norms((p - (self.center + self._curve_points(t)))[None, :])[0]:
             return p, np.zeros(2)
         if field.kappa is not None:
@@ -344,12 +363,12 @@ class Domain:
         """The root of (p - centre - g) x w by Newton's method from ``t``, or
         None when it does not settle in 60 steps."""
         for _ in range(60):
-            g, g1, g2 = (v.tolist() for v in self.boundary(t))
-            rx, ry = x - g[0], y - g[1]
-            wx, wy = g1[1] + k * g1[0], k * g1[1] - g1[0]
+            (gx, gy), (g1x, g1y), (g2x, g2y) = self._curve_row(t)
+            rx, ry = x - gx, y - gy
+            wx, wy = g1y + k * g1x, k * g1y - g1x
             f = rx * wy - ry * wx
-            fp = (wx * g1[1] - wy * g1[0] + rx * (k * g2[1] - g2[0])
-                  - ry * (g2[1] + k * g2[0]))
+            fp = (wx * g1y - wy * g1x + rx * (k * g2y - g2x)
+                  - ry * (g2y + k * g2x))
             if not fp:
                 return None
             step = f / fp
@@ -488,14 +507,27 @@ class Ellipse(Domain):
         """The level gradient at a point or at every row of ``X``."""
         return 2.0 * ((np.asarray(X, dtype=float) - self.center) / self.semi_axes) / self.semi_axes
 
-    def _newton_terms(self, t, x, y):
-        """f and f' in closed form: f = (b^2-a^2) sin t cos t + a x sin t
-        - b y cos t.  The generic terms round differently in the last bit."""
-        a, b = self.semi_axes
-        s, c = np.sin(t), np.cos(t)
+    def _curve_row(self, t: float):
+        """``_axis_curve``'s (c a, s b), (-s a, c b) and -g from one cos/sin pair."""
+        a, b = self.semi_axes.tolist()
+        c, s = float(np.cos(t)), float(np.sin(t))
+        g = (c * a, s * b)
+        return g, (s * -a, c * b), (-g[0], -g[1])
+
+    def _sincos_terms(self, s, c, x, y):
+        """f and f' in closed form from s = sin t and c = cos t: f = (b^2-a^2)
+        s c + a x s - b y c.  The generic terms round differently in the last
+        bit."""
+        a, b = self.semi_axes.tolist()
         f = (b * b - a * a) * s * c + a * x * s - b * y * c
         fp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
         return f, fp
+
+    def _newton_terms(self, t, x, y):
+        return self._sincos_terms(np.sin(t), np.cos(t), x, y)
+
+    def _newton_terms_row(self, t: float, x: float, y: float):
+        return self._sincos_terms(float(np.sin(t)), float(np.cos(t)), x, y)
 
     def inside_many(self, X: np.ndarray) -> np.ndarray:
         return _row_dots((X - self.center) / self.semi_axes) <= 1.0

@@ -136,11 +136,16 @@ def _pullback_stencils(domain: Domain, field: ObliqueField, xs, ys, mask, flat_i
     """
     h = xs[1] - xs[0]
     nx, ny = len(xs), len(ys)
-    idx4, wts4 = [], []
     offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    # a ghost point missing from several nodes gets one walk; keyed by its
+    # bytes, as xs[i] + h need not round to xs[i + 1]
+    stencils, keys = {}, []
     for i, j, slot in ghosts:
         di, dj = offsets[slot]
         g = np.array([xs[i] + di * h, ys[j] + dj * h])
+        keys.append(g.tobytes())
+        if keys[-1] in stencils:
+            continue
         contact = domain.project_to_boundary(g)
         gam = field(contact)
         gam = gam / np.linalg.norm(gam)
@@ -154,16 +159,17 @@ def _pullback_stencils(domain: Domain, field: ObliqueField, xs, ys, mask, flat_i
                 if all(mask[a, b] for a, b in corners):
                     fx = (q[0] - xs[i0]) / h
                     fy = (q[1] - ys[j0]) / h
-                    idx4.append([flat_index[a, b] for a, b in corners])
-                    wts4.append([(1 - fx) * (1 - fy), fx * (1 - fy),
-                                 (1 - fx) * fy, fx * fy])
+                    stencils[keys[-1]] = ([flat_index[a, b] for a, b in corners],
+                                          [(1 - fx) * (1 - fy), fx * (1 - fy),
+                                           (1 - fx) * fy, fx * fy])
                     break
             s += 0.25 * h
         else:
             raise StencilError(
                 f"no oblique ghost stencil at node ({xs[i]:.4g}, {ys[j]:.4g}) slot {slot}")
-    return (np.array(idx4, dtype=int).reshape(-1, 4),
-            np.array(wts4, dtype=float).reshape(-1, 4))
+    rows = [stencils[k] for k in keys]
+    return (np.array([r[0] for r in rows], dtype=int).reshape(-1, 4),
+            np.array([r[1] for r in rows], dtype=float).reshape(-1, 4))
 
 
 def _total(terms):

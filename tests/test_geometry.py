@@ -14,6 +14,7 @@ from obliqueldp.geometry import (
     oblique_from_tangent,
     validate_oblique,
 )
+from obliqueldp.geometry import _behind_by_rounding, _row_norms
 from obliqueldp.reflect import reflect_step
 
 
@@ -344,6 +345,144 @@ def test_curve_points_are_the_boundary_curve():
         assert dom._curve_points(th).tobytes() == dom.boundary(th)[0].tobytes()
         for t in (np.float64(0.37), np.float64(-2.5), th[17]):
             assert dom._curve_points(t).tobytes() == dom.boundary(t)[0].tobytes()
+            # the one-row float form: the ellipse's own, the others' boundary(t)
+            assert (np.array(dom._curve_row(float(t))).tobytes()
+                    == np.stack(dom.boundary(t)).tobytes())
+
+
+# The closest-point scan as it allocated its (rows, 720) temporaries block by
+# block, and the one-row Newton steps as they ran on numpy scalars: the
+# buffered scan and the float steps must keep their bits.
+
+def _scalar_newton_terms(dom, t, x, y):
+    if isinstance(dom, Ellipse):
+        a, b = dom.semi_axes
+        s, c = np.sin(t), np.cos(t)
+        return ((b * b - a * a) * s * c + a * x * s - b * y * c,
+                (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s)
+    g, g1, g2 = dom.boundary(t)
+    rx, ry = g[..., 0] - x, g[..., 1] - y
+    return (rx * g1[..., 0] + ry * g1[..., 1],
+            g1[..., 0] * g1[..., 0] + g1[..., 1] * g1[..., 1] + rx * g2[..., 0] + ry * g2[..., 1])
+
+
+def _allocating_closest_angles(dom, P):
+    t = np.empty(len(P))
+    for lo in range(0, len(P), 64):
+        blk = P[lo:lo + 64]
+        d2 = (dom._scan_x - blk[:, :1]) ** 2 + (dom._scan_y - blk[:, 1:]) ** 2
+        t[lo:lo + 64] = dom._scan_theta[np.argmin(d2, axis=1)]
+    if len(P) == 1:
+        tt, x, y = t[0], P[0, 0], P[0, 1]
+        for _ in range(60):
+            f, fp = _scalar_newton_terms(dom, tt, x, y)
+            if abs(fp) < 1e-14:
+                break
+            step = f / fp
+            tt -= step
+            if abs(step) < 1e-15:
+                break
+        t[0] = tt
+        return t
+    live = np.arange(len(P))
+    for _ in range(60):
+        tl = t[live]
+        f, fp = _scalar_newton_terms(dom, tl, P[live, 0], P[live, 1])
+        go = ~(np.abs(fp) < 1e-14)
+        live, tl, step = live[go], tl[go], f[go] / fp[go]
+        tl -= step
+        t[live] = tl
+        live = live[~(np.abs(step) < 1e-15)]
+        if not len(live):
+            break
+    return t
+
+
+def _scalar_newton_contact(dom, t, x, y, k):
+    for _ in range(60):
+        g, g1, g2 = (v.tolist() for v in dom.boundary(t))
+        rx, ry = x - g[0], y - g[1]
+        wx, wy = g1[1] + k * g1[0], k * g1[1] - g1[0]
+        f = rx * wy - ry * wx
+        fp = (wx * g1[1] - wy * g1[0] + rx * (k * g2[1] - g2[0])
+              - ry * (g2[1] + k * g2[0]))
+        if not fp:
+            return None
+        step = f / fp
+        t -= step
+        if abs(step) < 1e-15:
+            return t
+    return None
+
+
+def _scalar_closed_contact(dom, p, field):
+    """``Domain.closed_contact`` under a built-in field, on numpy scalars."""
+    if dom.inside_many(p[None, :])[0]:
+        return p, np.zeros(2)
+    x, y = float(p[0] - dom.center[0]), float(p[1] - dom.center[1])
+    t = _allocating_closest_angles(dom, np.array([[x, y]]))[0]
+    if not _row_norms((p - (dom.center + dom._curve_points(t)))[None, :])[0]:
+        return p, np.zeros(2)
+    t = _scalar_newton_contact(dom, t, x, y, field.kappa)
+    if t is not None:
+        q = dom.center + dom._curve_points(t)
+        gam = field.gamma_many(dom, q[None, :])[0]
+        lam = float(np.add.reduce((p - q) * gam)) / float(gam @ gam)
+        if lam >= 0.0:
+            return p - lam * gam, lam * gam
+        if _behind_by_rounding(p, lam, gam):
+            return p, np.zeros(2)
+    return dom.oblique_pushback(p, field)
+
+
+def _pinning_rows(dom, rng, n):
+    """Random rows, rows on the axes of symmetry through the centre (where
+    scan distances tie and the first angle wins), and rows within 1e-12 of
+    the centre."""
+    X = _rows(dom, rng, n)
+    r = rng.uniform(-3.0, 3.0, n)
+    on_axes = np.where(rng.random((n, 1)) < 0.5, np.stack([r, 0.0 * r], axis=1),
+                       np.stack([0.0 * r, r], axis=1))
+    near_centre = rng.uniform(-1e-12, 1e-12, (n, 2))
+    pick = rng.choice(3, size=n, p=[0.5, 0.35, 0.15])
+    return np.choose(pick[:, None], [X, dom.center + on_axes, dom.center + near_centre])
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(["ellipse", "squircle"]), a=st.floats(0.2, 3.0),
+       b=st.floats(0.2, 3.0), cx=st.floats(-2.0, 2.0), cy=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 200), cut=st.integers(1, 150))
+def test_buffered_scan_and_float_steps_keep_the_closest_angles(shape, a, b, cx, cy, seed,
+                                                               n, cut):
+    dom = Ellipse(a, b, (cx, cy)) if shape == "ellipse" else _squircle(a, b, (cx, cy))[0]
+    P = _pinning_rows(dom, np.random.default_rng(seed), n) - dom.center
+    want = _allocating_closest_angles(dom, P)
+    assert dom._closest_angles(P).tobytes() == want.tobytes()
+    # a batch whose tail block is cut short, across a 64-row block boundary
+    k = min(cut, n - 1)
+    assert dom._closest_angles(P[k:]).tobytes() == _allocating_closest_angles(
+        dom, P[k:]).tobytes()
+    for i in range(0, n, 7):
+        assert (dom._closest_angles(P[i:i + 1]).tobytes()
+                == _allocating_closest_angles(dom, P[i:i + 1]).tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(["ellipse", "squircle"]), a=st.floats(0.4, 2.5),
+       b=st.floats(0.4, 2.5), cx=st.floats(-2.0, 2.0), cy=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_float_newton_steps_keep_the_contacts(shape, a, b, cx, cy, seed):
+    dom = Ellipse(a, b, (cx, cy)) if shape == "ellipse" else _squircle(a, b, (cx, cy))[0]
+    rng = np.random.default_rng(seed)
+    th = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 12), np.arange(4) * (np.pi / 2)])
+    over = np.concatenate([rng.uniform(0.0, 0.3, 12), rng.uniform(1e-9, 0.3, 4)])
+    # outside, on the curve, and on the axes of symmetry beyond the curve
+    P = dom.center + (1.0 + over)[:, None] * dom.boundary(th)[0]
+    for kappa in (0.0, 0.3, -1.0):
+        field = oblique_from_tangent(dom, kappa)
+        for p in P:
+            got, want = dom.closed_contact(p, field), _scalar_closed_contact(dom, p, field)
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(got, want))
 
 
 @pytest.mark.parametrize("skip", [0, 37, 1000])

@@ -276,3 +276,62 @@ def test_value_grid_writers_match_the_reference_bytes(tmp_path):
         grid.save_npz(got)
         _reference_npz(grid, want)
         assert got.read_bytes() == want.read_bytes(), name
+
+
+def _per_slot_stencils(domain, field, xs, ys, mask, flat_index, ghosts):
+    """The pullback walk once per missing-neighbour slot, even where several
+    slots name one ghost point."""
+    h = xs[1] - xs[0]
+    nx, ny = len(xs), len(ys)
+    idx4, wts4 = [], []
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    for i, j, slot in ghosts:
+        di, dj = offsets[slot]
+        g = np.array([xs[i] + di * h, ys[j] + dj * h])
+        gam = field(domain.project_to_boundary(g))
+        gam = gam / np.linalg.norm(gam)
+        s = 0.5 * h
+        while s <= 6.0 * h:
+            q = g - s * gam
+            if domain.signed_distance(q) >= 0.25 * h:
+                i0 = int(np.clip(np.searchsorted(xs, q[0]) - 1, 0, nx - 2))
+                j0 = int(np.clip(np.searchsorted(ys, q[1]) - 1, 0, ny - 2))
+                corners = [(i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)]
+                if all(mask[a, b] for a, b in corners):
+                    fx = (q[0] - xs[i0]) / h
+                    fy = (q[1] - ys[j0]) / h
+                    idx4.append([flat_index[a, b] for a, b in corners])
+                    wts4.append([(1 - fx) * (1 - fy), fx * (1 - fy),
+                                 (1 - fx) * fy, fx * fy])
+                    break
+            s += 0.25 * h
+    return (np.array(idx4, dtype=int).reshape(-1, 4),
+            np.array(wts4, dtype=float).reshape(-1, 4))
+
+
+@pytest.mark.parametrize("dom, kappa", [(Disk(1.0), 0.5), (Ellipse(1.2, 0.7), 0.3)])
+def test_each_ghost_point_is_walked_once_to_the_per_slot_bytes(dom, kappa, monkeypatch):
+    from obliqueldp import hjbvi
+
+    field = oblique_from_tangent(dom, kappa)
+    seen, walks, pullback = [], [], hjbvi._pullback_stencils
+    project = dom.project_to_boundary
+
+    def recorded(*args):
+        seen.append(args[:-1] + (list(args[-1]),))
+        return pullback(*seen[-1])
+
+    monkeypatch.setattr(hjbvi, "_pullback_stencils", recorded)
+    monkeypatch.setattr(dom, "project_to_boundary", lambda g: walks.append(1) or project(g))
+    ws = hjbvi._Workspace(dom, field, constant_coefficients([0.0, 0.0], np.eye(2)), 31)
+    monkeypatch.undo()
+    (args,) = seen
+    idx, wts = _per_slot_stencils(*args)
+    assert ws.g_idx.tobytes() == idx.tobytes() and ws.g_wts.tobytes() == wts.tobytes()
+    # several slots name one ghost point, which is walked once
+    xs, ys, ghosts = args[2], args[3], args[-1]
+    h = xs[1] - xs[0]
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    points = {np.array([xs[i] + offsets[s][0] * h, ys[j] + offsets[s][1] * h]).tobytes()
+              for i, j, s in ghosts}
+    assert len(walks) == len(points) < len(ghosts)

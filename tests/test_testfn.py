@@ -295,11 +295,40 @@ def test_gradient_stencils_compute_the_fixed_side_once(tf_disk_oblique, monkeypa
 
 
 def test_build_computes_each_stencils_fixed_side_once(monkeypatch):
-    # the build's two stencil families and the check's two gradients each
+    # the build's one stencil family and the check's two gradients each
     # take the unshifted side once; only the check's psi_many asks again
     disk = Disk(1.0)
     calls = _counting_distances(monkeypatch, disk)
     tf = build_testfn(disk, oblique_from_tangent(disk, 0.5), eps=0.1, rho=0.1)
     assert (tf.A, tf.B, tf.C) == (4.0, 1.0, 1.0)
     assert max(calls.count(c) for c in calls) == 2
-    assert len(calls) == (2 + 2 + 4 * 2) + (2 + 2 * (1 + 2 * 2))
+    assert len(calls) == (2 + 1 + 4) + (2 + 2 * (1 + 2 * 2))
+
+
+@pytest.mark.parametrize("dom, pinned", [
+    (Disk(1.0), (8.0, 1.0, 2.0, "0x1.81b98a0a4515cp+8")),
+    (Ellipse(1.2, 0.7), (8.0, 1.0, 4.0, "0x1.75a55c716c73bp+11")),
+])
+def test_the_mirrored_boundary_family_repeats_the_kept_one(dom, pinned):
+    # the family with the boundary point second, which the build once also
+    # sampled: its sandwich terms and near mask are the kept family's bit for
+    # bit, and its boundary products the same to rounding (the exponential
+    # weight sums 2 sup - dx - dy in order, and the central differences
+    # scale that up); the constants and K keep the values recorded while the
+    # build sampled both
+    from obliqueldp.geometry import _row_sq_norms
+    from obliqueldp.testfn import _boundary_pair_set
+
+    field = oblique_from_tangent(dom, 2.0)
+    tf = build_testfn(dom, field, eps=0.3, rho=1.0, n_boundary=32, probe_samples=128)
+    assert (tf.A, tf.B, tf.C, tf.K.hex()) == pinned
+    Xb, Yb = _boundary_pair_set(dom, tf.rho, 32)
+    Yc, Xc = _boundary_pair_set(dom, tf.rho, 32)
+    for kept, mirrored in zip(tf._raw(Xb, Yb)[:3], tf._raw(Xc, Yc)[:3]):
+        assert np.array_equal(kept, mirrored)
+    assert np.array_equal(_row_sq_norms(Xb - Yb), _row_sq_norms(Xc - Yc))
+    gx, gy = tf.grad_x_psi_many(Xb, Yb), tf.grad_y_psi_many(Xc, Yc)
+    vx = sum(field.gamma_many(dom, Xb)[:, j] * gx[:, j] for j in range(2))
+    vy = sum(field.gamma_many(dom, Yc)[:, j] * gy[:, j] for j in range(2))
+    assert vx.min() > 0.0
+    np.testing.assert_allclose(vy, vx, rtol=0.0, atol=1e-8 * np.abs(vx).max())
