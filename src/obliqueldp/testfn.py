@@ -287,8 +287,8 @@ def build_testfn(domain: Domain, field: ObliqueField, eps: float, rho: float,
     # an even count, so the interior pairs below split it into equal halves
     closure = domain.sample_closure(2 * max(2, 4 * n_boundary // 3))
     Xi, Yi = closure[0::2], closure[1::2]
-    # one boundary family: its mirror (the boundary point second) would only
-    # repeat it, as psi(x, y) is psi(y, x) bit for bit
+    # one boundary family: its mirror, the boundary point second, would
+    # repeat it up to rounding, as psi(x, y) = psi(y, x)
     Xb, Yb = _boundary_pair_set(domain, rho, n_boundary)
 
     X_all, Y_all = np.vstack([Xi, Xb]), np.vstack([Yi, Yb])
